@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import stats
@@ -24,13 +22,6 @@ from .prob import JointPmf2, Pmf, PrivacyMapping
 
 SUBCOMMANDS = ("mi-tradeoff", "secrecy-gap", "convergence-cdf", "mfg", "lohe",
                "stackelberg", "nash", "plant", "divergence")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MIRRORWYNER_THREADS", "1")))
-    except ValueError:
-        raise ValidationError("MIRRORWYNER_THREADS: must be an integer")
 
 
 def _load_config(path):
@@ -103,12 +94,7 @@ def run_convergence_cdf(cfg, seed, rep):
             return (name, s, -1, False, False, type(exc).__name__)
 
     jobs = [(name, kw, s) for name, kw in variants for s in seeds]
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
+    results = [one(j) for j in jobs]
     results.sort(key=lambda r: (r[0], r[1]))
 
     rows = [("run", name, s, iters, int(conv), int(bool(feas)), tag or "ok")
@@ -228,17 +214,20 @@ def run_secrecy_gap(cfg, seed, rep):
     # leakage chance under the identity original, per panel
     asg0 = mirror.TwinAssignment((ident,) * inst.q_count,
                                  (_const_virtual(inst),) * inst.q_count)
+    constraints = mirror.ConstraintSet.build(inst)
     rows = []
     for mag in mags:
         rng = np.random.default_rng(seed)
         draws = np.array([mirror.sample_leakage(inst, asg0, q, mag, rng)
                           for _ in range(n_samples)])
-        leak_chance = float(np.mean(draws <= inst.gamma0[q] + mirror.NULL_TOL))
+        leak_chance = float(np.mean(constraints.holds(draws, q, 1)))
         for gi, budget in enumerate(budgets):
             feas = gaps[:, 0] <= budget + 1e-12
-            best = float(gaps[feas, 1].max())
+            solved = bool(np.any(feas))
+            # a budget below every mapping's power has no solution
+            best = float(gaps[feas, 1].max()) if solved else 0.0
             rows.append((mag, gi, budget / power_max if power_max > 0 else 0.0,
-                         best, leak_chance, 1))
+                         best, leak_chance, int(solved)))
     header = "b_magnitude,grid_index,budget_norm,gap_bits,leakage_chance,solved"
     return header, rows, 0
 

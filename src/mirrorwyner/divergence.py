@@ -5,12 +5,11 @@ equivocation-constrained conditional-MI maximization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
 
-from . import prob, solvers
+from . import prob
 from .errors import ValidationError
 from .prob import JointPmf2, Pmf
 
@@ -216,15 +215,14 @@ def _equivocation(m: LatentModel, mask: AccessMask) -> float:
     return float(h)
 
 
-def constrained_cmi_max(m: LatentModel, mask: AccessMask, g1: float, g2: float,
-                        grid_resolution: int = 8) -> ReweightResult:
+def constrained_cmi_max(m: LatentModel, mask: AccessMask, g1: float, g2: float
+                        ) -> ReweightResult:
     """Maximize the conditional MI over a simplex reweighting of the
     accessible z slices, the inaccessible slice weights staying frozen,
     subject to the equivocation band on the inaccessible side.
 
-    The search runs a simplex grid (vertices included) refined by the
-    trust-region solver on softmax logits; since the objective is linear in
-    the weights the vertex scan already attains the optimum.
+    The objective is linear in the weights, so the optimum puts all the
+    accessible mass on the slice of largest per-slice MI (the first on ties).
     """
     if g1 > g2:
         raise ValidationError("constrained_cmi_max: need g1 <= g2")
@@ -238,34 +236,7 @@ def constrained_cmi_max(m: LatentModel, mask: AccessMask, g1: float, g2: float,
     acc_mass = float(p_z[acc].sum())
     mi_z = _cmi_per_slice(m)
     inacc_cmi = float(sum(p_z[z] * mi_z[z] for z in mask.inaccessible))
-    if len(acc) == 1 or acc_mass <= 0:
-        return ReweightResult(weights, inacc_cmi + acc_mass * mi_z[acc[0]]
-                              if acc_mass > 0 else inacc_cmi, eq, feasible=True)
-
-    def total_cmi(acc_weights: np.ndarray) -> float:
-        return inacc_cmi + acc_mass * float(acc_weights @ mi_z[acc])
-
-    best_w, best_v = None, -np.inf
-    n = len(acc)
-    for combo in combinations_with_replacement(range(n), grid_resolution):
-        counts = np.bincount(np.asarray(combo), minlength=n)
-        w = counts / grid_resolution
-        v = total_cmi(w)
-        if v > best_v:
-            best_w, best_v = w, v
-    # interior refinement from the best grid point
-    logits0 = np.log(np.clip(best_w, 1e-6, None))
-
-    def neg(logits):
-        e = np.exp(logits - logits.max())
-        return -total_cmi(e / e.sum())
-
-    f = solvers.ObjectiveFn(neg, n, h=1e-5)
-    logits, _ = solvers.trust_region_solve(
-        f, logits0, solvers.TrustRegionConfig(max_iter=50, eps_th=1e-10))
-    e = np.exp(logits - logits.max())
-    w_ref = e / e.sum()
-    if total_cmi(w_ref) > best_v:
-        best_w, best_v = w_ref, total_cmi(w_ref)
-    weights[acc] = acc_mass * best_w
-    return ReweightResult(weights, best_v, eq, feasible=True)
+    best = acc[int(np.argmax(mi_z[acc]))]
+    weights[acc] = 0.0
+    weights[best] = acc_mass
+    return ReweightResult(weights, inacc_cmi + acc_mass * float(mi_z[best]), eq, feasible=True)

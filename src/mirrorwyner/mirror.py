@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import prob
-from .errors import NumericUnderflowError, ValidationError
+from .errors import InfiniteDivergenceError, NumericUnderflowError, ValidationError
 from .prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
 
 # conditions (v)-(vii) use this as "numerically zero" in strict mode
@@ -271,22 +271,10 @@ def condition_values(inst: MirrorGameInstance, asg: TwinAssignment) -> np.ndarra
     return vals
 
 
-def condition_passes(inst: MirrorGameInstance, vals: np.ndarray) -> np.ndarray:
-    passed = np.zeros_like(vals, dtype=bool)
-    passed[:, 0] = vals[:, 0] >= inst.gamma2 - NULL_TOL
-    passed[:, 1] = vals[:, 1] <= inst.gamma0 + NULL_TOL
-    passed[:, 2] = vals[:, 2] <= inst.gamma3 + NULL_TOL
-    passed[:, 3] = vals[:, 3] <= inst.gamma1 + NULL_TOL
-    passed[:, 4] = vals[:, 4] > NULL_TOL
-    passed[:, 5] = vals[:, 5] > NULL_TOL
-    passed[:, 6] = vals[:, 6] <= NULL_TOL
-    return passed
-
-
 def evaluate_conditions(inst: MirrorGameInstance, asg: TwinAssignment) -> ConditionReport:
     """Check conditions (i)-(vii) exactly, with (vii) in its strict-null form."""
     vals = condition_values(inst, asg)
-    passed = condition_passes(inst, vals)
+    passed = ConstraintSet.build(inst).holds(vals)
     return ConditionReport(values=vals, passed=passed, feasible=bool(passed.all()))
 
 
@@ -299,55 +287,75 @@ def virtual_power(mapping: PrivacyMapping, x_marginal: Pmf, symbol_values) -> fl
     return float(np.sum(p_y * symbol_values ** 2))
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    name: str
-    kind: str              # "ge", "le", "gt", "eq"
-    condition_index: int
-    bounds: np.ndarray     # per-Bob bound
+# The pass test meets the instance thresholds of (i)-(iv) within NULL_TOL and
+# compares (v)-(vii) with their floors exactly; (v) and (vi) must exceed
+# their lower bound strictly.
+_PASS_SLACK = np.array([NULL_TOL] * 4 + [0.0] * 3)
+_STRICT_LOWER = np.array([False] * 4 + [True] * 2 + [False])
 
-    def satisfied(self, value: float, q: int, tol: float = NULL_TOL) -> bool:
-        b = self.bounds[q]
-        if self.kind == "ge":
-            return value >= b - tol
-        if self.kind == "le":
-            return value <= b + tol
-        if self.kind == "gt":
-            return value > b + tol
-        return abs(value - b) <= tol
+
+@dataclass(frozen=True)
+class ConstraintSet:
+    """Bounds of conditions (i)-(vii) per (Bob, condition). Every entry has
+    one bound; the other side is open (-inf or +inf).
+
+    Without eps floors, (v) and (vi) must exceed NULL_TOL and (vii) stay at
+    most NULL_TOL. With floors (eps1, eps2, eps3), (v) and (vi) must exceed
+    eps1 and eps2, and (vii) is at least eps3 in "floored" null mode or stays
+    at most NULL_TOL in "strict" null mode.
+    """
+
+    lo: np.ndarray   # (Q, 7) lower bounds
+    hi: np.ndarray   # (Q, 7) upper bounds
+
+    @classmethod
+    def build(cls, inst: MirrorGameInstance, gamma2: float = None, eps=None,
+              null_mode: str = "strict") -> "ConstraintSet":
+        """Bounds from the instance thresholds, the utility floor (the
+        instance's gamma2 by default) and the eps floors, if any."""
+        if null_mode not in ("strict", "floored"):
+            raise ValidationError("null_mode must be 'strict' or 'floored'")
+        if eps is None and null_mode == "floored":
+            raise ValidationError("null_mode 'floored' needs eps floors")
+        e1, e2, e3 = (NULL_TOL, NULL_TOL, None) if eps is None else eps
+        lo = np.full((inst.q_count, 7), -np.inf)
+        hi = np.full((inst.q_count, 7), np.inf)
+        lo[:, 0] = inst.gamma2 if gamma2 is None else gamma2
+        hi[:, 1] = inst.gamma0
+        hi[:, 2] = inst.gamma3
+        hi[:, 3] = inst.gamma1
+        lo[:, 4] = e1
+        lo[:, 5] = e2
+        if null_mode == "floored":
+            lo[:, 6] = e3
+        else:
+            hi[:, 6] = NULL_TOL
+        return cls(lo, hi)
+
+    def violations(self, vals: np.ndarray) -> np.ndarray:
+        """How far each value lies outside its bound, (Q, 7); zero inside."""
+        return np.maximum(0.0, self.lo - vals) + np.maximum(0.0, vals - self.hi)
+
+    def holds(self, vals, q=slice(None), i=slice(None)) -> np.ndarray:
+        """Pass flags of `vals` against the bounds at [q, i], all (Q, 7) by
+        default; `vals` broadcasts against the selected bounds."""
+        lo = self.lo[q, i] - _PASS_SLACK[i]
+        hi = self.hi[q, i] + _PASS_SLACK[i]
+        above = np.where(_STRICT_LOWER[i], vals > lo, vals >= lo)
+        return above & (vals <= hi)
 
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Structured form of the base problem: one exposure-minimizing objective
-    plus six constraint slots, all bounds wired to the instance thresholds."""
+    """The base problem: minimize the mean exposure (iii) subject to the
+    conditions, all bounds taken from the instance thresholds."""
 
     instance: MirrorGameInstance
-    objective_pairs: tuple   # (q, q') enumeration with q' != q
-    constraints: tuple       # six ConstraintSpec slots
-
-    def objective(self, asg: TwinAssignment) -> float:
-        """Mean exposure over Bobs: I(X_q; {Ytot_q'}), q' != q."""
-        vals = condition_values(self.instance, asg)
-        return float(vals[:, 2].mean())
-
-    def constraint_values(self, asg: TwinAssignment) -> np.ndarray:
-        return condition_values(self.instance, asg)
+    constraints: ConstraintSet
 
 
 def assemble_p1(inst: MirrorGameInstance) -> OptimizationProblem:
-    q_range = range(inst.q_count)
-    pairs = tuple((q, qp) for q in q_range for qp in q_range if qp != q)
-    zeros = np.zeros(inst.q_count)
-    constraints = (
-        ConstraintSpec("utility", "ge", 0, np.full(inst.q_count, inst.gamma2)),
-        ConstraintSpec("leakage", "le", 1, inst.gamma0.copy()),
-        ConstraintSpec("virtual_power", "le", 3, inst.gamma1.copy()),
-        ConstraintSpec("twin_vs_other_original", "gt", 4, zeros.copy()),
-        ConstraintSpec("twin_vs_other_source", "gt", 5, zeros.copy()),
-        ConstraintSpec("twin_nulled", "eq", 6, zeros.copy()),
-    )
-    return OptimizationProblem(instance=inst, objective_pairs=pairs, constraints=constraints)
+    return OptimizationProblem(inst, ConstraintSet.build(inst))
 
 
 def perturb_posterior(posterior: np.ndarray, magnitude: float,
@@ -381,44 +389,13 @@ class ChanceConstrainedProblem:
     whose posterior is perturbed); the others evaluate deterministically.
     """
 
-    base: OptimizationProblem
+    instance: MirrorGameInstance
     uncertainty: UncertaintyModel
-    eps_floors: np.ndarray = None   # (eps1, eps2, eps3) or None for the strict form
-    null_mode: str = "strict"       # "strict": |I| <= tol; "floored": I >= eps3
-
-    def __post_init__(self):
-        if self.null_mode not in ("strict", "floored"):
-            raise ValidationError("null_mode must be 'strict' or 'floored'")
-
-    @property
-    def instance(self) -> MirrorGameInstance:
-        return self.base.instance
-
-    def _thresholds(self):
-        if self.eps_floors is None:
-            return NULL_TOL, NULL_TOL, None
-        e1, e2, e3 = self.eps_floors
-        return e1, e2, e3
+    constraints: ConstraintSet
 
     def constraint_holds(self, vals: np.ndarray, q: int, i: int) -> bool:
         """Deterministic part of constraint i for Bob q on precomputed values."""
-        inst = self.instance
-        e1, e2, e3 = self._thresholds()
-        if i == 0:
-            return vals[q, 0] >= inst.gamma2 - NULL_TOL
-        if i == 1:
-            return vals[q, 1] <= inst.gamma0[q] + NULL_TOL
-        if i == 2:
-            return vals[q, 2] <= inst.gamma3 + NULL_TOL
-        if i == 3:
-            return vals[q, 3] <= inst.gamma1[q] + NULL_TOL
-        if i == 4:
-            return vals[q, 4] > e1
-        if i == 5:
-            return vals[q, 5] > e2
-        if self.null_mode == "floored":
-            return vals[q, 6] >= e3
-        return vals[q, 6] <= NULL_TOL
+        return bool(self.constraints.holds(vals[q, i], q, i))
 
     def achievable_theta(self, asg: TwinAssignment, n_samples: int = 200,
                          seed: int = None) -> np.ndarray:
@@ -428,18 +405,13 @@ class ChanceConstrainedProblem:
         """
         inst = self.instance
         vals = condition_values(inst, asg)
-        theta = np.zeros((inst.q_count, 7))
+        theta = self.constraints.holds(vals).astype(float)
         rng = np.random.default_rng(self.uncertainty.seed if seed is None else seed)
-        for q in range(inst.q_count):
-            for i in range(7):
-                if i == 1 and self.uncertainty.magnitude > 0:
-                    hits = 0
-                    for _ in range(n_samples):
-                        leak = sample_leakage(inst, asg, q, self.uncertainty.magnitude, rng)
-                        hits += leak <= inst.gamma0[q] + NULL_TOL
-                    theta[q, i] = hits / n_samples
-                else:
-                    theta[q, i] = 1.0 if self.constraint_holds(vals, q, i) else 0.0
+        if self.uncertainty.magnitude > 0:
+            for q in range(inst.q_count):
+                leaks = np.array([sample_leakage(inst, asg, q, self.uncertainty.magnitude, rng)
+                                  for _ in range(n_samples)])
+                theta[q, 1] = np.count_nonzero(self.constraints.holds(leaks, q, 1)) / n_samples
         return theta
 
     def passes(self, asg: TwinAssignment, n_samples: int = 200, seed: int = None) -> bool:
@@ -448,7 +420,7 @@ class ChanceConstrainedProblem:
 
 
 def chance_relax(p1: OptimizationProblem, u: UncertaintyModel) -> ChanceConstrainedProblem:
-    return ChanceConstrainedProblem(base=p1, uncertainty=u)
+    return ChanceConstrainedProblem(p1.instance, u, p1.constraints)
 
 
 def epsilon_floor(ccp: ChanceConstrainedProblem, eps, null_mode: str = "floored"
@@ -462,7 +434,8 @@ def epsilon_floor(ccp: ChanceConstrainedProblem, eps, null_mode: str = "floored"
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (3,) or np.any(eps <= 0):
         raise ValidationError("epsilon_floor: eps must be three positive reals")
-    return replace(ccp, eps_floors=eps, null_mode=null_mode)
+    return replace(ccp, constraints=ConstraintSet.build(ccp.instance, eps=eps,
+                                                        null_mode=null_mode))
 
 
 def boltzmann_posterior(p_x: Pmf, p_s_given_x: PrivacyMapping,
@@ -485,7 +458,7 @@ def boltzmann_posterior(p_x: Pmf, p_s_given_x: PrivacyMapping,
         for x in range(n_x):
             try:
                 div[y, x] = prob._kl_tables(p_s_given_y.rows[y], p_s_given_x.rows[x])
-            except Exception:
+            except InfiniteDivergenceError:
                 div[y, x] = np.inf
     with np.errstate(over="ignore"):
         w = p_x.probs[None, :] * np.exp(-omega * div)
@@ -533,8 +506,6 @@ def objective_decompose(inst: MirrorGameInstance, asg: TwinAssignment,
     _check_consistent(inst, asg)
     p_s = inst.source.probs
     x_given_s = inst.x_given_s(q)                                    # (S, X)
-    o = _per_s_channel(inst, asg, q_prime, keep_o=True, keep_v=False)  # (S, Yo)
-    v = _per_s_channel(inst, asg, q_prime, keep_o=False, keep_v=True)  # (S, Yv)
     # independence of Yo_q' and Yv_q' given S does NOT hold (they share X_q'),
     # so build the full per-s block for Bob q_prime
     xq = inst.x_given_s(q_prime)

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import mirror
-from .errors import NumericError, ValidationError
+from .errors import NumericError, NumericUnderflowError, ValidationError
 from .prob import Pmf, PrivacyMapping
 
 RADIUS_EQ_TOL = 1e-12  # "step hit the boundary" test for radius expansion
@@ -46,9 +46,19 @@ class Iterate:
     accepted: bool
 
 
+@dataclass(frozen=True)
+class GreedyPass:
+    """One outer pass of the greedy solver: mean exposure and merit at its
+    end, and whether it accepted any proposal."""
+
+    objective: float
+    merit: float
+    accepted: bool
+
+
 @dataclass
 class SolveTrace:
-    iterates: list = field(default_factory=list)
+    iterates: list = field(default_factory=list)   # Iterate or GreedyPass records
     converged: bool = False
     feasible: Optional[bool] = None
 
@@ -226,51 +236,6 @@ def random_assignment(inst: mirror.MirrorGameInstance,
     return mirror.TwinAssignment(tuple(originals), tuple(virtuals))
 
 
-class _Merit:
-    """Minimization merit: mean exposure plus weighted constraint violations."""
-
-    def __init__(self, inst, relaxed, eps, lam, gamma2_eff):
-        self.inst = inst
-        self.relaxed = relaxed
-        self.eps = eps
-        self.lam = lam
-        self.gamma2_eff = gamma2_eff
-
-    def __call__(self, vals: np.ndarray) -> float:
-        inst = self.inst
-        e1, e2, e3 = self.eps
-        v = np.zeros_like(vals)
-        v[:, 0] = np.maximum(0.0, self.gamma2_eff - vals[:, 0])
-        v[:, 1] = np.maximum(0.0, vals[:, 1] - inst.gamma0)
-        v[:, 2] = np.maximum(0.0, vals[:, 2] - inst.gamma3)
-        v[:, 3] = np.maximum(0.0, vals[:, 3] - inst.gamma1)
-        if self.relaxed:
-            v[:, 4] = np.maximum(0.0, e1 - vals[:, 4])
-            v[:, 5] = np.maximum(0.0, e2 - vals[:, 5])
-            v[:, 6] = np.maximum(0.0, e3 - vals[:, 6])
-        else:
-            v[:, 4] = np.maximum(0.0, mirror.NULL_TOL - vals[:, 4])
-            v[:, 5] = np.maximum(0.0, mirror.NULL_TOL - vals[:, 5])
-            v[:, 6] = np.maximum(0.0, vals[:, 6] - mirror.NULL_TOL)
-        return float(vals[:, 2].mean() + self.lam * v.sum())
-
-    def feasible(self, vals: np.ndarray) -> bool:
-        inst = self.inst
-        e1, e2, e3 = self.eps
-        tol = mirror.NULL_TOL
-        ok = (
-            (vals[:, 0] >= self.gamma2_eff - tol)
-            & (vals[:, 1] <= inst.gamma0 + tol)
-            & (vals[:, 2] <= inst.gamma3 + tol)
-            & (vals[:, 3] <= inst.gamma1 + tol)
-        )
-        if self.relaxed:
-            ok &= (vals[:, 4] > e1) & (vals[:, 5] > e2) & (vals[:, 6] >= e3)
-        else:
-            ok &= (vals[:, 4] > tol) & (vals[:, 5] > tol) & (vals[:, 6] <= tol)
-        return bool(ok.all())
-
-
 def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                  relaxed: bool, budget: int, seed: int,
                  omega: float = 1.0, eps=DEFAULT_EPS, lam: float = DEFAULT_LAMBDA,
@@ -295,7 +260,17 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     if relaxed:
         bn = mirror.bottleneck_pair_search(inst, asg, u, vtheta_target=0.9)
         gamma2_eff = min(inst.gamma2, bn.gamma2_star)
-    merit = _Merit(inst, relaxed, eps, lam, gamma2_eff)
+    constraints = mirror.ConstraintSet.build(
+        inst, gamma2=gamma2_eff, eps=eps if relaxed else None,
+        null_mode="floored" if relaxed else "strict")
+
+    def merit(vals: np.ndarray) -> float:
+        """Minimization merit: mean exposure plus weighted constraint violations."""
+        return float(vals[:, 2].mean() + lam * constraints.violations(vals).sum())
+
+    def feasible(vals: np.ndarray) -> bool:
+        return bool(constraints.holds(vals).all())
+
     current = merit(vals)
     stall = 0
     for _ in range(budget):
@@ -320,8 +295,8 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                 rows = np.clip(rows, 0.0, None)
                 rows /= rows.sum(axis=1, keepdims=True)
                 candidates.append(("original", PrivacyMapping(rows)))
-            except Exception:
-                pass
+            except (NumericUnderflowError, ValidationError):
+                pass   # omega too large for this posterior: no Boltzmann candidate
             candidates.append(("original", _nudge_mapping(asg.original[q], 0.1, rng)))
             for j in range(proposals):
                 if j % 2 == 0:
@@ -342,15 +317,12 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                 if trial_merit < current - 1e-9:
                     asg, vals, current = trial, trial_vals, trial_merit
                     improved = True
-        trace.iterates.append(Iterate(
-            point=np.array([]), objective=float(vals[:, 2].mean()),
-            grad_norm=current, radius=0.0, ratio=None, accepted=improved))
-        feasible_now = merit.feasible(vals)
-        if feasible_now and not improved:
+        trace.iterates.append(GreedyPass(float(vals[:, 2].mean()), current, improved))
+        if feasible(vals) and not improved:
             trace.converged = True
             break
         stall = 0 if improved else stall + 1
         if stall >= patience:
             break
-    trace.feasible = merit.feasible(vals)
+    trace.feasible = feasible(vals)
     return asg, trace

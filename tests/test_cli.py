@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from mirrorwyner import mirror
 from mirrorwyner.cli import main
 
 
@@ -104,6 +105,23 @@ class TestModuleOracles:
         assert set(by_mag) == {"0.6", "0.7"}
         for gaps in by_mag.values():
             assert all(b >= a - 1e-6 for a, b in zip(gaps, gaps[1:]))
+
+    def test_secrecy_gap_unsolvable_budget(self, tmp_path):
+        # no virtual symbol is 0, so no mapping fits the zero power budget
+        inst = mirror.reference_binary_instance().to_jsonable()
+        inst["symbol_values"] = [[1, 2], [1, 2]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": inst}))
+        rc, data = run_to_file(tmp_path, ["secrecy-gap", "--config", str(cfg)])
+        assert rc == 0
+        header, *lines = data.decode().strip().split("\n")
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert rows
+        for row in rows:
+            if row["grid_index"] == "0":
+                assert (row["gap_bits"], row["solved"]) == ("0", "0")
+            else:
+                assert row["solved"] == "1"
 
     def test_mi_tradeoff_frontier(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -218,6 +218,111 @@ class TestRelaxationChain:
         assert np.all((t1 >= 0) & (t1 <= 1))
 
 
+CS_INST = MirrorGameInstance(
+    joints=mirror.reference_binary_instance().joints, gamma0=[0.3, 0.25],
+    gamma1=[1.0, 2.0], gamma2=0.1, gamma3=1.5)
+CS_EPS = (0.01, 0.02, 0.03)
+CS_GAMMA2_EFF = 0.07   # a utility floor below the instance's, as the relaxed solver uses
+
+
+def constraint_edges():
+    """Every threshold the seven comparisons meet (NULL_TOL, the eps floors,
+    each gamma bound and the bound +-NULL_TOL) and one ulp either side."""
+    tol = mirror.NULL_TOL
+    gammas = [CS_INST.gamma2, CS_GAMMA2_EFF, CS_INST.gamma3, *CS_INST.gamma0, *CS_INST.gamma1]
+    bases = [0.0, tol, *CS_EPS] + [g + d for g in gammas for d in (-tol, 0.0, tol)]
+    return [float(np.nextafter(b, to)) for b in bases for to in (-np.inf, b, np.inf)]
+
+
+class TestConstraintSet:
+    """The one bounds table against the seven comparisons and the merit's
+    violation formula, both written out literally."""
+
+    # strict, floored, and eps floors with the strict null mode
+    MODES = ((None, "strict"), (CS_EPS, "floored"), (CS_EPS, "strict"))
+
+    @staticmethod
+    def literal_passes(inst, vals, g2, eps, null_mode):
+        tol = mirror.NULL_TOL
+        e1, e2, e3 = (tol, tol, None) if eps is None else eps
+        passed = np.zeros_like(vals, dtype=bool)
+        passed[:, 0] = vals[:, 0] >= g2 - tol
+        passed[:, 1] = vals[:, 1] <= inst.gamma0 + tol
+        passed[:, 2] = vals[:, 2] <= inst.gamma3 + tol
+        passed[:, 3] = vals[:, 3] <= inst.gamma1 + tol
+        passed[:, 4] = vals[:, 4] > e1
+        passed[:, 5] = vals[:, 5] > e2
+        if null_mode == "floored":
+            passed[:, 6] = vals[:, 6] >= e3
+        else:
+            passed[:, 6] = vals[:, 6] <= tol
+        return passed
+
+    @staticmethod
+    def literal_violations(inst, vals, g2, eps, null_mode):
+        tol = mirror.NULL_TOL
+        e1, e2, e3 = (tol, tol, None) if eps is None else eps
+        v = np.zeros_like(vals)
+        v[:, 0] = np.maximum(0.0, g2 - vals[:, 0])
+        v[:, 1] = np.maximum(0.0, vals[:, 1] - inst.gamma0)
+        v[:, 2] = np.maximum(0.0, vals[:, 2] - inst.gamma3)
+        v[:, 3] = np.maximum(0.0, vals[:, 3] - inst.gamma1)
+        v[:, 4] = np.maximum(0.0, e1 - vals[:, 4])
+        v[:, 5] = np.maximum(0.0, e2 - vals[:, 5])
+        if null_mode == "floored":
+            v[:, 6] = np.maximum(0.0, e3 - vals[:, 6])
+        else:
+            v[:, 6] = np.maximum(0.0, vals[:, 6] - tol)
+        return v
+
+    def check(self, vals, eps, null_mode, gamma2):
+        inst = CS_INST
+        g2 = inst.gamma2 if gamma2 is None else gamma2
+        cs = mirror.ConstraintSet.build(inst, gamma2=gamma2, eps=eps, null_mode=null_mode)
+        expected = self.literal_passes(inst, vals, g2, eps, null_mode)
+        np.testing.assert_array_equal(cs.holds(vals), expected)
+        for q in range(2):
+            for i in range(7):
+                assert bool(cs.holds(vals[q, i], q, i)) == expected[q, i]
+        v = self.literal_violations(inst, vals, g2, eps, null_mode)
+        assert np.array_equal(cs.violations(vals), v)
+        assert cs.violations(vals).sum() == v.sum()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("gamma2", (None, CS_GAMMA2_EFF))
+    def test_every_edge_in_every_cell(self, mode, gamma2):
+        for edge in constraint_edges():
+            self.check(np.full((2, 7), edge), *mode, gamma2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(constraint_edges()), st.floats(0.0, 3.0)),
+                    min_size=14, max_size=14),
+           st.sampled_from(MODES), st.sampled_from((None, CS_GAMMA2_EFF)))
+    def test_mixed_values(self, cells, mode, gamma2):
+        self.check(np.array(cells).reshape(2, 7), *mode, gamma2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(constraint_edges()), st.floats(0.0, 3.0)),
+                    min_size=14, max_size=14),
+           st.sampled_from(MODES))
+    def test_relaxation_chain_carries_the_set(self, cells, mode):
+        eps, null_mode = mode
+        vals = np.array(cells).reshape(2, 7)
+        ccp = mirror.chance_relax(mirror.assemble_p1(CS_INST), UncertaintyModel(0.0))
+        if eps is not None:
+            ccp = mirror.epsilon_floor(ccp, eps, null_mode=null_mode)
+        expected = self.literal_passes(CS_INST, vals, CS_INST.gamma2, eps, null_mode)
+        for q in range(2):
+            for i in range(7):
+                assert ccp.constraint_holds(vals, q, i) == expected[q, i]
+
+    def test_floored_needs_floors(self):
+        with pytest.raises(ValidationError):
+            mirror.ConstraintSet.build(CS_INST, null_mode="floored")
+        with pytest.raises(ValidationError):
+            mirror.ConstraintSet.build(CS_INST, eps=CS_EPS, null_mode="banded")
+
+
 class TestBoltzmann:
     def test_omega_zero_gives_prior(self):
         inst = random_instance(5)

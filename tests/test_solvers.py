@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorwyner import mirror, solvers
-from mirrorwyner.errors import ValidationError
+from mirrorwyner.errors import NumericUnderflowError, ValidationError
 from mirrorwyner.mirror import UncertaintyModel
+from mirrorwyner.prob import PrivacyMapping
 from mirrorwyner.solvers import (ObjectiveFn, TrustRegionConfig,
                                  trust_region_solve)
 
@@ -159,8 +160,26 @@ class TestGreedy:
         inst = mirror.reference_binary_instance()
         u = UncertaintyModel(0.5, seed=0)
         _, trace = solvers.greedy_solve(inst, u, relaxed=True, budget=30, seed=1)
-        merits = [it.grad_norm for it in trace.iterates]
+        merits = [it.merit for it in trace.iterates]
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
+
+    def test_underflowing_boltzmann_candidate_is_skipped(self):
+        inst = mirror.reference_binary_instance()
+        u = UncertaintyModel(0.5, seed=0)
+        omega = 1e7
+        # the solve's start (same seed) already has no Boltzmann candidate
+        asg0 = solvers.random_assignment(inst, np.random.default_rng(2))
+        j3 = mirror.prob.markov_compose(inst.joints[0], asg0.original[0])
+        sy = j3.margin_ac().table
+        post = PrivacyMapping((sy / sy.sum(axis=0)).T)
+        with pytest.raises(NumericUnderflowError):
+            mirror.boltzmann_posterior(inst.x_marginal(0), inst.s_given_x(0), post, omega)
+        asg, trace = solvers.greedy_solve(inst, u, relaxed=True, budget=10, seed=2,
+                                          omega=omega)
+        assert len(asg.original) == inst.q_count
+        assert 1 <= trace.iterations <= 10
+        assert all(isinstance(it, solvers.GreedyPass) for it in trace.iterates)
+        assert isinstance(trace.feasible, bool)
 
     def test_relaxed_typically_stops_sooner(self):
         inst = mirror.reference_binary_instance()
