@@ -75,26 +75,29 @@ def _cdf_variants(cfg):
     return variants
 
 
-def run_convergence_cdf(cfg, seed, rep):
-    inst = mirror.MirrorGameInstance.from_jsonable(cfg["instance"]) \
+def _instance(cfg):
+    return mirror.MirrorGameInstance.from_jsonable(cfg["instance"]) \
         if "instance" in cfg else mirror.reference_binary_instance()
+
+
+def run_convergence_cdf(cfg, seed, rep):
+    inst = _instance(cfg)
     n_seeds = int(cfg.get("n_seeds", 40))
     budget = int(cfg.get("budget", 60))
     mag = float(cfg.get("b_magnitude", 0.5))
     seeds = list(cfg.get("seeds", range(seed, seed + n_seeds)))
     variants = _cdf_variants(cfg)
 
-    def one(args):
-        name, kw, s = args
-        u = UncertaintyModel(magnitude=mag, seed=s)
-        try:
-            _, trace = solvers.greedy_solve(inst, u, budget=budget, seed=s, **kw)
-            return (name, s, trace.iterations, trace.converged, trace.feasible, "")
-        except ArithmeticError as exc:
-            return (name, s, -1, False, False, type(exc).__name__)
-
-    jobs = [(name, kw, s) for name, kw in variants for s in seeds]
-    results = [one(j) for j in jobs]
+    results = []
+    for name, kw in variants:
+        for s in seeds:
+            u = UncertaintyModel(magnitude=mag, seed=s)
+            try:
+                _, trace = solvers.greedy_solve(inst, u, budget=budget, seed=s, **kw)
+                results.append((name, s, trace.iterations, trace.converged,
+                                trace.feasible, ""))
+            except ArithmeticError as exc:
+                results.append((name, s, -1, False, False, type(exc).__name__))
     results.sort(key=lambda r: (r[0], r[1]))
 
     rows = [("run", name, s, iters, int(conv), int(bool(feas)), tag or "ok")
@@ -119,7 +122,7 @@ def run_convergence_cdf(cfg, seed, rep):
                      confirm.pvalue, int(ok), ""))
     rows.append(("summary", "completed", "",
                  *[per[name].size for name, _ in variants[:2]],
-                 len(jobs), ""))
+                 len(results), ""))
     header = "record,variant,value,col_a,col_b,col_c,tag"
     return header, rows, 0 if ok else 1
 
@@ -135,15 +138,8 @@ def _binary_mappings(resolution):
             for a in ticks for b in ticks]
 
 
-def _const_virtual(inst):
-    rows = np.zeros((inst.x_marginal(0).alphabet_size, inst.virtual_alphabet))
-    rows[:, 0] = 1.0
-    return PrivacyMapping(rows)
-
-
 def run_mi_tradeoff(cfg, seed, rep):
-    inst = mirror.MirrorGameInstance.from_jsonable(cfg["instance"]) \
-        if "instance" in cfg else mirror.reference_binary_instance()
+    inst = _instance(cfg)
     mags = [float(b) for b in cfg.get("b_magnitudes", (0.1, 0.5))]
     n_grid = int(cfg.get("grid_points", 6))
     res = int(cfg.get("resolution", 16))
@@ -154,7 +150,8 @@ def run_mi_tradeoff(cfg, seed, rep):
     q = 0
     i_sx = prob.mutual_information(inst.joints[q])
     h_x = prob.entropy(inst.x_marginal(q))
-    const_v = _const_virtual(inst)
+    const_v = PrivacyMapping.constant(inst.x_marginal(q).alphabet_size,
+                                      inst.virtual_alphabet)
     mappings = _binary_mappings(res)
     utilities, leaks = [], []
     for m in mappings:
@@ -189,8 +186,7 @@ def run_mi_tradeoff(cfg, seed, rep):
 
 
 def run_secrecy_gap(cfg, seed, rep):
-    inst = mirror.MirrorGameInstance.from_jsonable(cfg["instance"]) \
-        if "instance" in cfg else mirror.reference_binary_instance()
+    inst = _instance(cfg)
     mags = [float(b) for b in cfg.get("b_magnitudes", (0.6, 0.7))]
     n_grid = int(cfg.get("grid_points", 5))
     res = int(cfg.get("resolution", 16))
@@ -212,8 +208,8 @@ def run_secrecy_gap(cfg, seed, rep):
         gaps.append((power, utility - exposure))
     gaps = np.asarray(gaps)
     # leakage chance under the identity original, per panel
-    asg0 = mirror.TwinAssignment((ident,) * inst.q_count,
-                                 (_const_virtual(inst),) * inst.q_count)
+    const_v = PrivacyMapping.constant(p_x.alphabet_size, inst.virtual_alphabet)
+    asg0 = mirror.TwinAssignment((ident,) * inst.q_count, (const_v,) * inst.q_count)
     constraints = mirror.ConstraintSet.build(inst)
     rows = []
     for mag in mags:

@@ -86,14 +86,7 @@ class CmiDecomposition:
 def cmi_decomposition_report(m: LatentModel) -> CmiDecomposition:
     """Per-slice contributions whose sum is the conditional mutual
     information of the (X, Y, Z) margin."""
-    xyz = m.xyz_margin()
-    p_z = xyz.sum(axis=(0, 1))
-    per_z = np.zeros(xyz.shape[2])
-    for z in range(xyz.shape[2]):
-        if p_z[z] <= 0:
-            continue
-        slab = JointPmf2(xyz[:, :, z] / p_z[z])
-        per_z[z] = p_z[z] * prob.mutual_information(slab)
+    per_z = m.xyz_margin().sum(axis=(0, 1)) * _cmi_per_slice(m)
     return CmiDecomposition(per_z=per_z, total=float(per_z.sum()))
 
 
@@ -103,14 +96,6 @@ class LogRatioField:
     proxy: np.ndarray       # (Y, X, Z): theta1*D(M|y || M|z) / theta2*D(M|x || M|z)
     undefined: np.ndarray   # (Y, X, Z) bool: excluded cells
     intervals: list         # per z: list of (start, end, direction) runs
-
-
-def _safe_kl_rows(p: np.ndarray, q: np.ndarray) -> float:
-    bad = (p > 0) & (q == 0)
-    if np.any(bad):
-        return np.inf
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log2(p[nz] / q[nz])))
 
 
 def log_ratio_field(m: LatentModel) -> LogRatioField:
@@ -132,14 +117,14 @@ def log_ratio_field(m: LatentModel) -> LogRatioField:
     undefined = np.zeros((n_y, n_x, n_z), dtype=bool)
     for z in range(n_z):
         for y in range(n_y):
-            num = m.theta1 * _safe_kl_rows(m_y[y], m_z[z])
+            num = m.theta1 * prob.kl_or_inf(m_y[y], m_z[z])
             for x in range(n_x):
                 if p_x_z[x, z] > 0 and p_y_z[y, z] > 0:
                     log_ratio[y, x, z] = np.log2(p_y_z[y, z] / p_x_z[x, z])
                 else:
                     undefined[y, x, z] = True
                     continue
-                den = m.theta2 * _safe_kl_rows(m_x[x], m_z[z])
+                den = m.theta2 * prob.kl_or_inf(m_x[x], m_z[z])
                 if den == 0.0 or not np.isfinite(den) or not np.isfinite(num):
                     undefined[y, x, z] = True
                 else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import prob
-from .errors import InfiniteDivergenceError, NumericUnderflowError, ValidationError
+from .errors import NumericUnderflowError, ValidationError
 from .prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
 
 # conditions (v)-(vii) use this as "numerically zero" in strict mode
@@ -212,40 +212,34 @@ def _xy_joint(inst: MirrorGameInstance, mapping: PrivacyMapping, q: int) -> Join
     return JointPmf2(p_x[:, None] * mapping.rows)
 
 
-def _per_s_channel(inst, asg, q, keep_o=True, keep_v=True):
-    """P(kept outputs of Bob q | S = s) as an (|S|, n_out) matrix."""
+def _channels(inst: MirrorGameInstance, asg: TwinAssignment, q: int):
+    """Bob q's per-S channels P(. | S = s), each with |S| rows: X_q, the
+    flattened (Yo_q, Yv_q) block, Yo_q and Yv_q."""
     x_given_s = inst.x_given_s(q)          # (S, X)
     o = asg.original[q].rows               # (X, Yo)
     v = asg.virtual[q].rows                # (X, Yv)
-    if keep_o and keep_v:
-        ch = o[:, :, None] * v[:, None, :]  # (X, Yo, Yv)
-        ch = ch.reshape(o.shape[0], -1)
-    elif keep_o:
-        ch = o
-    else:
-        ch = v
-    return x_given_s @ ch
+    ov = (o[:, :, None] * v[:, None, :]).reshape(o.shape[0], -1)  # (X, Yo*Yv)
+    return x_given_s, x_given_s @ ov, x_given_s @ o, x_given_s @ v
 
 
-def _others_joint_with(inst, asg, q, head, keep_o, keep_v):
-    """Joint of a per-s head variable for Bob q with the kept outputs of all
-    other Bobs, as a 2-D table (head, flattened others)."""
-    p_s = inst.source.probs
+def _cross_mi(p_s: np.ndarray, head: np.ndarray, tails) -> float:
+    """I(H; T_1, ..., T_k) for variables conditionally independent given S,
+    from their per-S channels P(H | s) and P(T_j | s)."""
     acc = None
-    for qp in range(inst.q_count):
-        if qp == q:
-            continue
-        blk = _per_s_channel(inst, asg, qp, keep_o=keep_o, keep_v=keep_v)  # (S, n)
+    for blk in tails:
         acc = blk if acc is None else (acc[:, :, None] * blk[:, None, :]).reshape(len(p_s), -1)
     table = np.einsum("s,sh,so->ho", p_s, head, acc)
-    return JointPmf2(table)
+    return prob.mutual_information(JointPmf2(table))
 
 
 def condition_values(inst: MirrorGameInstance, asg: TwinAssignment) -> np.ndarray:
     """Exact values of conditions (i)-(vii) for every Bob, as a (Q, 7) array."""
     _check_consistent(inst, asg)
+    p_s = inst.source.probs
+    chans = [_channels(inst, asg, q) for q in range(inst.q_count)]
     vals = np.zeros((inst.q_count, 7))
-    for q in range(inst.q_count):
+    for q, (x_given_s, _, yo_given_s, _) in enumerate(chans):
+        others = chans[:q] + chans[q + 1:]
         p_x = inst.x_marginal(q)
         # (i) utility
         vals[q, 0] = prob.mutual_information(_xy_joint(inst, asg.original[q], q))
@@ -253,18 +247,13 @@ def condition_values(inst: MirrorGameInstance, asg: TwinAssignment) -> np.ndarra
         j3 = prob.markov_compose(inst.joints[q], asg.original[q])
         vals[q, 1] = prob.mutual_information(j3.margin_ac())
         # (iii) exposure of X_q to everything the other Bobs receive
-        x_given_s = inst.x_given_s(q)
-        vals[q, 2] = prob.mutual_information(
-            _others_joint_with(inst, asg, q, x_given_s, keep_o=True, keep_v=True))
+        vals[q, 2] = _cross_mi(p_s, x_given_s, [ov for _, ov, _, _ in others])
         # (iv) virtual power
         vals[q, 3] = virtual_power(asg.virtual[q], p_x, inst.symbol_values[q])
         # (v) other Bobs' twins vs this Bob's original message
-        yo_given_s = _per_s_channel(inst, asg, q, keep_o=True, keep_v=False)
-        vals[q, 4] = prob.mutual_information(
-            _others_joint_with(inst, asg, q, yo_given_s, keep_o=False, keep_v=True))
+        vals[q, 4] = _cross_mi(p_s, yo_given_s, [v for _, _, _, v in others])
         # (vi) other Bobs' twins vs this Bob's source
-        vals[q, 5] = prob.mutual_information(
-            _others_joint_with(inst, asg, q, x_given_s, keep_o=False, keep_v=True))
+        vals[q, 5] = _cross_mi(p_s, x_given_s, [v for _, _, _, v in others])
         # (vii) own twin vs own original message
         own = np.einsum("x,xo,xv->ov", p_x.probs, asg.original[q].rows, asg.virtual[q].rows)
         vals[q, 6] = prob.mutual_information(JointPmf2(own))
@@ -368,13 +357,19 @@ def perturb_posterior(posterior: np.ndarray, magnitude: float,
     return np.where(sums > 0, out / np.where(sums > 0, sums, 1.0), posterior)
 
 
-def sample_leakage(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
-                   magnitude: float, rng: np.random.Generator) -> float:
-    """One draw of I(Yo_q; S) under the perturbed posterior P(S | Yo_q)."""
+def _s_given_yo(inst: MirrorGameInstance, asg: TwinAssignment, q: int):
+    """P(Yo_q) and the posterior P(S | Yo_q) as a (|Yo|, |S|) matrix whose
+    rows for unobserved symbols are zero."""
     j3 = prob.markov_compose(inst.joints[q], asg.original[q])
     sy = j3.margin_ac().table          # (S, Yo)
     p_y = sy.sum(axis=0)
-    post = np.where(p_y[None, :] > 0, sy / np.where(p_y > 0, p_y, 1.0), 0.0).T  # (Yo, S)
+    return p_y, np.where(p_y[None, :] > 0, sy / np.where(p_y > 0, p_y, 1.0), 0.0).T
+
+
+def sample_leakage(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
+                   magnitude: float, rng: np.random.Generator) -> float:
+    """One draw of I(Yo_q; S) under the perturbed posterior P(S | Yo_q)."""
+    p_y, post = _s_given_yo(inst, asg, q)
     post = perturb_posterior(post, magnitude, rng)
     joint = JointPmf2((p_y[:, None] * post).T)
     return prob.mutual_information(joint)
@@ -456,16 +451,30 @@ def boltzmann_posterior(p_x: Pmf, p_s_given_x: PrivacyMapping,
     div = np.zeros((n_y, n_x))
     for y in range(n_y):
         for x in range(n_x):
-            try:
-                div[y, x] = prob._kl_tables(p_s_given_y.rows[y], p_s_given_x.rows[x])
-            except InfiniteDivergenceError:
-                div[y, x] = np.inf
+            div[y, x] = prob.kl_or_inf(p_s_given_y.rows[y], p_s_given_x.rows[x])
     with np.errstate(over="ignore"):
         w = p_x.probs[None, :] * np.exp(-omega * div)
     sums = w.sum(axis=1)
     if np.any(sums <= 0):
         raise NumericUnderflowError("boltzmann_posterior: a row lost all weight")
     return PrivacyMapping(w / sums[:, None])
+
+
+def boltzmann_original(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
+                       omega: float) -> PrivacyMapping:
+    """Bob q's original mapping refreshed through `boltzmann_posterior` at the
+    current P(S | Yo_q); raises as it does, or ValidationError if a Yo symbol has no mass."""
+    p_y, post = _s_given_yo(inst, asg, q)
+    p_x = inst.x_marginal(q)
+    x_given_y = boltzmann_posterior(p_x, inst.s_given_x(q), PrivacyMapping(post), omega)
+    rows = (x_given_y.rows * p_y[:, None]).T
+    rows = np.where(p_x.probs[:, None] > 0,
+                    rows / np.where(p_x.probs[:, None] > 0,
+                                    p_x.probs[:, None], 1.0),
+                    1.0 / rows.shape[1])
+    rows = np.clip(rows, 0.0, None)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return PrivacyMapping(rows)
 
 
 @dataclass(frozen=True)
@@ -479,22 +488,18 @@ class BottleneckResult:
 def bottleneck_pair_search(inst: MirrorGameInstance, asg: TwinAssignment,
                            u: UncertaintyModel, vtheta_target: float,
                            q: int = 0, n_grid: int = 64) -> BottleneckResult:
-    """Largest utility floor gamma2 on a grid such that Pr{I(X_q;Yo_q) >= gamma2}
-    meets the target. The utility measure does not depend on the perturbed
-    posterior, so the probability is an exact indicator."""
+    """Largest utility floor gamma2 on an n_grid grid over [0, H(X_q)] such that
+    Pr{I(X_q;Yo_q) >= gamma2} meets the target. The utility does not depend on
+    the perturbed posterior, so that chance is 1: I(X_q;Yo_q) floored to the grid."""
     _check_consistent(inst, asg)
     i_xy = prob.mutual_information(_xy_joint(inst, asg.original[q], q))
-    i_sx = prob.mutual_information(inst.joints[q])
     j3 = prob.markov_compose(inst.joints[q], asg.original[q])
-    i_sy = prob.mutual_information(j3.margin_ac())
-    gap = i_sx - i_sy
-    h_x = prob.entropy(inst.x_marginal(q))
-    grid = np.linspace(0.0, h_x, n_grid)
-    ok = grid <= i_xy + NULL_TOL
-    if vtheta_target > 1.0 or not np.any(ok):
+    gap = prob.mutual_information(inst.joints[q]) - prob.mutual_information(j3.margin_ac())
+    grid = np.linspace(0.0, prob.entropy(inst.x_marginal(q)), n_grid)
+    met = grid[grid <= i_xy + NULL_TOL]
+    if vtheta_target > 1.0 or not met.size:
         return BottleneckResult(0.0, 0.0, gap, feasible=False)
-    gamma2_star = float(grid[ok][-1])
-    return BottleneckResult(gamma2_star, 1.0, gap, feasible=True)
+    return BottleneckResult(float(met[-1]), 1.0, gap, feasible=True)
 
 
 def objective_decompose(inst: MirrorGameInstance, asg: TwinAssignment,
@@ -507,31 +512,28 @@ def objective_decompose(inst: MirrorGameInstance, asg: TwinAssignment,
     p_s = inst.source.probs
     x_given_s = inst.x_given_s(q)                                    # (S, X)
     # independence of Yo_q' and Yv_q' given S does NOT hold (they share X_q'),
-    # so build the full per-s block for Bob q_prime
-    xq = inst.x_given_s(q_prime)
-    blk = np.einsum("sx,xo,xv->sov", xq, asg.original[q_prime].rows,
-                    asg.virtual[q_prime].rows)                        # (S, Yo, Yv)
+    # so use the full per-s block for Bob q_prime
+    blk = _channels(inst, asg, q_prime)[1].reshape(
+        p_s.size, asg.original[q_prime].output_size, -1)              # (S, Yo, Yv)
     joint = np.einsum("s,sx,sov->xvo", p_s, x_given_s, blk)           # (X, Yv, Yo)
     i_xo = prob.mutual_information(JointPmf3(joint).margin_ac())
     i_xv_given_o = prob.conditional_mutual_information(JointPmf3(joint))
     return float(i_xo), float(i_xv_given_o)
 
 
-def _sum_channel(inst: MirrorGameInstance, asg: TwinAssignment, q: int):
+def _sum_channel(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -> np.ndarray:
     """P(Yo_q + Yv_q | S = s) with outputs embedded as real symbol values
-    (index values for the original alphabet, symbol_values for the virtual).
-    Returns the (|S|, n_sums) matrix and the sorted sum values."""
-    x_given_s = inst.x_given_s(q)
-    blk = np.einsum("sx,xo,xv->sov", x_given_s, asg.original[q].rows,
-                    asg.virtual[q].rows)
+    (index values for the original alphabet, symbol_values for the virtual),
+    as an (|S|, n_sums) matrix over the sorted sum values."""
+    blk = _channels(inst, asg, q)[1]                                  # (S, Yo*Yv)
     vo = np.arange(asg.original[q].output_size, dtype=float)
     vv = inst.symbol_values[q]
-    sums = np.round(vo[:, None] + vv[None, :], 9)
+    sums = np.round(vo[:, None] + vv[None, :], 9).ravel()
     values = np.unique(sums)
     chan = np.zeros((blk.shape[0], values.size))
     for k, val in enumerate(values):
         chan[:, k] = blk[:, sums == val].sum(axis=1)
-    return chan, values
+    return chan
 
 
 def superposed_exposure(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -> float:
@@ -540,16 +542,8 @@ def superposed_exposure(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -
     physical-layer reading of the total signal. Here the virtual twin really
     can mask the original, so the value falls as virtual power grows."""
     _check_consistent(inst, asg)
-    p_s = inst.source.probs
-    head = inst.x_given_s(q)
-    others = np.ones((p_s.size, 1))
-    for qp in range(inst.q_count):
-        if qp == q:
-            continue
-        chan, _ = _sum_channel(inst, asg, qp)
-        others = np.einsum("sa,sb->sab", others, chan).reshape(p_s.size, -1)
-    table = np.einsum("s,sh,so->ho", p_s, head, others)
-    return prob.mutual_information(JointPmf2(table))
+    return _cross_mi(inst.source.probs, inst.x_given_s(q),
+                     [_sum_channel(inst, asg, qp) for qp in range(inst.q_count) if qp != q])
 
 
 def reference_binary_instance(q_count: int = 2, source_p: float = 0.5,

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import prob
 from .errors import (ConfigurationError, DegenerateIntegralError, NumericError,
                      ValidationError)
 
@@ -425,16 +426,7 @@ def kl_drift_profile(density_trajectory: np.ndarray, checkpoints):
         return row / s
 
     p0 = _pmf(traj[0])
-    kls = []
-    for c in checkpoints:
-        pk = _pmf(traj[c])
-        bad = (p0 > 0) & (pk == 0)
-        if np.any(bad):
-            kls.append(np.inf)
-            continue
-        nz = p0 > 0
-        kls.append(float(np.sum(p0[nz] * np.log2(p0[nz] / pk[nz]))))
-    kls = np.asarray(kls)
+    kls = np.asarray([prob.kl_or_inf(p0, _pmf(traj[c])) for c in checkpoints])
     return kls, checkpoints[int(np.argmin(kls))]
 
 

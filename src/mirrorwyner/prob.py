@@ -204,6 +204,14 @@ def _kl_tables(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[nz] * np.log2(p[nz] / q[nz])))
 
 
+def kl_or_inf(p: np.ndarray, q: np.ndarray) -> float:
+    """D(p || q) in bits on raw arrays; +inf on a support violation."""
+    try:
+        return _kl_tables(p, q)
+    except InfiniteDivergenceError:
+        return np.inf
+
+
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """D(p || q) in bits; raises InfiniteDivergenceError on support violation."""
     return _kl_tables(p.probs, q.probs)

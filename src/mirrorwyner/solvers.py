@@ -12,7 +12,7 @@ import numpy as np
 
 from . import mirror
 from .errors import NumericError, NumericUnderflowError, ValidationError
-from .prob import Pmf, PrivacyMapping
+from .prob import PrivacyMapping
 
 RADIUS_EQ_TOL = 1e-12  # "step hit the boundary" test for radius expansion
 
@@ -58,7 +58,7 @@ class GreedyPass:
 
 @dataclass
 class SolveTrace:
-    iterates: list = field(default_factory=list)   # Iterate or GreedyPass records
+    iterates: list = field(default_factory=list)   # Iterate (GreedyPass in a GreedyTrace)
     converged: bool = False
     feasible: Optional[bool] = None
 
@@ -75,6 +75,15 @@ class SolveTrace:
             ratio = "" if it.ratio is None else f"{it.ratio:.12g}"
             yield (f"{m},{it.objective:.12g},{it.grad_norm:.12g},"
                    f"{it.radius:.12g},{ratio},{int(it.accepted)}")
+
+
+class GreedyTrace(SolveTrace):
+    """Trace of `greedy_solve`, one GreedyPass record per outer pass."""
+
+    def csv_lines(self):
+        yield "iter,objective,merit,accepted"
+        for m, it in enumerate(self.iterates):
+            yield f"{m},{it.objective:.12g},{it.merit:.12g},{int(it.accepted)}"
 
 
 @dataclass
@@ -253,7 +262,7 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
         raise ValidationError("greedy_solve: budget must be >= 1")
     rng = np.random.default_rng(seed)
     asg = random_assignment(inst, rng)
-    trace = SolveTrace()
+    trace = GreedyTrace()
 
     vals = mirror.condition_values(inst, asg)
     gamma2_eff = inst.gamma2
@@ -279,22 +288,8 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
             candidates = []
             # Boltzmann self-consistent refresh of the original mapping
             try:
-                j3 = mirror.prob.markov_compose(inst.joints[q], asg.original[q])
-                sy = j3.margin_ac().table
-                p_y = sy.sum(axis=0)
-                post = np.where(p_y[None, :] > 0,
-                                sy / np.where(p_y > 0, p_y, 1.0), 0.0).T
-                p_x = inst.x_marginal(q)
-                x_given_y = mirror.boltzmann_posterior(
-                    p_x, inst.s_given_x(q), PrivacyMapping(post), omega)
-                rows = (x_given_y.rows * p_y[:, None]).T
-                rows = np.where(p_x.probs[:, None] > 0,
-                                rows / np.where(p_x.probs[:, None] > 0,
-                                                p_x.probs[:, None], 1.0),
-                                1.0 / rows.shape[1])
-                rows = np.clip(rows, 0.0, None)
-                rows /= rows.sum(axis=1, keepdims=True)
-                candidates.append(("original", PrivacyMapping(rows)))
+                candidates.append(("original",
+                                   mirror.boltzmann_original(inst, asg, q, omega)))
             except (NumericUnderflowError, ValidationError):
                 pass   # omega too large for this posterior: no Boltzmann candidate
             candidates.append(("original", _nudge_mapping(asg.original[q], 0.1, rng)))

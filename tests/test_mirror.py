@@ -16,7 +16,7 @@ from mirrorwyner.mirror import (MirrorGameInstance, TwinAssignment,
 from mirrorwyner.prob import JointPmf2, Pmf, PrivacyMapping
 
 
-def random_instance(seed, q_count=2, n_s=2, n_x=2):
+def random_instance(seed, q_count=2, n_s=2, n_x=2, n_v=2):
     rng = np.random.default_rng(seed)
     p_s = rng.dirichlet(np.ones(n_s))
     joints = []
@@ -24,7 +24,7 @@ def random_instance(seed, q_count=2, n_s=2, n_x=2):
         chan = rng.dirichlet(np.ones(n_x), size=n_s)
         joints.append(JointPmf2(p_s[:, None] * chan))
     return MirrorGameInstance(joints=tuple(joints), gamma0=0.5, gamma1=1.0,
-                              gamma2=0.05, gamma3=2.0)
+                              gamma2=0.05, gamma3=2.0, virtual_alphabet=n_v)
 
 
 def random_assignment(inst, seed):
@@ -79,23 +79,51 @@ def mi_of(table, axes_a, axes_b):
     return prob.mutual_information(JointPmf2(j.reshape(n_a, -1)))
 
 
+def axes_of(q_count):
+    """Axes of `full_joint`: 0=s, then x_0..x_Q-1, then (yo_q, yv_q) pairs."""
+    x = [1 + q for q in range(q_count)]
+    yo = [1 + q_count + 2 * q for q in range(q_count)]
+    yv = [2 + q_count + 2 * q for q in range(q_count)]
+    return x, yo, yv
+
+
+def superposed_mi(inst, table, q):
+    """I(X_q; {Yo_q' + Yv_q'}_{q' != q}) from the exhaustive joint, each
+    other Bob's pair replaced by its embedded sum value cell by cell."""
+    x, yo, yv = axes_of(inst.q_count)
+    others = [p for p in range(inst.q_count) if p != q]
+    cells = {}
+    for idx in itertools.product(*(range(n) for n in table.shape)):
+        key = tuple(round(idx[yo[p]] + inst.symbol_values[p][idx[yv[p]]], 9)
+                    for p in others)
+        cells[idx[x[q]], key] = cells.get((idx[x[q]], key), 0.0) + table[idx]
+    keys = sorted({key for _, key in cells})
+    joint = np.zeros((table.shape[x[q]], len(keys)))
+    for (xq, key), p in cells.items():
+        joint[xq, keys.index(key)] += p
+    return prob.mutual_information(JointPmf2(joint))
+
+
 class TestConditionValues:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_against_exhaustive_enumeration(self, seed):
-        inst = random_instance(seed)
-        asg = random_assignment(inst, seed + 100)
-        vals = mirror.condition_values(inst, asg)
-        table = full_joint(inst, asg)
-        # axis layout: 0=s, 1=x0, 2=x1, 3=yo0, 4=yv0, 5=yo1, 6=yv1
-        for q, (x, yo, yv, xq_, yoq_, yvq_) in enumerate(
-                [(1, 3, 4, 2, 5, 6), (2, 5, 6, 1, 3, 4)]):
-            assert vals[q, 0] == pytest.approx(mi_of(table, (x,), (yo,)), abs=1e-10)
-            assert vals[q, 1] == pytest.approx(mi_of(table, (yo,), (0,)), abs=1e-10)
-            assert vals[q, 2] == pytest.approx(
-                mi_of(table, (x,), (yoq_, yvq_)), abs=1e-10)
-            assert vals[q, 4] == pytest.approx(mi_of(table, (yvq_,), (yo,)), abs=1e-10)
-            assert vals[q, 5] == pytest.approx(mi_of(table, (yvq_,), (x,)), abs=1e-10)
-            assert vals[q, 6] == pytest.approx(mi_of(table, (yv,), (yo,)), abs=1e-10)
+        # Q=3 puts two other Bobs into each exposure term's product
+        for q_count, n_v in ((2, 2), (3, 2), (3, 3)):
+            inst = random_instance(seed, q_count=q_count, n_v=n_v)
+            asg = random_assignment(inst, seed + 100)
+            vals = mirror.condition_values(inst, asg)
+            table = full_joint(inst, asg)
+            x, yo, yv = axes_of(q_count)
+            for q in range(q_count):
+                others = [p for p in range(q_count) if p != q]
+                ov_others = tuple(a for p in others for a in (yo[p], yv[p]))
+                v_others = tuple(yv[p] for p in others)
+                assert vals[q, 0] == pytest.approx(mi_of(table, (x[q],), (yo[q],)), abs=1e-10)
+                assert vals[q, 1] == pytest.approx(mi_of(table, (yo[q],), (0,)), abs=1e-10)
+                assert vals[q, 2] == pytest.approx(mi_of(table, (x[q],), ov_others), abs=1e-10)
+                assert vals[q, 4] == pytest.approx(mi_of(table, v_others, (yo[q],)), abs=1e-10)
+                assert vals[q, 5] == pytest.approx(mi_of(table, v_others, (x[q],)), abs=1e-10)
+                assert vals[q, 6] == pytest.approx(mi_of(table, (yv[q],), (yo[q],)), abs=1e-10)
 
     def test_virtual_power_monte_carlo(self):
         inst = random_instance(7)
@@ -134,12 +162,23 @@ class TestConditionValues:
 
     def test_superposed_exposure_bounded_by_tuple(self):
         # the sum is a function of the tuple, so its MI can only be lower
-        for seed in range(5):
-            inst = random_instance(seed)
-            asg = random_assignment(inst, seed + 9)
-            vals = mirror.condition_values(inst, asg)
-            sup = mirror.superposed_exposure(inst, asg, 0)
-            assert sup <= vals[0, 2] + 1e-10
+        for q_count in (2, 3):
+            for seed in range(5):
+                inst = random_instance(seed, q_count=q_count)
+                asg = random_assignment(inst, seed + 9)
+                vals = mirror.condition_values(inst, asg)
+                for q in range(q_count):
+                    sup = mirror.superposed_exposure(inst, asg, q)
+                    assert sup <= vals[q, 2] + 1e-10
+
+    @pytest.mark.parametrize("q_count,n_v", [(2, 2), (3, 2), (3, 3)])
+    def test_superposed_exposure_against_enumeration(self, q_count, n_v):
+        inst = random_instance(q_count, q_count=q_count, n_v=n_v)
+        asg = random_assignment(inst, 200 + n_v)
+        table = full_joint(inst, asg)
+        for q in range(q_count):
+            assert mirror.superposed_exposure(inst, asg, q) == pytest.approx(
+                superposed_mi(inst, table, q), abs=1e-10)
 
 
 class TestUncertainty:

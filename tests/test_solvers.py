@@ -181,6 +181,20 @@ class TestGreedy:
         assert all(isinstance(it, solvers.GreedyPass) for it in trace.iterates)
         assert isinstance(trace.feasible, bool)
 
+    def test_trace_csv(self):
+        inst = mirror.reference_binary_instance()
+        u = UncertaintyModel(0.5, seed=0)
+        _, trace = solvers.greedy_solve(inst, u, relaxed=True, budget=5, seed=0)
+        lines = list(trace.csv_lines())
+        assert lines[0] == "iter,objective,merit,accepted"
+        assert len(lines) == trace.iterations + 1
+        for m, (line, it) in enumerate(zip(lines[1:], trace.iterates)):
+            cells = line.split(",")
+            assert int(cells[0]) == m
+            assert float(cells[1]) == pytest.approx(it.objective, rel=1e-11)
+            assert float(cells[2]) == pytest.approx(it.merit, rel=1e-11)
+            assert cells[3] == str(int(it.accepted))
+
     def test_relaxed_typically_stops_sooner(self):
         inst = mirror.reference_binary_instance()
         u = UncertaintyModel(0.5, seed=0)
