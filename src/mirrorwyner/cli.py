@@ -12,7 +12,6 @@ import json
 import sys
 
 import numpy as np
-from scipy import stats
 
 from . import divergence as dv
 from . import equilibrium, mirror, nonstationary, plant, prob, solvers
@@ -29,11 +28,14 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config: malformed JSON ({exc})")
     except OSError as exc:
         raise ValidationError(f"config: unreadable ({exc})")
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config: top level must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _fmt(v) -> str:
@@ -113,6 +115,9 @@ def run_convergence_cdf(cfg, seed, rep):
         rows.append(tuple(row))
     ok = True
     if per["relaxed"].size and per["unrelaxed"].size:
+        # imported here: scipy.stats costs about a second and tens of MB,
+        # and no other subcommand uses it
+        from scipy import stats
         confirm = stats.ks_2samp(per["relaxed"], per["unrelaxed"],
                                  alternative="greater")
         violate = stats.ks_2samp(per["relaxed"], per["unrelaxed"],

@@ -41,7 +41,6 @@ class LatentModel:
 
     def m_given(self, axis: int) -> np.ndarray:
         """P(M | V=v) for V the variable on the given axis (0=X, 1=Y, 2=Z)."""
-        keep = [axis, 3]
         drop = tuple(a for a in range(3) if a != axis)
         table = self.joint.sum(axis=drop)  # (V, M)
         tot = table.sum(axis=1, keepdims=True)

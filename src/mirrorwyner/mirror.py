@@ -11,6 +11,7 @@ factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -206,58 +207,101 @@ def _check_consistent(inst: MirrorGameInstance, asg: TwinAssignment) -> None:
             raise ValidationError(f"Bob {q}: virtual alphabet mismatch")
 
 
-def _xy_joint(inst: MirrorGameInstance, mapping: PrivacyMapping, q: int) -> JointPmf2:
-    """Joint of (X_q, output) for a mapping applied to X_q."""
-    p_x = inst.x_marginal(q).probs
-    return JointPmf2(p_x[:, None] * mapping.rows)
+def _s_yo(p_sx: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Joint P(S, Yo) of original rows o (..., X, Yo) applied to P(S, X),
+    as (..., |S|, |Yo|), summed over X as in `prob.markov_compose`."""
+    return (p_sx[:, :, None] * o[..., None, :, :]).sum(axis=-2)
 
 
-def _channels(inst: MirrorGameInstance, asg: TwinAssignment, q: int):
-    """Bob q's per-S channels P(. | S = s), each with |S| rows: X_q, the
-    flattened (Yo_q, Yv_q) block, Yo_q and Yv_q."""
-    x_given_s = inst.x_given_s(q)          # (S, X)
-    o = asg.original[q].rows               # (X, Yo)
-    v = asg.virtual[q].rows                # (X, Yv)
-    ov = (o[:, :, None] * v[:, None, :]).reshape(o.shape[0], -1)  # (X, Yo*Yv)
-    return x_given_s, x_given_s @ ov, x_given_s @ o, x_given_s @ v
+def _channels(x_given_s: np.ndarray, o: np.ndarray, v: np.ndarray):
+    """One Bob's per-S channels P(. | S = s) from its original rows o
+    (..., X, Yo) and virtual rows v (..., X, Yv): the flattened (Yo, Yv)
+    block, Yo and Yv, each (..., |S|, n)."""
+    ov = o[..., :, :, None] * v[..., :, None, :]
+    ov = ov.reshape(ov.shape[:-2] + (-1,))                          # (..., X, Yo*Yv)
+    return x_given_s @ ov, x_given_s @ o, x_given_s @ v
 
 
-def _cross_mi(p_s: np.ndarray, head: np.ndarray, tails) -> float:
+# Largest stacked exposure table the kernel builds, in cells of
+# (candidates, max(|S|, |head|), product columns). The columns grow as
+# (|Yo| |Yv|)^(Q-1), so the cap stops a large instance before it allocates.
+EXPOSURE_CELL_CAP = 2 ** 24
+
+
+def _cross_mi(p_s: np.ndarray, head: np.ndarray, tails) -> np.ndarray:
     """I(H; T_1, ..., T_k) for variables conditionally independent given S,
-    from their per-S channels P(H | s) and P(T_j | s)."""
-    acc = None
-    for blk in tails:
-        acc = blk if acc is None else (acc[:, :, None] * blk[:, None, :]).reshape(len(p_s), -1)
-    table = np.einsum("s,sh,so->ho", p_s, head, acc)
-    return prob.mutual_information(JointPmf2(table))
+    from their per-S channels P(H | s) and P(T_j | s), each (..., |S|, n);
+    one value per broadcast leading index."""
+    lead = np.broadcast_shapes(*(c.shape[:-2] for c in (head, *tails)))
+    cells = math.prod(lead) * max(p_s.size, head.shape[-1]) * math.prod(
+        t.shape[-1] for t in tails)
+    if cells > EXPOSURE_CELL_CAP:
+        raise ValidationError(f"exposure: a {cells}-cell table exceeds the cap of "
+                              f"{EXPOSURE_CELL_CAP} cells")
+    acc = tails[0]
+    for blk in tails[1:]:
+        acc = acc[..., :, :, None] * blk[..., :, None, :]
+        acc = acc.reshape(acc.shape[:-2] + (-1,))
+    table = np.swapaxes(p_s[:, None] * head, -1, -2) @ acc
+    del acc   # free the product columns before `_mi` allocates its buffer
+    return prob._mi(table)
+
+
+def _kernel(inst: MirrorGameInstance, orig, virt) -> np.ndarray:
+    """Conditions (i)-(vii) from each Bob's original rows orig[q] (..., X_q, Yo)
+    and virtual rows virt[q] (..., X_q, Yv), as a (..., Q, 7) array over the
+    broadcast leading candidate axes. A term that no stacked rows reach keeps
+    no candidate axis and is computed once."""
+    p_s = inst.joints[0].table.sum(axis=1)
+    x_given_s = [inst.x_given_s(q) for q in range(inst.q_count)]
+    chans = [_channels(x_given_s[q], orig[q], virt[q]) for q in range(inst.q_count)]
+    lead = np.broadcast_shapes(*(a.shape[:-2] for a in (*orig, *virt)))
+    vals = np.zeros(lead + (inst.q_count, 7))
+    for q, (_, yo_given_s, _) in enumerate(chans):
+        others = chans[:q] + chans[q + 1:]
+        p_sx = inst.joints[q].table
+        p_x = p_sx.sum(axis=0)
+        o, v = orig[q], virt[q]
+        # (i) utility
+        vals[..., q, 0] = prob._mi(p_x[:, None] * o)
+        # (ii) leakage
+        vals[..., q, 1] = prob._mi(_s_yo(p_sx, o))
+        # (iii) exposure of X_q to everything the other Bobs receive
+        vals[..., q, 2] = _cross_mi(p_s, x_given_s[q], [ov for ov, _, _ in others])
+        # (iv) virtual power
+        vals[..., q, 3] = _virtual_power(p_x, v, inst.symbol_values[q])
+        # (v) other Bobs' twins vs this Bob's original message
+        vals[..., q, 4] = _cross_mi(p_s, yo_given_s, [yv for _, _, yv in others])
+        # (vi) other Bobs' twins vs this Bob's source
+        vals[..., q, 5] = _cross_mi(p_s, x_given_s[q], [yv for _, _, yv in others])
+        # (vii) own twin vs own original message
+        vals[..., q, 6] = prob._mi(np.einsum("x,...xo,...xv->...ov", p_x, o, v))
+    return vals
 
 
 def condition_values(inst: MirrorGameInstance, asg: TwinAssignment) -> np.ndarray:
     """Exact values of conditions (i)-(vii) for every Bob, as a (Q, 7) array."""
     _check_consistent(inst, asg)
-    p_s = inst.source.probs
-    chans = [_channels(inst, asg, q) for q in range(inst.q_count)]
-    vals = np.zeros((inst.q_count, 7))
-    for q, (x_given_s, _, yo_given_s, _) in enumerate(chans):
-        others = chans[:q] + chans[q + 1:]
-        p_x = inst.x_marginal(q)
-        # (i) utility
-        vals[q, 0] = prob.mutual_information(_xy_joint(inst, asg.original[q], q))
-        # (ii) leakage
-        j3 = prob.markov_compose(inst.joints[q], asg.original[q])
-        vals[q, 1] = prob.mutual_information(j3.margin_ac())
-        # (iii) exposure of X_q to everything the other Bobs receive
-        vals[q, 2] = _cross_mi(p_s, x_given_s, [ov for _, ov, _, _ in others])
-        # (iv) virtual power
-        vals[q, 3] = virtual_power(asg.virtual[q], p_x, inst.symbol_values[q])
-        # (v) other Bobs' twins vs this Bob's original message
-        vals[q, 4] = _cross_mi(p_s, yo_given_s, [v for _, _, _, v in others])
-        # (vi) other Bobs' twins vs this Bob's source
-        vals[q, 5] = _cross_mi(p_s, x_given_s, [v for _, _, _, v in others])
-        # (vii) own twin vs own original message
-        own = np.einsum("x,xo,xv->ov", p_x.probs, asg.original[q].rows, asg.virtual[q].rows)
-        vals[q, 6] = prob.mutual_information(JointPmf2(own))
-    return vals
+    return _kernel(inst, [m.rows for m in asg.original], [m.rows for m in asg.virtual])
+
+
+def trial_values(inst: MirrorGameInstance, asg: TwinAssignment, q: int, kind: str,
+                 rows) -> np.ndarray:
+    """`condition_values` of each trial assignment that puts one of the stacked
+    row-stochastic rows (K, |X_q|, |Y|) into Bob q's `kind` slot ("original"
+    or "virtual") of `asg`, as a (K, Q, 7) array."""
+    if kind not in ("original", "virtual"):
+        raise ValidationError("trial_values: kind must be 'original' or 'virtual'")
+    _check_consistent(inst, asg)
+    orig = [m.rows for m in asg.original]
+    virt = [m.rows for m in asg.virtual]
+    slot = orig if kind == "original" else virt
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 3 or rows.shape[1:] != slot[q].shape:
+        raise ValidationError(f"trial_values: need (K, {slot[q].shape[0]}, "
+                              f"{slot[q].shape[1]}) rows for Bob {q}'s {kind} slot")
+    slot[q] = rows
+    return _kernel(inst, orig, virt)
 
 
 def evaluate_conditions(inst: MirrorGameInstance, asg: TwinAssignment) -> ConditionReport:
@@ -267,13 +311,19 @@ def evaluate_conditions(inst: MirrorGameInstance, asg: TwinAssignment) -> Condit
     return ConditionReport(values=vals, passed=passed, feasible=bool(passed.all()))
 
 
+def _virtual_power(p_x: np.ndarray, v: np.ndarray, symbol_values: np.ndarray):
+    """E{||Yv||^2} for virtual rows v (..., X, Yv) driven by P(X) = p_x."""
+    return np.sum((p_x @ v) * symbol_values ** 2, axis=-1)
+
+
 def virtual_power(mapping: PrivacyMapping, x_marginal: Pmf, symbol_values) -> float:
     """E{||Yv||^2} with the output distribution pushed forward from X."""
     symbol_values = np.asarray(symbol_values, dtype=float)
     if symbol_values.size != mapping.output_size:
         raise ValidationError("virtual_power: one embedding value per output symbol required")
-    p_y = mapping.push(x_marginal).probs
-    return float(np.sum(p_y * symbol_values ** 2))
+    if x_marginal.alphabet_size != mapping.input_size:
+        raise ValidationError("virtual_power: input alphabet mismatch")
+    return float(_virtual_power(x_marginal.probs, mapping.rows, symbol_values))
 
 
 # The pass test meets the instance thresholds of (i)-(iv) within NULL_TOL and
@@ -360,8 +410,7 @@ def perturb_posterior(posterior: np.ndarray, magnitude: float,
 def _s_given_yo(inst: MirrorGameInstance, asg: TwinAssignment, q: int):
     """P(Yo_q) and the posterior P(S | Yo_q) as a (|Yo|, |S|) matrix whose
     rows for unobserved symbols are zero."""
-    j3 = prob.markov_compose(inst.joints[q], asg.original[q])
-    sy = j3.margin_ac().table          # (S, Yo)
+    sy = _s_yo(inst.joints[q].table, asg.original[q].rows)
     p_y = sy.sum(axis=0)
     return p_y, np.where(p_y[None, :] > 0, sy / np.where(p_y > 0, p_y, 1.0), 0.0).T
 
@@ -371,8 +420,7 @@ def sample_leakage(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
     """One draw of I(Yo_q; S) under the perturbed posterior P(S | Yo_q)."""
     p_y, post = _s_given_yo(inst, asg, q)
     post = perturb_posterior(post, magnitude, rng)
-    joint = JointPmf2((p_y[:, None] * post).T)
-    return prob.mutual_information(joint)
+    return float(prob._mi((p_y[:, None] * post).T))
 
 
 @dataclass(frozen=True)
@@ -492,10 +540,11 @@ def bottleneck_pair_search(inst: MirrorGameInstance, asg: TwinAssignment,
     Pr{I(X_q;Yo_q) >= gamma2} meets the target. The utility does not depend on
     the perturbed posterior, so that chance is 1: I(X_q;Yo_q) floored to the grid."""
     _check_consistent(inst, asg)
-    i_xy = prob.mutual_information(_xy_joint(inst, asg.original[q], q))
-    j3 = prob.markov_compose(inst.joints[q], asg.original[q])
-    gap = prob.mutual_information(inst.joints[q]) - prob.mutual_information(j3.margin_ac())
-    grid = np.linspace(0.0, prob.entropy(inst.x_marginal(q)), n_grid)
+    p_sx, o = inst.joints[q].table, asg.original[q].rows
+    p_x = p_sx.sum(axis=0)
+    i_xy = prob._mi(p_x[:, None] * o)
+    gap = float(prob._mi(p_sx) - prob._mi(_s_yo(p_sx, o)))
+    grid = np.linspace(0.0, float(-prob._plogp(p_x).sum()), n_grid)
     met = grid[grid <= i_xy + NULL_TOL]
     if vtheta_target > 1.0 or not met.size:
         return BottleneckResult(0.0, 0.0, gap, feasible=False)
@@ -513,7 +562,8 @@ def objective_decompose(inst: MirrorGameInstance, asg: TwinAssignment,
     x_given_s = inst.x_given_s(q)                                    # (S, X)
     # independence of Yo_q' and Yv_q' given S does NOT hold (they share X_q'),
     # so use the full per-s block for Bob q_prime
-    blk = _channels(inst, asg, q_prime)[1].reshape(
+    blk = _channels(inst.x_given_s(q_prime), asg.original[q_prime].rows,
+                    asg.virtual[q_prime].rows)[0].reshape(
         p_s.size, asg.original[q_prime].output_size, -1)              # (S, Yo, Yv)
     joint = np.einsum("s,sx,sov->xvo", p_s, x_given_s, blk)           # (X, Yv, Yo)
     i_xo = prob.mutual_information(JointPmf3(joint).margin_ac())
@@ -525,7 +575,8 @@ def _sum_channel(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -> np.nd
     """P(Yo_q + Yv_q | S = s) with outputs embedded as real symbol values
     (index values for the original alphabet, symbol_values for the virtual),
     as an (|S|, n_sums) matrix over the sorted sum values."""
-    blk = _channels(inst, asg, q)[1]                                  # (S, Yo*Yv)
+    blk = _channels(inst.x_given_s(q), asg.original[q].rows,
+                    asg.virtual[q].rows)[0]                           # (S, Yo*Yv)
     vo = np.arange(asg.original[q].output_size, dtype=float)
     vv = inst.symbol_values[q]
     sums = np.round(vo[:, None] + vv[None, :], 9).ravel()
@@ -542,8 +593,8 @@ def superposed_exposure(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -
     physical-layer reading of the total signal. Here the virtual twin really
     can mask the original, so the value falls as virtual power grows."""
     _check_consistent(inst, asg)
-    return _cross_mi(inst.source.probs, inst.x_given_s(q),
-                     [_sum_channel(inst, asg, qp) for qp in range(inst.q_count) if qp != q])
+    return float(_cross_mi(inst.source.probs, inst.x_given_s(q),
+                           [_sum_channel(inst, asg, qp) for qp in range(inst.q_count) if qp != q]))
 
 
 def reference_binary_instance(q_count: int = 2, source_p: float = 0.5,

@@ -416,6 +416,8 @@ def kl_drift_profile(density_trajectory: np.ndarray, checkpoints):
     checkpoints = [int(c) for c in checkpoints]
     if traj.ndim != 2:
         raise ValidationError("kl_drift_profile: need a (time, state) trajectory")
+    if not checkpoints:
+        raise ValidationError("kl_drift_profile: need at least one checkpoint")
     if any(c < 0 or c >= traj.shape[0] for c in checkpoints):
         raise ValidationError("kl_drift_profile: checkpoint outside horizon")
 

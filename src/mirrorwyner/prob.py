@@ -217,12 +217,24 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     return _kl_tables(p.probs, q.probs)
 
 
+def _mi(table: np.ndarray) -> np.ndarray:
+    """I(A;B) in bits of unchecked joint tables (..., |A|, |B|), one value
+    per leading index."""
+    nz = table > 0
+    # prod is zero only where the joint is zero, so support is always fine.
+    # One buffer goes from the product of the marginals to the terms, since
+    # fresh large temporaries cost more than the arithmetic; a zero cell keeps
+    # its finite marginal product and adds 0 * prod = 0.
+    terms = table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
+    np.divide(table, terms, out=terms, where=nz)
+    np.log2(terms, out=terms, where=nz)
+    terms *= table
+    return terms.sum(axis=(-2, -1))
+
+
 def mutual_information(j: JointPmf2) -> float:
     """I(A;B) = D(joint || product of marginals), in bits."""
-    prod = np.outer(j.table.sum(axis=1), j.table.sum(axis=0))
-    # prod is zero only where the joint is zero, so support is always fine
-    nz = j.table > 0
-    return float(np.sum(j.table[nz] * np.log2(j.table[nz] / prod[nz])))
+    return float(_mi(j.table))
 
 
 def conditional_entropy(j: JointPmf2) -> float:

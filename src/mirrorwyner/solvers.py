@@ -5,7 +5,7 @@ plus the Monte Carlo chance estimator both consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -285,33 +285,35 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     for _ in range(budget):
         improved = False
         for q in range(inst.q_count):
-            candidates = []
+            originals = []
             # Boltzmann self-consistent refresh of the original mapping
             try:
-                candidates.append(("original",
-                                   mirror.boltzmann_original(inst, asg, q, omega)))
+                originals.append(mirror.boltzmann_original(inst, asg, q, omega))
             except (NumericUnderflowError, ValidationError):
                 pass   # omega too large for this posterior: no Boltzmann candidate
-            candidates.append(("original", _nudge_mapping(asg.original[q], 0.1, rng)))
+            originals.append(_nudge_mapping(asg.original[q], 0.1, rng))
+            virtuals = []
             for j in range(proposals):
                 if j % 2 == 0:
-                    cand = _random_mapping(asg.virtual[q].input_size,
-                                           inst.virtual_alphabet, rng)
+                    virtuals.append(_random_mapping(asg.virtual[q].input_size,
+                                                    inst.virtual_alphabet, rng))
                 else:
-                    cand = _nudge_mapping(asg.virtual[q], 0.15, rng)
-                candidates.append(("virtual", cand))
-            for kind, cand in candidates:
-                if kind == "original":
-                    trial = mirror.TwinAssignment(
-                        asg.original[:q] + (cand,) + asg.original[q + 1:], asg.virtual)
-                else:
-                    trial = mirror.TwinAssignment(
-                        asg.original, asg.virtual[:q] + (cand,) + asg.virtual[q + 1:])
-                trial_vals = mirror.condition_values(inst, trial)
-                trial_merit = merit(trial_vals)
-                if trial_merit < current - 1e-9:
-                    asg, vals, current = trial, trial_vals, trial_merit
-                    improved = True
+                    virtuals.append(_nudge_mapping(asg.virtual[q], 0.15, rng))
+            # Every trial of one kind replaces the same slot, so scoring the
+            # whole stack against the assignment before it equals trying the
+            # candidates one by one; the virtual stack sees the accepted original.
+            for kind, cands in (("original", originals), ("virtual", virtuals)):
+                if not cands:
+                    continue
+                stacked = mirror.trial_values(inst, asg, q, kind,
+                                              np.stack([c.rows for c in cands]))
+                for cand, trial_vals in zip(cands, stacked):
+                    trial_merit = merit(trial_vals)
+                    if trial_merit < current - 1e-9:
+                        slots = getattr(asg, kind)
+                        asg = replace(asg, **{kind: slots[:q] + (cand,) + slots[q + 1:]})
+                        vals, current = trial_vals, trial_merit
+                        improved = True
         trace.iterates.append(GreedyPass(float(vals[:, 2].mean()), current, improved))
         if feasible(vals) and not improved:
             trace.converged = True

@@ -2,6 +2,9 @@
 the emitted CSV."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +74,26 @@ class TestExitCodes:
 
     def test_bad_repetitions(self, capsys):
         assert main(["plant", "--repetitions", "0"]) == 3
+
+    def test_top_level_array_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["plant", "--config", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "config"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # only convergence-cdf uses scipy.stats, and it imports it when it runs
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mirrorwyner.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestModuleOracles:

@@ -2,14 +2,18 @@
 enumeration of the full joint, the relaxation chain, and the Boltzmann
 posterior."""
 
+import importlib.util
 import itertools
+import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorwyner import mirror, prob
+from mirrorwyner import mirror, prob, solvers
 from mirrorwyner.errors import NumericUnderflowError, ValidationError
 from mirrorwyner.mirror import (MirrorGameInstance, TwinAssignment,
                                 UncertaintyModel)
@@ -179,6 +183,73 @@ class TestConditionValues:
         for q in range(q_count):
             assert mirror.superposed_exposure(inst, asg, q) == pytest.approx(
                 superposed_mi(inst, table, q), abs=1e-10)
+
+
+def wide_instance(seed):
+    """`bench/workloads.wide_instance`: Q=4, |S|=3, |X|=|Yo|=|Yv|=5."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return MirrorGameInstance.from_jsonable(
+        workloads.wide_instance(np.random.default_rng(seed)))
+
+
+class TestTrialValues:
+    """Each stacked candidate's values equal `condition_values` of the
+    assignment with that candidate in the slot."""
+
+    @pytest.mark.parametrize("name", ["reference", "q3_v3", "wide"])
+    def test_matches_condition_values_per_trial(self, name):
+        inst = {"reference": mirror.reference_binary_instance,
+                "q3_v3": lambda: mirror.reference_binary_instance(
+                    q_count=3, virtual_alphabet=3),
+                "wide": lambda: wide_instance(0)}[name]()
+        rng = np.random.default_rng(5)
+        asg = solvers.random_assignment(inst, rng)
+        for q in range(inst.q_count):
+            for kind, slots in (("original", asg.original), ("virtual", asg.virtual)):
+                cands = [PrivacyMapping(rng.dirichlet(np.ones(slots[q].output_size),
+                                                      size=slots[q].input_size))
+                         for _ in range(3)]
+                stacked = mirror.trial_values(inst, asg, q, kind,
+                                              np.stack([c.rows for c in cands]))
+                assert stacked.shape == (3, inst.q_count, 7)
+                for cand, got in zip(cands, stacked):
+                    swapped = tuple(cand if p == q else m for p, m in enumerate(slots))
+                    trial = (TwinAssignment(swapped, asg.virtual) if kind == "original"
+                             else TwinAssignment(asg.original, swapped))
+                    np.testing.assert_allclose(
+                        got, mirror.condition_values(inst, trial), rtol=0, atol=1e-12)
+
+    def test_rejects_bad_kind_and_shape(self):
+        inst = mirror.reference_binary_instance()
+        asg = random_assignment(inst, 0)
+        rows = np.stack([asg.virtual[0].rows] * 2)
+        with pytest.raises(ValidationError):
+            mirror.trial_values(inst, asg, 0, "twin", rows)
+        with pytest.raises(ValidationError):
+            mirror.trial_values(inst, asg, 0, "virtual", rows[0])
+        with pytest.raises(ValidationError):
+            mirror.trial_values(inst, asg, 0, "virtual", np.ones((2, 2, 3)) / 3)
+
+    def test_exposure_size_guard_allocates_nothing(self):
+        # Q=6 with |Yo| = |Yv| = 5: condition (iii) would need 25^5 product
+        # columns per head symbol, about 49M cells, above the cap
+        inst = random_instance(0, q_count=6, n_x=5, n_v=5)
+        rng = np.random.default_rng(0)
+        asg = TwinAssignment(
+            tuple(PrivacyMapping(rng.dirichlet(np.ones(5), size=5)) for _ in range(6)),
+            tuple(PrivacyMapping(rng.dirichlet(np.ones(5), size=5)) for _ in range(6)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceeds the cap"):
+                mirror.condition_values(inst, asg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one stacked table at the cap would be 128 MiB
+        assert peak < 2**20
 
 
 class TestUncertainty:

@@ -264,6 +264,10 @@ class TestKlDrift:
         with pytest.raises(ValidationError):
             ns.kl_drift_profile(np.ones((3, 4)), [5])
 
+    def test_no_checkpoints(self):
+        with pytest.raises(ValidationError):
+            ns.kl_drift_profile(np.ones((3, 4)), [])
+
 
 class TestClustering:
     def exhaustive_oracle(self, x, V, w):

@@ -84,6 +84,21 @@ class TestMutualInformation:
     def test_matches_brute_force(self, j):
         assert prob.mutual_information(j) == pytest.approx(mi_brute(j.table), abs=1e-10)
 
+    def test_batched_tables_with_zero_cells(self):
+        # one value per leading index; zero cells, zero rows and zero columns
+        # add nothing, whether or not their marginal product is zero
+        rng = np.random.default_rng(0)
+        tables = rng.random((3, 2, 4, 5))
+        tables[0, 0, 1, :] = 0.0
+        tables[1, 1, :, 2] = 0.0
+        tables[2, :, 0, 0] = 0.0
+        tables[2, 0, 3, 4] = 0.0
+        tables /= tables.sum(axis=(-2, -1), keepdims=True)
+        got = prob._mi(tables)
+        assert got.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            assert got[idx] == pytest.approx(mi_brute(tables[idx]), abs=1e-12)
+
     @given(joint2())
     def test_symmetry(self, j):
         assert prob.mutual_information(j) == pytest.approx(
