@@ -128,6 +128,9 @@ def run_convergence_cdf(cfg, seed, rep):
     rows.append(("summary", "completed", "",
                  *[per[name].size for name, _ in variants[:2]],
                  len(results), ""))
+    if "relaxed_tight" in per:
+        rows.append(("summary", "completed_tight", "", per["relaxed_tight"].size,
+                     "", "", ""))
     header = "record,variant,value,col_a,col_b,col_c,tag"
     return header, rows, 0 if ok else 1
 
@@ -137,96 +140,94 @@ def run_convergence_cdf(cfg, seed, rep):
 # ---------------------------------------------------------------------------
 
 def _binary_mappings(resolution):
-    """All 2x2 row-stochastic mappings on a 1/resolution grid."""
+    """All 2x2 row-stochastic mappings on a 1/resolution grid, as (n, 2, 2)
+    rows: [[a, 1 - a], [b, 1 - b]] with a the outer and b the inner tick."""
     ticks = np.linspace(0.0, 1.0, resolution + 1)
-    return [PrivacyMapping(np.array([[a, 1 - a], [b, 1 - b]]))
-            for a in ticks for b in ticks]
+    a, b = np.repeat(ticks, ticks.size), np.tile(ticks, ticks.size)
+    return np.stack([a, 1 - a, b, 1 - b], axis=-1).reshape(-1, 2, 2)
+
+
+def _sweep_config(cfg, default_mags, default_points):
+    """The settings both sweeps read: magnitudes, draws per point, grid points
+    and mapping resolution, each rejected under its config key when out of
+    range. The first two rules are `mirror.sample_leakage`'s."""
+    mags = [float(b) for b in cfg.get("b_magnitudes", default_mags)]
+    n_samples = int(cfg.get("n_samples", 64))
+    n_grid = int(cfg.get("grid_points", default_points))
+    res = int(cfg.get("resolution", 16))
+    if not all(0.0 <= m <= 1.0 for m in mags):
+        raise ValidationError(f"b_magnitudes: {mags} has a magnitude outside [0, 1]")
+    if n_samples < 1:
+        raise ValidationError(f"n_samples: need at least one draw, got {n_samples}")
+    if n_grid < 2:
+        raise ValidationError(f"grid_points: need at least 2, got {n_grid}")
+    if res < 0:
+        raise ValidationError(f"resolution: must be >= 0, got {res}")
+    return mags, n_samples, n_grid, res
 
 
 def run_mi_tradeoff(cfg, seed, rep):
     inst = _instance(cfg)
-    mags = [float(b) for b in cfg.get("b_magnitudes", (0.1, 0.5))]
-    n_grid = int(cfg.get("grid_points", 6))
-    res = int(cfg.get("resolution", 16))
+    mags, n_samples, n_grid, res = _sweep_config(cfg, (0.1, 0.5), 6)
     theta = float(cfg.get("theta", 0.9))
-    n_samples = int(cfg.get("n_samples", 64))
-    if n_grid < 2:
-        raise ValidationError("mi-tradeoff: grid_points must be >= 2")
     q = 0
+    p_x = inst.x_marginal(q)
+    if p_x.alphabet_size != 2:
+        raise ValidationError("instance: mi-tradeoff sweeps 2x2 mappings, so X_0 must be binary")
     i_sx = prob.mutual_information(inst.joints[q])
-    h_x = prob.entropy(inst.x_marginal(q))
-    const_v = PrivacyMapping.constant(inst.x_marginal(q).alphabet_size,
-                                      inst.virtual_alphabet)
-    mappings = _binary_mappings(res)
-    utilities, leaks = [], []
-    for m in mappings:
-        asg = mirror.TwinAssignment((m,) * inst.q_count, (const_v,) * inst.q_count)
-        j3 = prob.markov_compose(inst.joints[q], m)
-        utilities.append(prob.mutual_information(j3.margin_bc()))
-        leaks.append(asg)
-    sampled = {}
-    for mag in mags:
-        draws = np.zeros((len(mappings), n_samples))
-        for mi, asg in enumerate(leaks):
-            rng = np.random.default_rng(seed + 1000 * mi)
-            draws[mi] = [mirror.sample_leakage(inst, asg, q, mag, rng)
-                         for _ in range(n_samples)]
-        sampled[mag] = draws
-    utilities = np.asarray(utilities)
+    h_x = prob.entropy(p_x)
+    const_v = PrivacyMapping.constant(p_x.alphabet_size, inst.virtual_alphabet)
+    grid = _binary_mappings(res)
+    utilities = mirror._utility(p_x.probs, grid)
+    asgs = [mirror.TwinAssignment((PrivacyMapping(o),) * inst.q_count,
+                                  (const_v,) * inst.q_count) for o in grid]
     bounds = np.linspace(0.0, i_sx, n_grid)
     rows = []
     for mag in mags:
+        draws = np.zeros((len(grid), n_samples))
+        for mi, asg in enumerate(asgs):
+            draws[mi] = mirror.sample_leakage(inst, asg, q, mag,
+                                              np.random.default_rng(seed + 1000 * mi),
+                                              n_samples)
         for gi, bound in enumerate(bounds):
-            chance = np.mean(sampled[mag] <= bound + mirror.NULL_TOL, axis=1)
-            feas = chance >= theta
-            if np.any(feas):
-                best = float(utilities[feas].max())
-                rows.append((mag, gi, bound / i_sx if i_sx > 0 else 0.0,
-                             best / h_x if h_x > 0 else 0.0, best, 1))
-            else:
-                rows.append((mag, gi, bound / i_sx if i_sx > 0 else 0.0,
-                             0.0, 0.0, 0))
+            feas = np.mean(draws <= bound + mirror.NULL_TOL, axis=1) >= theta
+            solved = bool(np.any(feas))
+            best = float(utilities[feas].max()) if solved else 0.0
+            rows.append((mag, gi, bound / i_sx if i_sx > 0 else 0.0,
+                         best / h_x if h_x > 0 else 0.0, best, int(solved)))
     header = "b_magnitude,grid_index,leakage_norm,utility_norm,utility_bits,feasible"
     return header, rows, 0
 
 
 def run_secrecy_gap(cfg, seed, rep):
     inst = _instance(cfg)
-    mags = [float(b) for b in cfg.get("b_magnitudes", (0.6, 0.7))]
-    n_grid = int(cfg.get("grid_points", 5))
-    res = int(cfg.get("resolution", 16))
-    n_samples = int(cfg.get("n_samples", 64))
-    if n_grid < 2:
-        raise ValidationError("secrecy-gap: budget grid must be >= 2")
+    mags, n_samples, n_grid, res = _sweep_config(cfg, (0.6, 0.7), 5)
     q = 0
     p_x = inst.x_marginal(q)
     ident = PrivacyMapping.identity(p_x.alphabet_size)
     power_max = float(np.max(inst.symbol_values[q] ** 2))
     budgets = np.linspace(0.0, power_max, n_grid)
-    gaps = []
-    j_id = prob.markov_compose(inst.joints[q], ident)
-    utility = prob.mutual_information(j_id.margin_bc())
-    for v in _binary_mappings(res):
-        asg = mirror.TwinAssignment((ident,) * inst.q_count, (v,) * inst.q_count)
-        exposure = mirror.superposed_exposure(inst, asg, q)
-        power = mirror.virtual_power(v, p_x, inst.symbol_values[q])
-        gaps.append((power, utility - exposure))
-    gaps = np.asarray(gaps)
+    grid = _binary_mappings(res)
+    exposure = np.zeros(len(grid))
+    for k, v in enumerate(grid):
+        asg = mirror.TwinAssignment((ident,) * inst.q_count, (PrivacyMapping(v),) * inst.q_count)
+        exposure[k] = mirror.superposed_exposure(inst, asg, q)
+    gap = mirror._utility(p_x.probs, ident.rows) - exposure
+    power = mirror._virtual_power(p_x.probs, grid, inst.symbol_values[q])
     # leakage chance under the identity original, per panel
     const_v = PrivacyMapping.constant(p_x.alphabet_size, inst.virtual_alphabet)
     asg0 = mirror.TwinAssignment((ident,) * inst.q_count, (const_v,) * inst.q_count)
     constraints = mirror.ConstraintSet.build(inst)
     rows = []
     for mag in mags:
-        rng = np.random.default_rng(seed)
-        draws = np.array([mirror.sample_leakage(inst, asg0, q, mag, rng)
-                          for _ in range(n_samples)])
+        draws = mirror.sample_leakage(inst, asg0, q, mag, np.random.default_rng(seed),
+                                      n_samples)
         leak_chance = float(np.mean(constraints.holds(draws, q, 1)))
         for gi, budget in enumerate(budgets):
-            feas = gaps[:, 0] <= budget + 1e-12
+            feas = power <= budget + 1e-12
             solved = bool(np.any(feas))
             # a budget below every mapping's power has no solution
-            best = float(gaps[feas, 1].max()) if solved else 0.0
+            best = float(gap[feas].max()) if solved else 0.0
             rows.append((mag, gi, budget / power_max if power_max > 0 else 0.0,
                          best, leak_chance, int(solved)))
     header = "b_magnitude,grid_index,budget_norm,gap_bits,leakage_chance,solved"

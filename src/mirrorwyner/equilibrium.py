@@ -173,15 +173,9 @@ def torus_band_check(g: KCutGame, p: StrategyProfile, band: TorusBand,
     if not np.any(active):
         return 0.0
     w_active = g.weights[active]
-    if u.magnitude == 0:
-        mags = np.abs(w_active)
-        return float(np.mean((mags >= band.phi1) & (mags <= band.phi2)))
-    rng = np.random.default_rng(u.seed)
-    hits = 0
-    for _ in range(n_samples):
-        mags = np.abs(w_active * (1.0 + u.magnitude * rng.uniform(-1, 1, w_active.shape)))
-        hits += np.sum((mags >= band.phi1) & (mags <= band.phi2))
-    return float(hits / (n_samples * w_active.size))
+    noise = np.random.default_rng(u.seed).uniform(-1, 1, (n_samples,) + w_active.shape)
+    mags = np.abs(w_active * (1.0 + u.magnitude * noise))
+    return float(np.mean((mags >= band.phi1) & (mags <= band.phi2)))
 
 
 def mi_gap_weights(values: np.ndarray) -> np.ndarray:

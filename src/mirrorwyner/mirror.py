@@ -44,13 +44,10 @@ class UncertaintyModel:
 
     magnitude: float
     seed: int = 0
-    target: str = "posterior_S_given_Y"
 
     def __post_init__(self):
         if not 0.0 <= self.magnitude <= 1.0:
             raise ValidationError("UncertaintyModel: magnitude must be in [0, 1]")
-        if self.target != "posterior_S_given_Y":
-            raise ValidationError(f"UncertaintyModel: unknown target {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,7 @@ def _kernel(inst: MirrorGameInstance, orig, virt) -> np.ndarray:
         p_x = p_sx.sum(axis=0)
         o, v = orig[q], virt[q]
         # (i) utility
-        vals[..., q, 0] = prob._mi(p_x[:, None] * o)
+        vals[..., q, 0] = _utility(p_x, o)
         # (ii) leakage
         vals[..., q, 1] = prob._mi(_s_yo(p_sx, o))
         # (iii) exposure of X_q to everything the other Bobs receive
@@ -309,6 +306,12 @@ def evaluate_conditions(inst: MirrorGameInstance, asg: TwinAssignment) -> Condit
     vals = condition_values(inst, asg)
     passed = ConstraintSet.build(inst).holds(vals)
     return ConditionReport(values=vals, passed=passed, feasible=bool(passed.all()))
+
+
+def _utility(p_x: np.ndarray, o: np.ndarray):
+    """Condition (i), I(X; Yo), of original rows o (..., X, Yo) driven by
+    P(X) = p_x; one value per leading index."""
+    return prob._mi(p_x[:, None] * o)
 
 
 def _virtual_power(p_x: np.ndarray, v: np.ndarray, symbol_values: np.ndarray):
@@ -399,10 +402,12 @@ def assemble_p1(inst: MirrorGameInstance) -> OptimizationProblem:
 
 def perturb_posterior(posterior: np.ndarray, magnitude: float,
                       rng: np.random.Generator) -> np.ndarray:
-    """Scale each entry by (1 + magnitude * Uniform(-1,1)), renormalize rows."""
+    """Scale each entry by (1 + magnitude * Uniform(-1,1)), renormalize rows
+    over the last axis. A stack (..., |Yo|, |S|) takes its noise in one draw,
+    the same stream in C order as one draw per slab."""
     noise = 1.0 + magnitude * rng.uniform(-1.0, 1.0, size=posterior.shape)
     out = posterior * noise
-    sums = out.sum(axis=1, keepdims=True)
+    sums = out.sum(axis=-1, keepdims=True)
     # a whole row can only vanish if the posterior row was all-zero already
     return np.where(sums > 0, out / np.where(sums > 0, sums, 1.0), posterior)
 
@@ -416,11 +421,17 @@ def _s_given_yo(inst: MirrorGameInstance, asg: TwinAssignment, q: int):
 
 
 def sample_leakage(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
-                   magnitude: float, rng: np.random.Generator) -> float:
-    """One draw of I(Yo_q; S) under the perturbed posterior P(S | Yo_q)."""
+                   magnitude: float, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+    """n draws of I(Yo_q; S) under the perturbed posterior P(S | Yo_q), as an
+    (n,) array. The posterior is built once and its n perturbations take one
+    noise draw, so values and generator state match n single draws."""
+    if not 0.0 <= magnitude <= 1.0:
+        raise ValidationError(f"sample_leakage: magnitude {magnitude!r} is outside [0, 1]")
+    if n < 1:
+        raise ValidationError(f"sample_leakage: need n >= 1 draws, got {n!r}")
     p_y, post = _s_given_yo(inst, asg, q)
-    post = perturb_posterior(post, magnitude, rng)
-    return float(prob._mi((p_y[:, None] * post).T))
+    post = perturb_posterior(np.broadcast_to(post, (n,) + post.shape), magnitude, rng)
+    return prob._mi(np.swapaxes(p_y[:, None] * post, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -452,14 +463,9 @@ class ChanceConstrainedProblem:
         rng = np.random.default_rng(self.uncertainty.seed if seed is None else seed)
         if self.uncertainty.magnitude > 0:
             for q in range(inst.q_count):
-                leaks = np.array([sample_leakage(inst, asg, q, self.uncertainty.magnitude, rng)
-                                  for _ in range(n_samples)])
-                theta[q, 1] = np.count_nonzero(self.constraints.holds(leaks, q, 1)) / n_samples
+                leaks = sample_leakage(inst, asg, q, self.uncertainty.magnitude, rng, n_samples)
+                theta[q, 1] = np.mean(self.constraints.holds(leaks, q, 1))
         return theta
-
-    def passes(self, asg: TwinAssignment, n_samples: int = 200, seed: int = None) -> bool:
-        theta = self.achievable_theta(asg, n_samples=n_samples, seed=seed)
-        return bool(np.all(theta >= self.instance.theta_levels[None, :] - 1e-12))
 
 
 def chance_relax(p1: OptimizationProblem, u: UncertaintyModel) -> ChanceConstrainedProblem:
@@ -542,7 +548,7 @@ def bottleneck_pair_search(inst: MirrorGameInstance, asg: TwinAssignment,
     _check_consistent(inst, asg)
     p_sx, o = inst.joints[q].table, asg.original[q].rows
     p_x = p_sx.sum(axis=0)
-    i_xy = prob._mi(p_x[:, None] * o)
+    i_xy = _utility(p_x, o)
     gap = float(prob._mi(p_sx) - prob._mi(_s_yo(p_sx, o)))
     grid = np.linspace(0.0, float(-prob._plogp(p_x).sum()), n_grid)
     met = grid[grid <= i_xy + NULL_TOL]

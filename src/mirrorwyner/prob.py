@@ -126,9 +126,6 @@ class JointPmf3:
     def margin_ac(self) -> JointPmf2:
         return JointPmf2(self.table.sum(axis=1))
 
-    def margin_bc(self) -> JointPmf2:
-        return JointPmf2(self.table.sum(axis=0))
-
     def to_jsonable(self):
         return [[list(row) for row in plane] for plane in self.table]
 

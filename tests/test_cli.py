@@ -75,6 +75,25 @@ class TestExitCodes:
     def test_bad_repetitions(self, capsys):
         assert main(["plant", "--repetitions", "0"]) == 3
 
+    @pytest.mark.parametrize("cmd,cfg,field", [
+        ("mi-tradeoff", {"b_magnitudes": [2.0]}, "b_magnitudes"),
+        ("mi-tradeoff", {"b_magnitudes": [-3.0]}, "b_magnitudes"),
+        ("mi-tradeoff", {"n_samples": 0}, "n_samples"),
+        ("secrecy-gap", {"b_magnitudes": [-0.5]}, "b_magnitudes"),
+        ("secrecy-gap", {"n_samples": 0}, "n_samples"),
+        ("mi-tradeoff", {"resolution": -1}, "resolution"),
+        ("secrecy-gap", {"resolution": -1}, "resolution"),
+        ("mi-tradeoff", {"grid_points": 1}, "grid_points"),
+    ])
+    def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0])["field"] == field
+        assert not (tmp_path / "o.csv").exists()
+
     def test_top_level_array_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -94,6 +113,25 @@ def test_import_leaves_scipy_stats_unloaded():
          "import sys, mirrorwyner.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+CONFIG_SUBCOMMANDS = {"convergence": "convergence-cdf", "mfg": "mfg",
+                      "secrecy_gap": "secrecy-gap", "tradeoff": "mi-tradeoff"}
+HEADERS = {
+    "convergence-cdf": "rep,record,variant,value,col_a,col_b,col_c,tag",
+    "mfg": "rep,k,x,J,P_df",
+    "secrecy-gap": "rep,b_magnitude,grid_index,budget_norm,gap_bits,leakage_chance,solved",
+    "mi-tradeoff": "rep,b_magnitude,grid_index,leakage_norm,utility_norm,utility_bits,feasible",
+}
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CONFIGS) if f.endswith(".json")))
+def test_example_config_runs(tmp_path, name):
+    cmd = next(c for prefix, c in CONFIG_SUBCOMMANDS.items() if name.startswith(prefix))
+    rc, data = run_to_file(tmp_path, [cmd, "--config", os.path.join(CONFIGS, name)])
+    assert rc == 0
+    assert data.decode().split("\n", 1)[0] == HEADERS[cmd]
 
 
 class TestModuleOracles:
@@ -162,6 +200,92 @@ class TestModuleOracles:
         # the milder uncertainty frontier dominates pointwise
         for a, b in zip(by_mag["0.1"], by_mag["0.5"]):
             assert a >= b - 1e-9
+
+    # 21 leakage bounds resolve the draws finely enough that a transposed
+    # noise stream changes the frontier; the default 6 do not
+    @pytest.mark.parametrize("grid_points", [6, 21])
+    def test_mi_tradeoff_exact_oracle(self, tmp_path, grid_points):
+        # the frontier recomputed from scratch: one generator per mapping
+        # seeded seed + 1000 * index, one uniform draw per perturbed
+        # posterior, and MI as a plain double sum
+        seed, mags, n_samples, res = 3, [0.1, 0.5], 16, 4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": res, "n_samples": n_samples,
+                                   "b_magnitudes": mags, "grid_points": grid_points}))
+        rc, data = run_to_file(tmp_path, ["mi-tradeoff", "--config", str(cfg),
+                                          "--seed", str(seed)])
+        assert rc == 0
+
+        def mi(joint):
+            pa, pb = joint.sum(axis=1), joint.sum(axis=0)
+            return sum(joint[i, j] * np.log2(joint[i, j] / (pa[i] * pb[j]))
+                       for i in range(joint.shape[0]) for j in range(joint.shape[1])
+                       if joint[i, j] > 0)
+
+        p_sx = mirror.reference_binary_instance().joints[0].table
+        p_x = p_sx.sum(axis=0)
+        ticks = np.linspace(0.0, 1.0, res + 1)
+        grid = [np.array([[a, 1 - a], [b, 1 - b]]) for a in ticks for b in ticks]
+        utilities = np.array([mi(p_x[:, None] * o) for o in grid])
+        i_sx, h_x = mi(p_sx), -np.sum(p_x * np.log2(p_x))
+        expected = []
+        for mag in mags:
+            draws = np.zeros((len(grid), n_samples))
+            for mi_idx, o in enumerate(grid):
+                rng = np.random.default_rng(seed + 1000 * mi_idx)
+                sy = p_sx @ o
+                p_y = sy.sum(axis=0)
+                for k in range(n_samples):
+                    post = np.zeros((2, 2))   # (Yo, S)
+                    for y in range(2):
+                        if p_y[y] > 0:
+                            post[y] = sy[:, y] / p_y[y]
+                    noisy = post * (1.0 + mag * rng.uniform(-1.0, 1.0, size=(2, 2)))
+                    for y in range(2):
+                        if noisy[y].sum() > 0:
+                            post[y] = noisy[y] / noisy[y].sum()
+                    draws[mi_idx, k] = mi((p_y[:, None] * post).T)
+            for gi, bound in enumerate(np.linspace(0.0, i_sx, grid_points)):
+                feas = np.mean(draws <= bound + mirror.NULL_TOL, axis=1) >= 0.9
+                best = utilities[feas].max() if feas.any() else 0.0
+                expected.append((mag, gi, bound / i_sx, best / h_x, best, int(feas.any())))
+        lines = data.decode().strip().split("\n")[1:]
+        assert len(lines) == len(expected)
+        for line, exp in zip(lines, expected):
+            got = [float(c) for c in line.split(",")]
+            assert got[0] == 0 and got[1:3] == list(exp[:2]) and got[6] == exp[5]
+            np.testing.assert_allclose(got[3:6], exp[2:5], rtol=0, atol=1e-11)
+
+    def test_mi_tradeoff_one_sampler_call_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        sample = mirror.sample_leakage
+        monkeypatch.setattr(mirror, "sample_leakage",
+                            lambda *a, **kw: calls.append(a) or sample(*a, **kw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 4, "n_samples": 16,
+                                   "b_magnitudes": [0.1, 0.5]}))
+        rc, _ = run_to_file(tmp_path, ["mi-tradeoff", "--config", str(cfg)])
+        assert rc == 0
+        assert len(calls) == 2 * 25
+
+    def test_convergence_cdf_mode_three_counts_tight(self, tmp_path):
+        counts = {}
+        for mode in ("two", "three"):
+            cfg = tmp_path / f"{mode}.json"
+            cfg.write_text(json.dumps({"n_seeds": 4, "budget": 8, "mode": mode}))
+            rc, data = run_to_file(tmp_path, ["convergence-cdf", "--config", str(cfg)],
+                                   f"{mode}.csv")
+            rows = [l.split(",") for l in data.decode().strip().split("\n")[1:]]
+            counts[mode] = [r for r in rows if r[1:3] == ["summary", "completed_tight"]]
+            if mode == "three":
+                tight_runs = [r for r in rows if r[1:3] == ["run", "relaxed_tight"]
+                              and int(r[4]) >= 0]
+                assert tight_runs
+                # the row comes right after `completed`
+                at = [r[1:3] for r in rows].index(["summary", "completed"])
+                assert rows[at + 1] == ["0", "summary", "completed_tight", "",
+                                        str(len(tight_runs)), "", "", ""]
+        assert counts["two"] == []
 
     def test_convergence_cdf_degenerate_budget(self, tmp_path):
         cfg = tmp_path / "cfg.json"

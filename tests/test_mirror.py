@@ -280,6 +280,37 @@ class TestUncertainty:
         with pytest.raises(ValidationError):
             UncertaintyModel(magnitude=-0.1)
 
+    @pytest.mark.parametrize("mag", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["reference", "q3_v3"])
+    def test_batched_draws_match_single_draws(self, name, mag):
+        if name == "reference":
+            inst = mirror.reference_binary_instance()
+        else:
+            inst = random_instance(5, q_count=3, n_s=3, n_x=3, n_v=3)
+        asg = random_assignment(inst, 6)
+        q = inst.q_count - 1
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        batched = mirror.sample_leakage(inst, asg, q, mag, rng_a, n=64)
+        single = np.concatenate([mirror.sample_leakage(inst, asg, q, mag, rng_b)
+                                 for _ in range(64)])
+        assert batched.shape == (64,)
+        assert np.array_equal(batched, single)
+        assert rng_a.uniform() == rng_b.uniform()
+
+    def test_perturb_stack_matches_slabs(self):
+        post = np.random.default_rng(1).dirichlet(np.ones(3), size=(5, 4))
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        stacked = mirror.perturb_posterior(post, 0.7, rng_a)
+        slabs = np.stack([mirror.perturb_posterior(p, 0.7, rng_b) for p in post])
+        assert np.array_equal(stacked, slabs)
+
+    @pytest.mark.parametrize("mag,n", [(1.5, 4), (-0.1, 4), (np.nan, 4), (0.5, 0)])
+    def test_sample_leakage_rejects_bad_input(self, mag, n):
+        inst = mirror.reference_binary_instance()
+        asg = random_assignment(inst, 2)
+        with pytest.raises(ValidationError):
+            mirror.sample_leakage(inst, asg, 0, mag, np.random.default_rng(0), n)
+
 
 class TestRelaxationChain:
     def test_epsilon_floor_requires_positive(self):
@@ -326,6 +357,12 @@ class TestRelaxationChain:
         assert t1.shape == (2, 7)
         np.testing.assert_array_equal(t1, t2)
         assert np.all((t1 >= 0) & (t1 <= 1))
+
+    def test_achievable_theta_needs_a_draw(self):
+        inst = mirror.reference_binary_instance()
+        ccp = mirror.chance_relax(mirror.assemble_p1(inst), UncertaintyModel(0.5))
+        with pytest.raises(ValidationError):
+            ccp.achievable_theta(random_assignment(inst, 3), n_samples=0)
 
 
 CS_INST = MirrorGameInstance(
