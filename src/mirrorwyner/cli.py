@@ -38,6 +38,24 @@ def _load_config(path):
     return cfg
 
 
+def _number(key, value, integral=False, lo=-np.inf, hi=np.inf):
+    """A config value as an int (integral=True) or a float in [lo, hi].
+    Anything else, bools and strings included, fails under its config key."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not lo <= value <= hi
+            or integral and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ValidationError(f"{key}: need {kind} in [{lo}, {hi}], got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _list(cfg, key, default):
+    value = cfg.get(key, default)
+    if not isinstance(value, (list, range, tuple)):
+        raise ValidationError(f"{key}: need a list, got {value!r}")
+    return value
+
+
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return str(int(v))
@@ -68,10 +86,15 @@ def _write(out_path, header, rows):
 # ---------------------------------------------------------------------------
 
 def _cdf_variants(cfg):
-    eps = tuple(cfg.get("eps", solvers.DEFAULT_EPS))
+    eps = tuple(_number("eps", e, lo=0.0) for e in _list(cfg, "eps", solvers.DEFAULT_EPS))
+    if len(eps) != 3:
+        raise ValidationError(f"eps: need three floors, got {list(eps)}")
+    mode = cfg.get("mode", "two")
+    if mode not in ("two", "three"):
+        raise ValidationError(f"mode: must be 'two' or 'three', got {mode!r}")
     variants = [("relaxed", dict(relaxed=True, eps=eps)),
                 ("unrelaxed", dict(relaxed=False, eps=eps))]
-    if cfg.get("mode", "two") == "three":
+    if mode == "three":
         tight = tuple(e / 10 for e in eps)
         variants.append(("relaxed_tight", dict(relaxed=True, eps=tight)))
     return variants
@@ -84,10 +107,13 @@ def _instance(cfg):
 
 def run_convergence_cdf(cfg, seed, rep):
     inst = _instance(cfg)
-    n_seeds = int(cfg.get("n_seeds", 40))
-    budget = int(cfg.get("budget", 60))
-    mag = float(cfg.get("b_magnitude", 0.5))
-    seeds = list(cfg.get("seeds", range(seed, seed + n_seeds)))
+    n_seeds = _number("n_seeds", cfg.get("n_seeds", 40), True, 1)
+    budget = _number("budget", cfg.get("budget", 60), True, 1)
+    mag = _number("b_magnitude", cfg.get("b_magnitude", 0.5), lo=0.0, hi=1.0)
+    seeds = [_number("seeds", s, True, 0)
+             for s in _list(cfg, "seeds", range(seed, seed + n_seeds))]
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValidationError(f"seeds: need distinct seeds, got {seeds}")
     variants = _cdf_variants(cfg)
 
     results = []
@@ -151,25 +177,17 @@ def _sweep_config(cfg, default_mags, default_points):
     """The settings both sweeps read: magnitudes, draws per point, grid points
     and mapping resolution, each rejected under its config key when out of
     range. The first two rules are `mirror.sample_leakage`'s."""
-    mags = [float(b) for b in cfg.get("b_magnitudes", default_mags)]
-    n_samples = int(cfg.get("n_samples", 64))
-    n_grid = int(cfg.get("grid_points", default_points))
-    res = int(cfg.get("resolution", 16))
-    if not all(0.0 <= m <= 1.0 for m in mags):
-        raise ValidationError(f"b_magnitudes: {mags} has a magnitude outside [0, 1]")
-    if n_samples < 1:
-        raise ValidationError(f"n_samples: need at least one draw, got {n_samples}")
-    if n_grid < 2:
-        raise ValidationError(f"grid_points: need at least 2, got {n_grid}")
-    if res < 0:
-        raise ValidationError(f"resolution: must be >= 0, got {res}")
-    return mags, n_samples, n_grid, res
+    return ([_number("b_magnitudes", b, lo=0.0, hi=1.0)
+             for b in _list(cfg, "b_magnitudes", default_mags)],
+            _number("n_samples", cfg.get("n_samples", 64), True, 1),
+            _number("grid_points", cfg.get("grid_points", default_points), True, 2),
+            _number("resolution", cfg.get("resolution", 16), True, 0))
 
 
 def run_mi_tradeoff(cfg, seed, rep):
     inst = _instance(cfg)
     mags, n_samples, n_grid, res = _sweep_config(cfg, (0.1, 0.5), 6)
-    theta = float(cfg.get("theta", 0.9))
+    theta = _number("theta", cfg.get("theta", 0.9), lo=0.0, hi=1.0)
     q = 0
     p_x = inst.x_marginal(q)
     if p_x.alphabet_size != 2:
@@ -203,15 +221,19 @@ def run_secrecy_gap(cfg, seed, rep):
     inst = _instance(cfg)
     mags, n_samples, n_grid, res = _sweep_config(cfg, (0.6, 0.7), 5)
     q = 0
+    if inst.virtual_alphabet != 2 or any(j.table.shape[1] != 2 for j in inst.joints):
+        raise ValidationError("instance: secrecy-gap sweeps 2x2 twin mappings, so every "
+                              "X_q and the virtual alphabet must be binary")
     p_x = inst.x_marginal(q)
     ident = PrivacyMapping.identity(p_x.alphabet_size)
     power_max = float(np.max(inst.symbol_values[q] ** 2))
     budgets = np.linspace(0.0, power_max, n_grid)
     grid = _binary_mappings(res)
-    exposure = np.zeros(len(grid))
-    for k, v in enumerate(grid):
-        asg = mirror.TwinAssignment((ident,) * inst.q_count, (PrivacyMapping(v),) * inst.q_count)
-        exposure[k] = mirror.superposed_exposure(inst, asg, q)
+    # `superposed_exposure` of the whole grid: at grid point k every Bob
+    # takes the identity original and the virtual rows grid[k]
+    exposure = mirror._cross_mi(inst.source.probs, inst.x_given_s(q),
+                                [mirror._sum_channel(inst, p, ident.rows, grid)
+                                 for p in range(inst.q_count) if p != q])
     gap = mirror._utility(p_x.probs, ident.rows) - exposure
     power = mirror._virtual_power(p_x.probs, grid, inst.symbol_values[q])
     # leakage chance under the identity original, per panel
@@ -250,9 +272,10 @@ def _default_mfg_payload():
 def run_mfg(cfg, seed, rep):
     payload = cfg.get("grid", _default_mfg_payload())
     grid = nonstationary.MfgGrid.from_jsonable(payload)
-    sol = nonstationary.mfg_solve(grid, tol=float(cfg.get("tol", 1e-6)),
-                                  max_sweeps=int(cfg.get("max_sweeps", 50)),
-                                  damping=float(cfg.get("damping", 0.5)))
+    sol = nonstationary.mfg_solve(
+        grid, tol=_number("tol", cfg.get("tol", 1e-6)),
+        max_sweeps=_number("max_sweeps", cfg.get("max_sweeps", 50), True, 1),
+        damping=_number("damping", cfg.get("damping", 0.5)))
     print(json.dumps({"converged": bool(sol.converged),
                       "sweeps": len(sol.residuals),
                       "final_residual": float(sol.residuals[-1])}),
@@ -263,8 +286,8 @@ def run_mfg(cfg, seed, rep):
 
 
 def run_lohe(cfg, seed, rep):
-    q = int(cfg.get("q", 4))
-    d = int(cfg.get("d", 2))
+    q = _number("q", cfg.get("q", 4), True, 1)
+    d = _number("d", cfg.get("d", 2), True, 1)
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -273,13 +296,13 @@ def run_lohe(cfg, seed, rep):
     if cfg.get("common_hamiltonian", True):
         hams = np.broadcast_to(hams[0], (q, d, d)).copy()
     sys_ = nonstationary.LoheSystem(
-        states=states, hamiltonians=hams, hbar=float(cfg.get("hbar", 1.0)),
-        alpha=float(cfg.get("alpha", 1.0)),
+        states=states, hamiltonians=hams, hbar=_number("hbar", cfg.get("hbar", 1.0)),
+        alpha=_number("alpha", cfg.get("alpha", 1.0)),
         coupling=cfg.get("coupling", "aligning"))
-    dt = float(cfg.get("dt", 1e-2))
-    steps = int(cfg.get("steps", 500))
+    dt = _number("dt", cfg.get("dt", 1e-2))
+    steps = _number("steps", cfg.get("steps", 500), True)
+    stride = _number("stride", cfg.get("stride", 10), True, 1)
     traj = nonstationary.lohe_integrate(sys_, dt, steps)
-    stride = max(1, int(cfg.get("stride", 10)))
     rows = []
     for k in range(0, steps + 1, stride):
         norms = np.linalg.norm(traj[k], axis=1)
@@ -297,15 +320,16 @@ def run_stackelberg(cfg, seed, rep):
             else np.asarray(cfg["drift"], dtype=float))
     else:
         rng = np.random.default_rng(seed)
-        n_f, n_u, n_laws = (int(cfg.get(k, v)) for k, v in
+        n_f, n_u, n_laws = (_number(k, cfg.get(k, v), True, 1) for k, v in
                             (("n_follower", 6), ("n_leader_state", 4), ("n_laws", 8)))
         laws = tuple(rng.dirichlet(np.ones(n_u), size=n_f) for _ in range(n_laws))
         inst = nonstationary.StackelbergInstance(
             leader_laws=laws, payoffs=rng.normal(size=(n_f, n_u)))
     rows = []
-    for stage in cfg.get("stages", [0]):
-        li, a, v = nonstationary.stackelberg_solve(inst, stage=int(stage))
-        rows.append((int(stage), li, a, v))
+    for stage in _list(cfg, "stages", [0]):
+        stage = _number("stages", stage, True)
+        li, a, v = nonstationary.stackelberg_solve(inst, stage=stage)
+        rows.append((stage, li, a, v))
     return "stage,leader_law,follower_action,value", rows, 0
 
 
@@ -314,11 +338,11 @@ def run_nash(cfg, seed, rep):
         game = equilibrium.KCutGame.from_jsonable(cfg)
     else:
         rng = np.random.default_rng(seed)
-        n = int(cfg.get("n", 8))
+        n = _number("n", cfg.get("n", 8), True, 1)
         w = rng.uniform(0, 1, size=(n, n))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        game = equilibrium.KCutGame(w, int(cfg.get("k", 3)))
+        game = equilibrium.KCutGame(w, _number("k", cfg.get("k", 3), True))
     init = equilibrium.StrategyProfile(tuple(cfg.get("init", [0] * game.n)))
     res = equilibrium.best_response_dynamics(game, init)
     is_nash, worst = equilibrium.verify_nash(game, res.profile)
@@ -330,10 +354,13 @@ def run_nash(cfg, seed, rep):
 
 def run_plant(cfg, seed, rep):
     if "a1" in cfg:
+        missing = [k for k in ("a2", "a3", "a4") if k not in cfg]
+        if missing:
+            raise ValidationError(f"{missing[0]}: a plant given by matrices needs a1 to a4")
         p = plant.LinearPlant.from_jsonable(cfg)
     else:
         rng = np.random.default_rng(seed)
-        n = int(cfg.get("n", 4))
+        n = _number("n", cfg.get("n", 4), True, 1)
         p = plant.LinearPlant(rng.normal(size=(n, n)) / n,
                               rng.normal(size=(n, 1)),
                               rng.normal(size=(1, n)),
@@ -349,15 +376,16 @@ def run_plant(cfg, seed, rep):
 def run_divergence(cfg, seed, rep):
     if "joint" in cfg:
         model = dv.LatentModel(np.asarray(cfg["joint"], dtype=float),
-                               *(float(cfg.get(f"theta{i}", 1.0)) for i in range(4)))
+                               *(_number(f"theta{i}", cfg.get(f"theta{i}", 1.0))
+                                 for i in range(4)))
     else:
         rng = np.random.default_rng(seed)
         model = dv.LatentModel(rng.dirichlet(np.ones(2 * 3 * 4 * 2)).reshape(2, 3, 4, 2))
     n_z = model.p_z().size
     acc = tuple(cfg.get("accessible", range(n_z - 1)))
     inacc = tuple(cfg.get("inaccessible", [n_z - 1]))
-    g1 = float(cfg.get("g1", 0.0))
-    g2 = float(cfg.get("g2", np.log2(model.joint.shape[3])))
+    g1 = _number("g1", cfg.get("g1", 0.0))
+    g2 = _number("g2", cfg.get("g2", np.log2(model.joint.shape[3])))
     rep_d = dv.cmi_decomposition_report(model)
     rows = [("per_z", z, c) for z, c in enumerate(rep_d.per_z)]
     rows.append(("total", "", rep_d.total))

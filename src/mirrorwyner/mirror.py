@@ -110,18 +110,10 @@ class MirrorGameInstance:
 
     def x_given_s(self, q: int) -> np.ndarray:
         """P(X_q = x | S = s) as a (|S|, |X_q|) matrix (rows of zero-mass s are uniform)."""
-        table = self.joints[q].table
-        p_s = table.sum(axis=1, keepdims=True)
-        out = np.where(p_s > 0, table / np.where(p_s > 0, p_s, 1.0),
-                       1.0 / table.shape[1])
-        return out
+        return _conditional(self.joints[q].table)
 
     def s_given_x(self, q: int) -> PrivacyMapping:
-        table = self.joints[q].table
-        p_x = table.sum(axis=0, keepdims=True)
-        rows = np.where(p_x > 0, table / np.where(p_x > 0, p_x, 1.0),
-                        1.0 / table.shape[0]).T
-        return PrivacyMapping(rows)
+        return PrivacyMapping(_conditional(self.joints[q].table.T))
 
     def to_jsonable(self):
         return {
@@ -202,6 +194,12 @@ def _check_consistent(inst: MirrorGameInstance, asg: TwinAssignment) -> None:
             raise ValidationError(f"Bob {q}: mapping input alphabet mismatch")
         if asg.virtual[q].output_size != inst.virtual_alphabet:
             raise ValidationError(f"Bob {q}: virtual alphabet mismatch")
+
+
+def _conditional(joint: np.ndarray) -> np.ndarray:
+    """P(B | A) of a joint table[a, b] as (|A|, |B|) rows; rows of zero-mass a are uniform."""
+    p_a = joint.sum(axis=1, keepdims=True)
+    return np.where(p_a > 0, joint / np.where(p_a > 0, p_a, 1.0), 1.0 / joint.shape[1])
 
 
 def _s_yo(p_sx: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -290,15 +288,14 @@ def trial_values(inst: MirrorGameInstance, asg: TwinAssignment, q: int, kind: st
     if kind not in ("original", "virtual"):
         raise ValidationError("trial_values: kind must be 'original' or 'virtual'")
     _check_consistent(inst, asg)
-    orig = [m.rows for m in asg.original]
-    virt = [m.rows for m in asg.virtual]
-    slot = orig if kind == "original" else virt
+    trial = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
+    slot = trial[kind == "virtual"]
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3 or rows.shape[1:] != slot[q].shape:
         raise ValidationError(f"trial_values: need (K, {slot[q].shape[0]}, "
                               f"{slot[q].shape[1]}) rows for Bob {q}'s {kind} slot")
     slot[q] = rows
-    return _kernel(inst, orig, virt)
+    return _kernel(inst, *trial)
 
 
 def evaluate_conditions(inst: MirrorGameInstance, asg: TwinAssignment) -> ConditionReport:
@@ -412,10 +409,10 @@ def perturb_posterior(posterior: np.ndarray, magnitude: float,
     return np.where(sums > 0, out / np.where(sums > 0, sums, 1.0), posterior)
 
 
-def _s_given_yo(inst: MirrorGameInstance, asg: TwinAssignment, q: int):
-    """P(Yo_q) and the posterior P(S | Yo_q) as a (|Yo|, |S|) matrix whose
-    rows for unobserved symbols are zero."""
-    sy = _s_yo(inst.joints[q].table, asg.original[q].rows)
+def _s_given_yo(p_sx: np.ndarray, o: np.ndarray):
+    """P(Yo) and the posterior P(S | Yo) of original rows o (X, Yo) applied
+    to P(S, X), as a (|Yo|, |S|) matrix whose rows for unobserved symbols are zero."""
+    sy = _s_yo(p_sx, o)
     p_y = sy.sum(axis=0)
     return p_y, np.where(p_y[None, :] > 0, sy / np.where(p_y > 0, p_y, 1.0), 0.0).T
 
@@ -429,7 +426,7 @@ def sample_leakage(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
         raise ValidationError(f"sample_leakage: magnitude {magnitude!r} is outside [0, 1]")
     if n < 1:
         raise ValidationError(f"sample_leakage: need n >= 1 draws, got {n!r}")
-    p_y, post = _s_given_yo(inst, asg, q)
+    p_y, post = _s_given_yo(inst.joints[q].table, asg.original[q].rows)
     post = perturb_posterior(np.broadcast_to(post, (n,) + post.shape), magnitude, rng)
     return prob._mi(np.swapaxes(p_y[:, None] * post, -1, -2))
 
@@ -487,6 +484,16 @@ def epsilon_floor(ccp: ChanceConstrainedProblem, eps, null_mode: str = "floored"
                                                         null_mode=null_mode))
 
 
+def _boltzmann(p_x: np.ndarray, s_given_x: np.ndarray, s_given_y: np.ndarray, omega: float):
+    """`boltzmann_posterior` on raw rows, or None when a row loses all weight.
+    An infinite divergence zeroes the weight at omega > 0; at omega = 0 it
+    leaves a NaN row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = p_x[None, :] * np.exp(-omega * prob._kl_matrix(s_given_y, s_given_x))
+    sums = w.sum(axis=1, keepdims=True)
+    return None if np.any(sums <= 0) else w / sums
+
+
 def boltzmann_posterior(p_x: Pmf, p_s_given_x: PrivacyMapping,
                         p_s_given_y: PrivacyMapping, omega: float) -> PrivacyMapping:
     """P(x | y) proportional to P(x) exp(-omega D(P(S|y) || P(S|x))).
@@ -501,34 +508,30 @@ def boltzmann_posterior(p_x: Pmf, p_s_given_x: PrivacyMapping,
         raise ValidationError("boltzmann_posterior: X alphabet mismatch")
     if p_s_given_x.output_size != p_s_given_y.output_size:
         raise ValidationError("boltzmann_posterior: S alphabet mismatch")
-    n_y, n_x = p_s_given_y.input_size, p_x.alphabet_size
-    div = np.zeros((n_y, n_x))
-    for y in range(n_y):
-        for x in range(n_x):
-            div[y, x] = prob.kl_or_inf(p_s_given_y.rows[y], p_s_given_x.rows[x])
-    with np.errstate(over="ignore"):
-        w = p_x.probs[None, :] * np.exp(-omega * div)
-    sums = w.sum(axis=1)
-    if np.any(sums <= 0):
+    x_given_y = _boltzmann(p_x.probs, p_s_given_x.rows, p_s_given_y.rows, omega)
+    if x_given_y is None:
         raise NumericUnderflowError("boltzmann_posterior: a row lost all weight")
-    return PrivacyMapping(w / sums[:, None])
+    return PrivacyMapping(x_given_y)
 
 
-def boltzmann_original(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
-                       omega: float) -> PrivacyMapping:
-    """Bob q's original mapping refreshed through `boltzmann_posterior` at the
-    current P(S | Yo_q); raises as it does, or ValidationError if a Yo symbol has no mass."""
-    p_y, post = _s_given_yo(inst, asg, q)
-    p_x = inst.x_marginal(q)
-    x_given_y = boltzmann_posterior(p_x, inst.s_given_x(q), PrivacyMapping(post), omega)
-    rows = (x_given_y.rows * p_y[:, None]).T
-    rows = np.where(p_x.probs[:, None] > 0,
-                    rows / np.where(p_x.probs[:, None] > 0,
-                                    p_x.probs[:, None], 1.0),
-                    1.0 / rows.shape[1])
+def boltzmann_original(inst: MirrorGameInstance, q: int, o: np.ndarray, omega: float):
+    """Bob q's original rows o (X, Yo) refreshed through the Boltzmann
+    posterior at the current P(S | Yo_q), as new rows; None when there is no
+    candidate: a Yo symbol has no mass, a posterior or refreshed row loses all
+    weight (omega too large for the posterior), or a refreshed row is not finite."""
+    p_sx = inst.joints[q].table
+    p_y, post = _s_given_yo(p_sx, o)
+    p_x = p_sx.sum(axis=0)[:, None]
+    x_given_y = _boltzmann(p_x[:, 0], _conditional(p_sx.T), post, omega) \
+        if np.all(p_y > 0) else None
+    if x_given_y is None:
+        return None
+    with np.errstate(over="ignore"):
+        rows = np.where(p_x > 0, (x_given_y * p_y[:, None]).T / np.where(p_x > 0, p_x, 1.0),
+                        1.0 / o.shape[1])
     rows = np.clip(rows, 0.0, None)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return PrivacyMapping(rows)
+    sums = rows.sum(axis=1, keepdims=True)
+    return rows / sums if np.all(np.isfinite(rows)) and np.all(sums > 0) else None
 
 
 @dataclass(frozen=True)
@@ -577,19 +580,17 @@ def objective_decompose(inst: MirrorGameInstance, asg: TwinAssignment,
     return float(i_xo), float(i_xv_given_o)
 
 
-def _sum_channel(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -> np.ndarray:
-    """P(Yo_q + Yv_q | S = s) with outputs embedded as real symbol values
+def _sum_channel(inst: MirrorGameInstance, q: int, o: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P(Yo_q + Yv_q | S = s) of Bob q's original rows o (..., X, Yo) and
+    virtual rows v (..., X, Yv), with outputs embedded as real symbol values
     (index values for the original alphabet, symbol_values for the virtual),
-    as an (|S|, n_sums) matrix over the sorted sum values."""
-    blk = _channels(inst.x_given_s(q), asg.original[q].rows,
-                    asg.virtual[q].rows)[0]                           # (S, Yo*Yv)
-    vo = np.arange(asg.original[q].output_size, dtype=float)
-    vv = inst.symbol_values[q]
-    sums = np.round(vo[:, None] + vv[None, :], 9).ravel()
+    as an (..., |S|, n_sums) array over the sorted sum values."""
+    blk = _channels(inst.x_given_s(q), o, v)[0]                      # (..., S, Yo*Yv)
+    sums = np.round(np.arange(o.shape[-1])[:, None] + inst.symbol_values[q][None, :], 9).ravel()
     values = np.unique(sums)
-    chan = np.zeros((blk.shape[0], values.size))
+    chan = np.zeros(blk.shape[:-1] + (values.size,))
     for k, val in enumerate(values):
-        chan[:, k] = blk[:, sums == val].sum(axis=1)
+        chan[..., k] = blk[..., sums == val].sum(axis=-1)
     return chan
 
 
@@ -600,7 +601,8 @@ def superposed_exposure(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -
     can mask the original, so the value falls as virtual power grows."""
     _check_consistent(inst, asg)
     return float(_cross_mi(inst.source.probs, inst.x_given_s(q),
-                           [_sum_channel(inst, asg, qp) for qp in range(inst.q_count) if qp != q]))
+                           [_sum_channel(inst, p, asg.original[p].rows, asg.virtual[p].rows)
+                            for p in range(inst.q_count) if p != q]))
 
 
 def reference_binary_instance(q_count: int = 2, source_p: float = 0.5,

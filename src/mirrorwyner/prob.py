@@ -209,6 +209,16 @@ def kl_or_inf(p: np.ndarray, q: np.ndarray) -> float:
         return np.inf
 
 
+def _kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(p[i] || q[j]) in bits for every row of p (m, n) against every row of
+    q (k, n), as an (m, k) matrix; +inf on a support violation, as `kl_or_inf`."""
+    p, q = p[:, None, :], q[None, :, :]
+    # a cell with p > 0 = q gives p * log2(inf) = +inf, and so an infinite sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log2(p / q), 0.0)
+    return terms.sum(axis=-1)
+
+
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """D(p || q) in bits; raises InfiniteDivergenceError on support violation."""
     return _kl_tables(p.probs, q.probs)

@@ -5,13 +5,13 @@ plus the Monte Carlo chance estimator both consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import mirror
-from .errors import NumericError, NumericUnderflowError, ValidationError
+from .errors import NumericError, ValidationError
 from .prob import PrivacyMapping
 
 RADIUS_EQ_TOL = 1e-12  # "step hit the boundary" test for radius expansion
@@ -225,14 +225,13 @@ DEFAULT_EPS = (0.01, 0.01, 0.01)
 DEFAULT_LAMBDA = 10.0
 
 
-def _random_mapping(n_in: int, n_out: int, rng: np.random.Generator) -> PrivacyMapping:
-    return PrivacyMapping(rng.dirichlet(np.ones(n_out), size=n_in))
+def _random_rows(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.dirichlet(np.ones(n_out), size=n_in)
 
 
-def _nudge_mapping(m: PrivacyMapping, scale: float, rng: np.random.Generator) -> PrivacyMapping:
-    rows = m.rows + scale * rng.normal(size=m.rows.shape)
-    rows = np.clip(rows, 1e-9, None)
-    return PrivacyMapping(rows / rows.sum(axis=1, keepdims=True))
+def _nudge_rows(rows: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    rows = np.clip(rows + scale * rng.normal(size=rows.shape), 1e-9, None)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def random_assignment(inst: mirror.MirrorGameInstance,
@@ -240,8 +239,8 @@ def random_assignment(inst: mirror.MirrorGameInstance,
     originals, virtuals = [], []
     for q in range(inst.q_count):
         nx = inst.joints[q].table.shape[1]
-        originals.append(_random_mapping(nx, nx, rng))
-        virtuals.append(_random_mapping(nx, inst.virtual_alphabet, rng))
+        originals.append(PrivacyMapping(_random_rows(nx, nx, rng)))
+        virtuals.append(PrivacyMapping(_random_rows(nx, inst.virtual_alphabet, rng)))
     return mirror.TwinAssignment(tuple(originals), tuple(virtuals))
 
 
@@ -257,11 +256,17 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     flipped null condition) and the bottleneck pair search shortcut for the
     utility floor. Stops on feasibility with no further improvement, on a run
     of improvement-free passes, or at the budget.
+
+    The search holds each Bob's rows as plain arrays; mappings are validated
+    only on entry (`random_assignment`) and at return.
     """
     if budget < 1:
         raise ValidationError("greedy_solve: budget must be >= 1")
+    if not omega >= 0:
+        raise ValidationError(f"greedy_solve: omega must be non-negative, got {omega!r}")
     rng = np.random.default_rng(seed)
     asg = random_assignment(inst, rng)
+    orig, virt = rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
     trace = GreedyTrace()
 
     vals = mirror.condition_values(inst, asg)
@@ -285,33 +290,25 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     for _ in range(budget):
         improved = False
         for q in range(inst.q_count):
-            originals = []
-            # Boltzmann self-consistent refresh of the original mapping
-            try:
-                originals.append(mirror.boltzmann_original(inst, asg, q, omega))
-            except (NumericUnderflowError, ValidationError):
-                pass   # omega too large for this posterior: no Boltzmann candidate
-            originals.append(_nudge_mapping(asg.original[q], 0.1, rng))
-            virtuals = []
-            for j in range(proposals):
-                if j % 2 == 0:
-                    virtuals.append(_random_mapping(asg.virtual[q].input_size,
-                                                    inst.virtual_alphabet, rng))
-                else:
-                    virtuals.append(_nudge_mapping(asg.virtual[q], 0.15, rng))
+            # Boltzmann self-consistent refresh of the original rows, if any
+            refresh = mirror.boltzmann_original(inst, q, orig[q], omega)
+            originals = [c for c in (refresh, _nudge_rows(orig[q], 0.1, rng)) if c is not None]
+            virtuals = [_random_rows(virt[q].shape[0], inst.virtual_alphabet, rng)
+                        if j % 2 == 0 else _nudge_rows(virt[q], 0.15, rng)
+                        for j in range(proposals)]
             # Every trial of one kind replaces the same slot, so scoring the
-            # whole stack against the assignment before it equals trying the
+            # whole stack against the rows before it equals trying the
             # candidates one by one; the virtual stack sees the accepted original.
-            for kind, cands in (("original", originals), ("virtual", virtuals)):
+            for kind, cands in enumerate((originals, virtuals)):
                 if not cands:
                     continue
-                stacked = mirror.trial_values(inst, asg, q, kind,
-                                              np.stack([c.rows for c in cands]))
+                trial = [list(r) for r in rows]
+                trial[kind][q] = np.stack(cands)
+                stacked = mirror._kernel(inst, *trial)
                 for cand, trial_vals in zip(cands, stacked):
                     trial_merit = merit(trial_vals)
                     if trial_merit < current - 1e-9:
-                        slots = getattr(asg, kind)
-                        asg = replace(asg, **{kind: slots[:q] + (cand,) + slots[q + 1:]})
+                        rows[kind][q] = cand
                         vals, current = trial_vals, trial_merit
                         improved = True
         trace.iterates.append(GreedyPass(float(vals[:, 2].mean()), current, improved))
@@ -322,4 +319,4 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
         if stall >= patience:
             break
     trace.feasible = feasible(vals)
-    return asg, trace
+    return mirror.TwinAssignment(*(tuple(map(PrivacyMapping, r)) for r in rows)), trace

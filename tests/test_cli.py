@@ -84,6 +84,20 @@ class TestExitCodes:
         ("mi-tradeoff", {"resolution": -1}, "resolution"),
         ("secrecy-gap", {"resolution": -1}, "resolution"),
         ("mi-tradeoff", {"grid_points": 1}, "grid_points"),
+        ("mi-tradeoff", {"b_magnitudes": ["x"]}, "b_magnitudes"),
+        ("mi-tradeoff", {"n_samples": 2.5}, "n_samples"),
+        ("mi-tradeoff", {"theta": 2.0}, "theta"),
+        ("convergence-cdf", {"n_seeds": 0}, "n_seeds"),
+        ("convergence-cdf", {"n_seeds": "abc"}, "n_seeds"),
+        ("convergence-cdf", {"seeds": [1, 1]}, "seeds"),
+        ("convergence-cdf", {"budget": 0}, "budget"),
+        ("divergence", {"g1": "x"}, "g1"),
+        ("mfg", {"max_sweeps": 0}, "max_sweeps"),
+        ("lohe", {"stride": 0}, "stride"),
+        ("plant", {"a1": [[0.5]], "a2": [[1.0]]}, "a3"),
+        ("plant", {"n": 0}, "n"),
+        ("convergence-cdf", {"eps": [0.01]}, "eps"),
+        ("convergence-cdf", {"mode": "four"}, "mode"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"

@@ -48,6 +48,15 @@ class TestEntropy:
         assert -1e-12 <= h <= np.log2(p.alphabet_size) + 1e-12
 
 
+@st.composite
+def posterior_rows(draw, n, max_rows=4):
+    """1-4 pmf rows over n symbols, each with zero cells allowed."""
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = [draw(st.lists(cell, min_size=n, max_size=n).filter(any))
+            for _ in range(draw(st.integers(1, max_rows)))]
+    return np.array([np.asarray(r) / sum(r) for r in rows])
+
+
 class TestKl:
     def test_self_divergence_zero(self):
         p = Pmf(np.array([0.2, 0.3, 0.5]))
@@ -68,6 +77,25 @@ class TestKl:
     @given(pmfs(min_size=3, max_size=3), pmfs(min_size=3, max_size=3))
     def test_nonnegative(self, p, q):
         assert prob.kl_divergence(p, q) >= -1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 10))
+    def test_matrix_matches_kl_or_inf(self, data, n):
+        # the broadcast matrix against the pairwise oracle, zero cells and
+        # +inf entries included; numpy's pairwise sum regroups from 8 terms,
+        # so only up to 7 symbols is the match bit for bit
+        p, q = data.draw(posterior_rows(n)), data.draw(posterior_rows(n))
+        oracle = np.array([[prob.kl_or_inf(a, b) for b in q] for a in p])
+        got = prob._kl_matrix(p, q)
+        assert got.shape == oracle.shape
+        if n <= 7:
+            assert np.array_equal(got, oracle)
+        else:
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+    def test_matrix_support_violation_is_inf(self):
+        got = prob._kl_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([[1.0, 0.0]]))
+        assert np.array_equal(got, [[np.inf], [0.0]])
 
 
 class TestMutualInformation:

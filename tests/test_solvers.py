@@ -1,5 +1,7 @@
 """Trust-region solver and greedy twin-search tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from mirrorwyner import mirror, solvers
 from mirrorwyner.errors import NumericUnderflowError, ValidationError
 from mirrorwyner.mirror import UncertaintyModel
-from mirrorwyner.prob import PrivacyMapping
+from mirrorwyner.prob import JointPmf2, PrivacyMapping
 from mirrorwyner.solvers import (ObjectiveFn, TrustRegionConfig,
                                  trust_region_solve)
 
@@ -211,3 +213,40 @@ class TestGreedy:
         with pytest.raises(ValidationError):
             solvers.greedy_solve(inst, UncertaintyModel(0.0), relaxed=True,
                                  budget=0, seed=0)
+
+    def test_negative_omega_rejected(self):
+        inst = mirror.reference_binary_instance()
+        for omega in (-1.0, float("nan")):
+            with pytest.raises(ValidationError):
+                solvers.greedy_solve(inst, UncertaintyModel(0.0), relaxed=True,
+                                     budget=3, seed=0, omega=omega)
+
+    def test_zero_weight_boltzmann_row_gives_no_candidate(self):
+        # x = 1 never occurs with s = 0, so every posterior P(S | y) that x = 0
+        # reaches is infinitely far from P(S | x = 1): the refreshed row of
+        # x = 1 has no weight, and the refresh must say so without a 0/0
+        j = JointPmf2(np.array([[0.5, 0.0], [0.25, 0.25]]))
+        inst = mirror.MirrorGameInstance(joints=(j, j), gamma0=0.3, gamma1=1.0,
+                                         gamma2=0.1, gamma3=1.5)
+        start = solvers.random_assignment(inst, np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for omega in (1.0, 50.0, 1e3):
+                asg, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=True,
+                                                  budget=10, seed=0, omega=omega)
+                assert 1 <= trace.iterations <= 10
+                for m in start.original + asg.original:
+                    assert mirror.boltzmann_original(inst, 0, m.rows, omega) is None
+
+    @pytest.mark.parametrize("q_count,budget", [(2, 1), (2, 20), (3, 8)])
+    def test_mappings_validated_only_at_the_edges(self, monkeypatch, q_count, budget):
+        # 2Q in random_assignment and 2Q at return, whatever the budget
+        inst = mirror.reference_binary_instance(q_count=q_count)
+        calls = []
+        post_init = PrivacyMapping.__post_init__
+        monkeypatch.setattr(PrivacyMapping, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        _, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=False,
+                                        budget=budget, seed=1)
+        assert trace.iterations >= min(budget, 3)
+        assert len(calls) == 4 * q_count
