@@ -2,7 +2,8 @@
 deterministic CSV. Plotting is external; configs are JSON.
 
 Exit codes: 0 success, 1 a declared output assertion failed, 2 usage error,
-3 invalid payload (machine-readable error JSON on stderr).
+3 invalid payload, 4 arithmetic failure in a run (both with machine-readable
+error JSON on stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -57,22 +59,19 @@ def _list(cfg, key, default):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer, np.bool_)):
         return str(int(v))
     v = float(v)
-    if np.isnan(v):
+    if v != v:
         raise ValidationError("output: NaN cell with no tag")
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
     return f"{v:.12g}"
 
 
 def _write(out_path, header, rows):
     lines = [header]
-    lines.extend(",".join(_fmt(c) if not isinstance(c, str) else c for c in row)
-                 for row in rows)
+    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -357,7 +356,8 @@ def run_plant(cfg, seed, rep):
         missing = [k for k in ("a2", "a3", "a4") if k not in cfg]
         if missing:
             raise ValidationError(f"{missing[0]}: a plant given by matrices needs a1 to a4")
-        p = plant.LinearPlant.from_jsonable(cfg)
+        keys = [f.name for f in fields(plant.LinearPlant)]
+        p = plant.LinearPlant.from_jsonable({k: cfg[k] for k in keys if k in cfg})
     else:
         rng = np.random.default_rng(seed)
         n = _number("n", cfg.get("n", 4), True, 1)
@@ -442,6 +442,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "field": field,
                           "message": str(exc)}), file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(json.dumps({"error": type(exc).__name__, "field": args.subcommand,
+                          "message": str(exc)}), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

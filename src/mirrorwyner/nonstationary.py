@@ -6,7 +6,7 @@ mean-value / clustering reductions it leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -283,23 +283,13 @@ class MfgGrid:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
     def to_jsonable(self):
-        return {
-            "x_min": self.x_min, "x_max": self.x_max, "n_x": self.n_x,
-            "n_t": self.n_t, "dt": self.dt, "sigma": self.sigma,
-            "initial_density": list(self.initial_density),
-            "mu_weight": list(self.mu_weight),
-            "terminal_value": list(self.terminal_value),
-            "running_cost": list(self.running_cost),
-            "p_bar": self.p_bar, "control_max": self.control_max,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
     @classmethod
     def from_jsonable(cls, data) -> "MfgGrid":
-        kw = dict(data)
-        for name in ("initial_density", "mu_weight", "terminal_value", "running_cost"):
-            if name in kw and kw[name] is not None:
-                kw[name] = np.asarray(kw[name], dtype=float)
-        return cls(**kw)
+        # __post_init__ turns the four field lists into float arrays
+        return cls(**data)
 
 
 @dataclass
@@ -339,73 +329,82 @@ def mean_value_reduce(p_samples, mu_samples, dk: float = 1.0):
     return t0, mu_prime, float(errs[t0])
 
 
+def _drift(grid: MfgGrid, value: np.ndarray):
+    """Drift scalar via the mean-value collapse of the time integral; p(k) is
+    the spatial average of the control policy active at step k."""
+    if np.trapezoid(grid.mu_weight, dx=grid.dt) == 0.0:
+        return 0.0
+    active = grid.mu_weight[:-1, None] * np.gradient(value[1:], grid.dx, axis=1) > 0
+    policy = np.append(grid.control_max * np.mean(active, axis=1), 0.0)
+    t0, mu_prime, _ = mean_value_reduce(policy, grid.mu_weight, dk=grid.dt)
+    return policy[t0] * mu_prime
+
+
+def _backward_value(grid: MfgGrid) -> np.ndarray:
+    """Backward explicit sweep of the value field from the terminal value."""
+    value = np.zeros((grid.n_t, grid.n_x))
+    value[-1] = grid.terminal_value
+    for k in range(grid.n_t - 2, -1, -1):
+        ham = grid.running_cost - grid.p_bar + grid.control_max * np.maximum(
+            0.0, grid.mu_weight[k] * np.gradient(value[k + 1], grid.dx))
+        value[k] = value[k + 1] + grid.dt * (
+            ham + grid.sigma**2 * _laplacian(value[k + 1], grid.dx))
+    return value
+
+
+def _forward_density(grid: MfgGrid, drift, residuals: list) -> np.ndarray:
+    """Forward finite-volume sweep of the density under a scalar drift, flux
+    form with zero-flux walls; a vanishing mass raises with the residuals."""
+    dx, dt = grid.dx, grid.dt
+    density = np.zeros((grid.n_t, grid.n_x))
+    density[0] = grid.initial_density
+    for k in range(grid.n_t - 1):
+        rho = density[k]
+        flux = grid.sigma**2 * (rho[1:] - rho[:-1]) / dx \
+            - drift * (rho[:-1] if drift >= 0 else rho[1:])
+        nxt = rho.copy()
+        nxt[:-1] += dt / dx * flux
+        nxt[1:] -= dt / dx * flux
+        nxt = np.clip(nxt, 0.0, None)
+        mass = nxt.sum() * dx
+        if mass <= 0:
+            raise NumericError("density mass vanished", partial=residuals)
+        density[k + 1] = nxt / mass
+    return density
+
+
 def mfg_solve(grid: MfgGrid, tol: float = 1e-6, max_sweeps: int = 50,
               damping: float = 0.5) -> MfgSolution:
-    """Fixed-point iteration: backward explicit sweep of the value field given
-    the density, forward conservative finite-volume sweep of the density given
-    the induced drift, with damped density mixing in between."""
+    """Damped fixed-point iteration of the coupled fields. The value field
+    reads no density, so its backward sweep runs once; the density reads only
+    the drift, taken from the initial guess (the terminal value tiled over
+    time) in sweep 0 and from the solved value after, so at most two forward
+    sweeps run. Each sweep mixes the density towards the latest of them."""
     if tol <= 0:
         raise ValidationError("mfg_solve: tol must be positive")
     if not 0 < damping <= 1:
         raise ValidationError("mfg_solve: damping must be in (0, 1]")
-    dx, dt = grid.dx, grid.dt
-    if grid.sigma**2 * dt / dx**2 > 0.5:
-        raise ConfigurationError(
-            f"explicit scheme unstable: sigma^2*dt/dx^2 = "
-            f"{grid.sigma**2 * dt / dx**2:.3g} > 0.5")
-    n_t, n_x = grid.n_t, grid.n_x
-    density = np.tile(grid.initial_density, (n_t, 1))
-    value = np.tile(grid.terminal_value, (n_t, 1))
-    residuals = []
-    drift = 0.0
-    converged = False
-    for _ in range(max_sweeps):
-        # drift scalar via the mean-value collapse of the time integral;
-        # p(k) is the spatial average of the active control policy
-        policy = np.zeros(n_t)
-        for k in range(n_t - 1):
-            grad_j = np.gradient(value[k + 1], dx)
-            active = grid.mu_weight[k] * grad_j > 0
-            policy[k] = grid.control_max * float(np.mean(active))
-        if np.trapezoid(grid.mu_weight, dx=dt) == 0.0:
-            drift = 0.0
-        else:
-            t0, mu_prime, _ = mean_value_reduce(policy, grid.mu_weight, dk=dt)
-            drift = policy[t0] * mu_prime
-        # backward value sweep
-        new_value = np.zeros_like(value)
-        new_value[-1] = grid.terminal_value
-        for k in range(n_t - 2, -1, -1):
-            grad_j = np.gradient(new_value[k + 1], dx)
-            ham = grid.running_cost - grid.p_bar \
-                + grid.control_max * np.maximum(0.0, grid.mu_weight[k] * grad_j)
-            new_value[k] = new_value[k + 1] + dt * (
-                ham + grid.sigma**2 * _laplacian(new_value[k + 1], dx))
-        # forward density sweep, flux form with zero-flux walls
-        new_density = np.zeros_like(density)
-        new_density[0] = grid.initial_density
-        for k in range(n_t - 1):
-            rho = new_density[k]
-            diff_flux = grid.sigma**2 * (rho[1:] - rho[:-1]) / dx
-            upwind = rho[:-1] if drift >= 0 else rho[1:]
-            flux = diff_flux - drift * upwind
-            nxt = rho.copy()
-            nxt[:-1] += dt / dx * flux
-            nxt[1:] -= dt / dx * flux
-            nxt = np.clip(nxt, 0.0, None)
-            mass = nxt.sum() * dx
-            if mass <= 0:
-                raise NumericError("density mass vanished", partial=residuals)
-            new_density[k + 1] = nxt / mass
-        mixed = (1 - damping) * density + damping * new_density
-        residual = float(np.max(np.abs(mixed - density)))
-        residuals.append(residual)
-        density, value = mixed, new_value
-        if residual < tol:
-            converged = True
+    if max_sweeps < 1:
+        raise ValidationError("mfg_solve: max_sweeps must be >= 1")
+    cfl = grid.sigma**2 * grid.dt / grid.dx**2
+    if cfl > 0.5:
+        raise ConfigurationError(f"explicit scheme unstable: sigma^2*dt/dx^2 = {cfl:.3g} > 0.5")
+    value, residuals = _backward_value(grid), []
+    drift = _drift(grid, np.tile(grid.terminal_value, (grid.n_t, 1)))
+    target = _forward_density(grid, drift, residuals)
+    density = np.tile(grid.initial_density, (grid.n_t, 1))
+    for sweep in range(max_sweeps):
+        if sweep == 1:
+            guess_drift, drift = drift, _drift(grid, value)
+            if drift != guess_drift:  # two zero drifts share the sign of mu's integral
+                target = _forward_density(grid, drift, residuals)
+        mixed = (1 - damping) * density + damping * target
+        residuals.append(float(np.max(np.abs(mixed - density))))
+        density = mixed
+        if residuals[-1] < tol:
             break
     return MfgSolution(value=value, density=density, residuals=residuals,
-                       converged=converged, drift=drift)
+                       converged=residuals[-1] < tol, drift=drift)
 
 
 def kl_drift_profile(density_trajectory: np.ndarray, checkpoints):

@@ -108,6 +108,29 @@ class TestExitCodes:
         assert json.loads(err[0])["field"] == field
         assert not (tmp_path / "o.csv").exists()
 
+    def test_plant_matrices_ignore_other_keys(self, tmp_path):
+        cfg = tmp_path / "plant.json"
+        cfg.write_text(json.dumps({"a1": [[0.5]], "a2": [[1.0]], "a3": [[1.0]],
+                                   "a4": [[0.1]], "n": 1}))
+        rc, data = run_to_file(tmp_path, ["plant", "--config", str(cfg)])
+        assert rc == 0
+        # closed loop 0.5 + 1.0 * 0.1 * 1.0: both ranks full, radius 0.6
+        assert data.decode().split("\n")[1] == "0,1,1,1,1,1,0.6,1"
+
+    # the step overflows on purpose; numpy's warnings about it are not the report
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arithmetic_failure_exit_4(self, tmp_path, capsys):
+        cfg = tmp_path / "lohe.json"
+        cfg.write_text(json.dumps({"dt": 1e6}))
+        out = tmp_path / "o.csv"
+        assert main(["lohe", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "NumericError", "field": "lohe",
+            "message": "non-finite state at step 3"}
+        assert not out.exists()
+
     def test_top_level_array_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from mirrorwyner import nonstationary as ns
 from mirrorwyner.errors import (ConfigurationError, DegenerateIntegralError,
-                                ValidationError)
+                                NumericError, ValidationError)
 
 
 def gaussian_density(xs, s0):
@@ -211,6 +211,120 @@ class TestMfg:
         back = ns.MfgGrid.from_jsonable(grid.to_jsonable())
         np.testing.assert_allclose(back.initial_density, grid.initial_density)
         assert back.n_x == grid.n_x and back.dt == grid.dt
+
+
+def iterated_mfg(grid, tol=1e-6, max_sweeps=50, damping=0.5):
+    """Reference: the fixed-point loop that recomputes the drift, the value
+    field and the density field from scratch in every sweep."""
+    dx, dt = grid.dx, grid.dt
+    n_t = grid.n_t
+    density = np.tile(grid.initial_density, (n_t, 1))
+    value = np.tile(grid.terminal_value, (n_t, 1))
+    residuals, drift, converged = [], 0.0, False
+    for _ in range(max_sweeps):
+        policy = np.zeros(n_t)
+        for k in range(n_t - 1):
+            active = grid.mu_weight[k] * np.gradient(value[k + 1], dx) > 0
+            policy[k] = grid.control_max * float(np.mean(active))
+        if np.trapezoid(grid.mu_weight, dx=dt) == 0.0:
+            drift = 0.0
+        else:
+            t0, mu_prime, _ = ns.mean_value_reduce(policy, grid.mu_weight, dk=dt)
+            drift = policy[t0] * mu_prime
+        new_value = np.zeros_like(value)
+        new_value[-1] = grid.terminal_value
+        for k in range(n_t - 2, -1, -1):
+            grad_j = np.gradient(new_value[k + 1], dx)
+            ham = grid.running_cost - grid.p_bar \
+                + grid.control_max * np.maximum(0.0, grid.mu_weight[k] * grad_j)
+            new_value[k] = new_value[k + 1] + dt * (
+                ham + grid.sigma**2 * ns._laplacian(new_value[k + 1], dx))
+        new_density = np.zeros_like(density)
+        new_density[0] = grid.initial_density
+        for k in range(n_t - 1):
+            rho = new_density[k]
+            diff_flux = grid.sigma**2 * (rho[1:] - rho[:-1]) / dx
+            upwind = rho[:-1] if drift >= 0 else rho[1:]
+            flux = diff_flux - drift * upwind
+            nxt = rho.copy()
+            nxt[:-1] += dt / dx * flux
+            nxt[1:] -= dt / dx * flux
+            nxt = np.clip(nxt, 0.0, None)
+            mass = nxt.sum() * dx
+            if mass <= 0:
+                raise NumericError("density mass vanished", partial=residuals)
+            new_density[k + 1] = nxt / mass
+        mixed = (1 - damping) * density + damping * new_density
+        residual = float(np.max(np.abs(mixed - density)))
+        residuals.append(residual)
+        density, value = mixed, new_value
+        if residual < tol:
+            converged = True
+            break
+    return ns.MfgSolution(value=value, density=density, residuals=residuals,
+                          converged=converged, drift=drift)
+
+
+def coupled_grid(seed):
+    """Seed 0 is the heat grid with every field zero; other seeds draw the
+    drift weight (either sign), terminal value, running cost and control
+    bound, each left at zero in some grids."""
+    rng = np.random.default_rng(seed)
+    n_x, n_t = int(rng.integers(11, 41)), int(rng.integers(2, 30))
+    xs = np.linspace(-3.0, 3.0, n_x)
+    kw = {}
+    if seed:
+        fields = {"mu_weight": lambda: rng.normal(rng.normal(), 1.0, n_t),
+                  "terminal_value": lambda: rng.normal() * xs**2 + rng.normal(size=n_x),
+                  "running_cost": lambda: rng.normal(size=n_x),
+                  "control_max": lambda: float(rng.uniform(0.0, 3.0))}
+        kw = {name: draw() for name, draw in fields.items() if rng.uniform() < 0.8}
+    return ns.MfgGrid(x_min=-3.0, x_max=3.0, n_x=n_x, n_t=n_t, dt=0.01,
+                      sigma=float(rng.uniform(0.0, 0.3)), p_bar=float(rng.normal()),
+                      initial_density=gaussian_density(xs, rng.uniform(0.3, 1.0)), **kw)
+
+
+COUPLED_GRIDS = [coupled_grid(seed) for seed in range(40)]
+
+
+class TestMfgSweeps:
+    @pytest.mark.parametrize("damping", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("max_sweeps", [1, 2, 50])
+    def test_matches_iterated_loop(self, damping, max_sweeps):
+        for grid in COUPLED_GRIDS:
+            got = ns.mfg_solve(grid, max_sweeps=max_sweeps, damping=damping)
+            ref = iterated_mfg(grid, max_sweeps=max_sweeps, damping=damping)
+            assert np.array_equal(got.value, ref.value)
+            assert np.array_equal(got.density, ref.density)
+            assert got.residuals == ref.residuals
+            assert got.converged == ref.converged
+            assert got.drift == ref.drift
+            assert np.signbit(got.drift) == np.signbit(ref.drift)
+
+    def test_grids_cover_both_drift_signs(self):
+        drifts = [ns.mfg_solve(g).drift for g in COUPLED_GRIDS]
+        assert min(drifts) < 0 < max(drifts)
+
+    def test_one_backward_at_most_two_forward_sweeps(self, monkeypatch):
+        calls = {"_backward_value": 0, "_forward_density": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(ns, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(ns, name, counted)
+        forward = {1: set(), 2: set(), 50: set()}
+        for grid in COUPLED_GRIDS:
+            for max_sweeps in forward:
+                calls.update({name: 0 for name in calls})
+                ns.mfg_solve(grid, max_sweeps=max_sweeps)
+                assert calls["_backward_value"] == 1
+                forward[max_sweeps].add(calls["_forward_density"])
+        # one forward sweep per drift: the guess's, then the solved value's
+        assert forward == {1: {1}, 2: {1, 2}, 50: {1, 2}}
+
+    def test_max_sweeps_below_one_rejected(self):
+        with pytest.raises(ValidationError):
+            ns.mfg_solve(heat_grid(n_x=21, n_t=5), max_sweeps=0)
 
 
 class TestMeanValueReduce:
