@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -59,6 +60,14 @@ def _list(cfg, key, default):
 
 
 def _fmt(v) -> str:
+    # exact Python floats and ints first: most cells are one or the other
+    kind = type(v)
+    if kind is float:
+        if v != v:
+            raise ValidationError("output: NaN cell with no tag")
+        return f"{v:.12g}"
+    if kind is int:
+        return str(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer, np.bool_)):
@@ -71,7 +80,7 @@ def _fmt(v) -> str:
 
 def _write(out_path, header, rows):
     lines = [header]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -230,7 +239,7 @@ def run_secrecy_gap(cfg, seed, rep):
     grid = _binary_mappings(res)
     # `superposed_exposure` of the whole grid: at grid point k every Bob
     # takes the identity original and the virtual rows grid[k]
-    exposure = mirror._cross_mi(inst.source.probs, inst.x_given_s(q),
+    exposure = mirror._cross_mi(inst.p_s, inst.x_given_s(q),
                                 [mirror._sum_channel(inst, p, ident.rows, grid)
                                  for p in range(inst.q_count) if p != q])
     gap = mirror._utility(p_x.probs, ident.rows) - exposure
@@ -279,8 +288,9 @@ def run_mfg(cfg, seed, rep):
                       "sweeps": len(sol.residuals),
                       "final_residual": float(sol.residuals[-1])}),
           file=sys.stderr)
-    rows = [(k, x, sol.value[k, i], sol.density[k, i])
-            for k in range(grid.n_t) for i, x in enumerate(grid.xs)]
+    rows = list(zip(np.repeat(np.arange(grid.n_t), grid.n_x).tolist(),
+                    np.tile(grid.xs, grid.n_t).tolist(),
+                    sol.value.ravel().tolist(), sol.density.ravel().tolist()))
     return "k,x,J,P_df", rows, 0
 
 
@@ -423,29 +433,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    cfg = _load_config(args.config)
+    if args.repetitions < 1:
+        raise ValidationError("repetitions: must be >= 1")
+    runner = RUNNERS[args.subcommand]
+    all_rows, header, status = [], None, 0
+    for rep in range(args.repetitions):
+        header, rows, code = runner(cfg, args.seed + rep, rep)
+        status = max(status, code)
+        all_rows.extend((rep,) + tuple(r) for r in rows)
+    _write(args.out, "rep," + header, all_rows)
+    return status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _load_config(args.config)
-        if args.repetitions < 1:
-            raise ValidationError("repetitions: must be >= 1")
-        runner = RUNNERS[args.subcommand]
-        all_rows, header, status = [], None, 0
-        for rep in range(args.repetitions):
-            header, rows, code = runner(cfg, args.seed + rep, rep)
-            status = max(status, code)
-            all_rows.extend((rep,) + tuple(r) for r in rows)
-        _write(args.out, "rep," + header, all_rows)
-        return status
-    except (ValidationError, ConfigurationError, KeyError) as exc:
-        field = str(exc).split(":", 1)[0].strip("'\" ")
-        print(json.dumps({"error": type(exc).__name__, "field": field,
-                          "message": str(exc)}), file=sys.stderr)
-        return 3
-    except ArithmeticError as exc:
-        print(json.dumps({"error": type(exc).__name__, "field": args.subcommand,
-                          "message": str(exc)}), file=sys.stderr)
-        return 4
+    # A failed run reports one JSON line on stderr, so the warnings a run
+    # raises are held back and shown only once it has finished.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            status = _run(args)
+        except (ValidationError, ConfigurationError, KeyError) as exc:
+            field = str(exc).split(":", 1)[0].strip("'\" ")
+            print(json.dumps({"error": type(exc).__name__, "field": field,
+                              "message": str(exc)}), file=sys.stderr)
+            return 3
+        except ArithmeticError as exc:
+            print(json.dumps({"error": type(exc).__name__, "field": args.subcommand,
+                              "message": str(exc)}), file=sys.stderr)
+            return 4
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return status
 
 
 if __name__ == "__main__":

@@ -62,6 +62,12 @@ class MirrorGameInstance:
     theta_levels: np.ndarray = field(default=None)  # chance targets, 7 entries in [0,1]
     symbol_values: tuple = None  # per-Bob embedding of the virtual alphabet
     virtual_alphabet: int = 2
+    # Read-only arrays derived from the joints once, for the kernels: P(S),
+    # and per Bob P(X_q), P(X_q | S) and P(S | X_q).
+    p_s: np.ndarray = field(init=False, repr=False, compare=False)
+    p_x: tuple = field(init=False, repr=False, compare=False)
+    _x_given_s: tuple = field(init=False, repr=False, compare=False)
+    _s_given_x: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         joints = tuple(self.joints)
@@ -96,6 +102,12 @@ class MirrorGameInstance:
                 if v.size != self.virtual_alphabet:
                     raise ValidationError("MirrorGameInstance: symbol_values size mismatch")
         object.__setattr__(self, "symbol_values", vals)
+        object.__setattr__(self, "p_s", _read_only(joints[0].table.sum(axis=1)))
+        object.__setattr__(self, "p_x", tuple(_read_only(j.table.sum(axis=0)) for j in joints))
+        object.__setattr__(self, "_x_given_s",
+                           tuple(_read_only(_conditional(j.table)) for j in joints))
+        object.__setattr__(self, "_s_given_x",
+                           tuple(_read_only(_conditional(j.table.T)) for j in joints))
 
     @property
     def q_count(self) -> int:
@@ -109,11 +121,12 @@ class MirrorGameInstance:
         return self.joints[q].marginal_b()
 
     def x_given_s(self, q: int) -> np.ndarray:
-        """P(X_q = x | S = s) as a (|S|, |X_q|) matrix (rows of zero-mass s are uniform)."""
-        return _conditional(self.joints[q].table)
+        """P(X_q = x | S = s) as a read-only (|S|, |X_q|) matrix (rows of
+        zero-mass s are uniform)."""
+        return self._x_given_s[q]
 
     def s_given_x(self, q: int) -> PrivacyMapping:
-        return PrivacyMapping(_conditional(self.joints[q].table.T))
+        return PrivacyMapping(self._s_given_x[q])
 
     def to_jsonable(self):
         return {
@@ -196,6 +209,11 @@ def _check_consistent(inst: MirrorGameInstance, asg: TwinAssignment) -> None:
             raise ValidationError(f"Bob {q}: virtual alphabet mismatch")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _conditional(joint: np.ndarray) -> np.ndarray:
     """P(B | A) of a joint table[a, b] as (|A|, |B|) rows; rows of zero-mass a are uniform."""
     p_a = joint.sum(axis=1, keepdims=True)
@@ -242,35 +260,52 @@ def _cross_mi(p_s: np.ndarray, head: np.ndarray, tails) -> np.ndarray:
     return prob._mi(table)
 
 
-def _kernel(inst: MirrorGameInstance, orig, virt) -> np.ndarray:
+# The conditions that read one slot of Bob c, by kind (0 for the original
+# rows, 1 for the virtual): Bob c's own entries, then every other Bob's.
+_SLOT_READS = (((0, 1, 4, 6), (2,)),
+               ((3, 6), (2, 4, 5)))
+
+
+def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None) -> np.ndarray:
     """Conditions (i)-(vii) from each Bob's original rows orig[q] (..., X_q, Yo)
     and virtual rows virt[q] (..., X_q, Yv), as a (..., Q, 7) array over the
     broadcast leading candidate axes. A term that no stacked rows reach keeps
-    no candidate axis and is computed once."""
-    p_s = inst.joints[0].table.sum(axis=1)
-    x_given_s = [inst.x_given_s(q) for q in range(inst.q_count)]
+    no candidate axis and is computed once.
+
+    With slot=(c, kind) and base the (Q, 7) values of the same rows outside
+    Bob c's `kind` slot (0 original, 1 virtual), only the entries that read
+    that slot are computed; the others are taken from base."""
+    p_s, x_given_s = inst.p_s, inst._x_given_s
     chans = [_channels(x_given_s[q], orig[q], virt[q]) for q in range(inst.q_count)]
     lead = np.broadcast_shapes(*(a.shape[:-2] for a in (*orig, *virt)))
-    vals = np.zeros(lead + (inst.q_count, 7))
+    if slot is None:
+        reads = [range(7)] * inst.q_count
+        vals = np.zeros(lead + (inst.q_count, 7))
+    else:
+        c, kind = slot
+        own, other = _SLOT_READS[kind]
+        reads = [own if q == c else other for q in range(inst.q_count)]
+        vals = np.empty(lead + base.shape)
+        vals[...] = base
     for q, (_, yo_given_s, _) in enumerate(chans):
+        todo = reads[q]
         others = chans[:q] + chans[q + 1:]
-        p_sx = inst.joints[q].table
-        p_x = p_sx.sum(axis=0)
+        p_x = inst.p_x[q]
         o, v = orig[q], virt[q]
-        # (i) utility
-        vals[..., q, 0] = _utility(p_x, o)
-        # (ii) leakage
-        vals[..., q, 1] = prob._mi(_s_yo(p_sx, o))
-        # (iii) exposure of X_q to everything the other Bobs receive
-        vals[..., q, 2] = _cross_mi(p_s, x_given_s[q], [ov for ov, _, _ in others])
-        # (iv) virtual power
-        vals[..., q, 3] = _virtual_power(p_x, v, inst.symbol_values[q])
-        # (v) other Bobs' twins vs this Bob's original message
-        vals[..., q, 4] = _cross_mi(p_s, yo_given_s, [yv for _, _, yv in others])
-        # (vi) other Bobs' twins vs this Bob's source
-        vals[..., q, 5] = _cross_mi(p_s, x_given_s[q], [yv for _, _, yv in others])
-        # (vii) own twin vs own original message
-        vals[..., q, 6] = prob._mi(np.einsum("x,...xo,...xv->...ov", p_x, o, v))
+        if 0 in todo:   # (i) utility
+            vals[..., q, 0] = _utility(p_x, o)
+        if 1 in todo:   # (ii) leakage
+            vals[..., q, 1] = prob._mi(_s_yo(inst.joints[q].table, o))
+        if 2 in todo:   # (iii) exposure of X_q to everything the other Bobs receive
+            vals[..., q, 2] = _cross_mi(p_s, x_given_s[q], [ov for ov, _, _ in others])
+        if 3 in todo:   # (iv) virtual power
+            vals[..., q, 3] = _virtual_power(p_x, v, inst.symbol_values[q])
+        if 4 in todo:   # (v) other Bobs' twins vs this Bob's original message
+            vals[..., q, 4] = _cross_mi(p_s, yo_given_s, [yv for _, _, yv in others])
+        if 5 in todo:   # (vi) other Bobs' twins vs this Bob's source
+            vals[..., q, 5] = _cross_mi(p_s, x_given_s[q], [yv for _, _, yv in others])
+        if 6 in todo:   # (vii) own twin vs own original message
+            vals[..., q, 6] = prob._mi(np.einsum("x,...xo,...xv->...ov", p_x, o, v))
     return vals
 
 
@@ -519,10 +554,9 @@ def boltzmann_original(inst: MirrorGameInstance, q: int, o: np.ndarray, omega: f
     posterior at the current P(S | Yo_q), as new rows; None when there is no
     candidate: a Yo symbol has no mass, a posterior or refreshed row loses all
     weight (omega too large for the posterior), or a refreshed row is not finite."""
-    p_sx = inst.joints[q].table
-    p_y, post = _s_given_yo(p_sx, o)
-    p_x = p_sx.sum(axis=0)[:, None]
-    x_given_y = _boltzmann(p_x[:, 0], _conditional(p_sx.T), post, omega) \
+    p_y, post = _s_given_yo(inst.joints[q].table, o)
+    p_x = inst.p_x[q][:, None]
+    x_given_y = _boltzmann(inst.p_x[q], inst._s_given_x[q], post, omega) \
         if np.all(p_y > 0) else None
     if x_given_y is None:
         return None
@@ -549,8 +583,7 @@ def bottleneck_pair_search(inst: MirrorGameInstance, asg: TwinAssignment,
     Pr{I(X_q;Yo_q) >= gamma2} meets the target. The utility does not depend on
     the perturbed posterior, so that chance is 1: I(X_q;Yo_q) floored to the grid."""
     _check_consistent(inst, asg)
-    p_sx, o = inst.joints[q].table, asg.original[q].rows
-    p_x = p_sx.sum(axis=0)
+    p_sx, o, p_x = inst.joints[q].table, asg.original[q].rows, inst.p_x[q]
     i_xy = _utility(p_x, o)
     gap = float(prob._mi(p_sx) - prob._mi(_s_yo(p_sx, o)))
     grid = np.linspace(0.0, float(-prob._plogp(p_x).sum()), n_grid)
@@ -567,7 +600,7 @@ def objective_decompose(inst: MirrorGameInstance, asg: TwinAssignment,
     if q == q_prime:
         raise ValidationError("objective_decompose: q and q_prime must differ")
     _check_consistent(inst, asg)
-    p_s = inst.source.probs
+    p_s = inst.p_s
     x_given_s = inst.x_given_s(q)                                    # (S, X)
     # independence of Yo_q' and Yv_q' given S does NOT hold (they share X_q'),
     # so use the full per-s block for Bob q_prime
@@ -600,7 +633,7 @@ def superposed_exposure(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -
     physical-layer reading of the total signal. Here the virtual twin really
     can mask the original, so the value falls as virtual power grows."""
     _check_consistent(inst, asg)
-    return float(_cross_mi(inst.source.probs, inst.x_given_s(q),
+    return float(_cross_mi(inst.p_s, inst.x_given_s(q),
                            [_sum_channel(inst, p, asg.original[p].rows, asg.virtual[p].rows)
                             for p in range(inst.q_count) if p != q]))
 

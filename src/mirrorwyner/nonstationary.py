@@ -354,8 +354,13 @@ def _backward_value(grid: MfgGrid) -> np.ndarray:
 
 def _forward_density(grid: MfgGrid, drift, residuals: list) -> np.ndarray:
     """Forward finite-volume sweep of the density under a scalar drift, flux
-    form with zero-flux walls; a vanishing mass raises with the residuals."""
+    form with zero-flux walls; a vanishing mass raises with the residuals.
+    The upwind step is stable only for a Courant number |drift| dt / dx of
+    at most 1, and clipping would hide the blow-up, so a larger one raises."""
     dx, dt = grid.dx, grid.dt
+    courant = abs(drift) * dt / dx
+    if not courant <= 1:
+        raise ConfigurationError(f"explicit scheme unstable: |drift|*dt/dx = {courant:.3g} > 1")
     density = np.zeros((grid.n_t, grid.n_x))
     density[0] = grid.initial_density
     for k in range(grid.n_t - 1):

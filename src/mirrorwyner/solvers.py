@@ -278,14 +278,15 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
         inst, gamma2=gamma2_eff, eps=eps if relaxed else None,
         null_mode="floored" if relaxed else "strict")
 
-    def merit(vals: np.ndarray) -> float:
-        """Minimization merit: mean exposure plus weighted constraint violations."""
-        return float(vals[:, 2].mean() + lam * constraints.violations(vals).sum())
+    def merits(vals: np.ndarray) -> np.ndarray:
+        """Minimization merit of each (..., Q, 7) value table: mean exposure
+        plus weighted constraint violations."""
+        return vals[..., 2].mean(-1) + lam * constraints.violations(vals).sum((-2, -1))
 
     def feasible(vals: np.ndarray) -> bool:
         return bool(constraints.holds(vals).all())
 
-    current = merit(vals)
+    current = float(merits(vals))
     stall = 0
     for _ in range(budget):
         improved = False
@@ -298,18 +299,18 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                         for j in range(proposals)]
             # Every trial of one kind replaces the same slot, so scoring the
             # whole stack against the rows before it equals trying the
-            # candidates one by one; the virtual stack sees the accepted original.
+            # candidates one by one; the virtual stack sees the accepted
+            # original. Only the conditions that read the slot are rescored.
             for kind, cands in enumerate((originals, virtuals)):
                 if not cands:
                     continue
                 trial = [list(r) for r in rows]
                 trial[kind][q] = np.stack(cands)
-                stacked = mirror._kernel(inst, *trial)
-                for cand, trial_vals in zip(cands, stacked):
-                    trial_merit = merit(trial_vals)
+                stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind))
+                for j, trial_merit in enumerate(merits(stacked).tolist()):
                     if trial_merit < current - 1e-9:
-                        rows[kind][q] = cand
-                        vals, current = trial_vals, trial_merit
+                        rows[kind][q] = cands[j]
+                        vals, current = stacked[j], trial_merit
                         improved = True
         trace.iterates.append(GreedyPass(float(vals[:, 2].mean()), current, improved))
         if feasible(vals) and not improved:

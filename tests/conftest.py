@@ -1,8 +1,13 @@
 """Shared strategies and helpers for the test suite."""
 
+import importlib.util
+import os
+import sys
+
 import numpy as np
 from hypothesis import strategies as st
 
+from mirrorwyner.mirror import MirrorGameInstance
 from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
 
 
@@ -44,3 +49,13 @@ def channels(draw, n_in=None, n_out=None, max_size=5):
         for _ in range(n_in)
     ]
     return PrivacyMapping(np.vstack(rows))
+
+
+def wide_instance(seed):
+    """`bench/workloads.wide_instance`: Q=4, |S|=3, |X|=|Yo|=|Yv|=5."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return MirrorGameInstance.from_jsonable(
+        workloads.wide_instance(np.random.default_rng(seed)))

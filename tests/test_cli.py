@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from mirrorwyner import mirror
+from mirrorwyner import cli, mirror
 from mirrorwyner.cli import main
 
 
@@ -140,15 +141,55 @@ class TestExitCodes:
         assert err["field"] == "config"
 
 
+def courant_grid():
+    """An mfg grid whose drift, about 6.7e297, breaks the upwind sweep's
+    Courant bound; computing it overflows, so numpy warns on the way."""
+    xs = np.linspace(-3.0, 3.0, 21)
+    dens = np.exp(-xs ** 2 / 2)
+    return {"x_min": -3.0, "x_max": 3.0, "n_x": 21, "n_t": 3, "dt": 0.01, "sigma": 0.1,
+            "initial_density": list(dens / (dens.sum() * 0.3)),
+            "mu_weight": [1e300] * 3, "terminal_value": list(xs)}
+
+
+def cli_env():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+class TestFailureStderr:
+    @pytest.mark.parametrize("cmd,cfg,code,error", [
+        ("lohe", {"dt": 1e6}, 4, "NumericError"),
+        ("mfg", {"grid": courant_grid()}, 3, "ConfigurationError"),
+    ])
+    def test_one_json_line(self, tmp_path, cmd, cfg, code, error):
+        # both runs make numpy warn before they fail; the report stands alone
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run([sys.executable, "-m", "mirrorwyner.cli", cmd,
+                               "--config", str(path)],
+                              env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
+    def test_warnings_of_a_finished_run_are_kept(self, monkeypatch):
+        def runner(cfg, seed, rep):
+            warnings.warn("kept", RuntimeWarning)
+            return "a", [(1,)], 0
+
+        monkeypatch.setitem(cli.RUNNERS, "plant", runner)
+        with pytest.warns(RuntimeWarning, match="kept"):
+            assert main(["plant", "--out", os.devnull]) == 0
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # only convergence-cdf uses scipy.stats, and it imports it when it runs
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, mirrorwyner.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+        env=cli_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
 

@@ -2,10 +2,7 @@
 enumeration of the full joint, the relaxation chain, and the Boltzmann
 posterior."""
 
-import importlib.util
 import itertools
-import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +15,8 @@ from mirrorwyner.errors import NumericUnderflowError, ValidationError
 from mirrorwyner.mirror import (MirrorGameInstance, TwinAssignment,
                                 UncertaintyModel)
 from mirrorwyner.prob import JointPmf2, Pmf, PrivacyMapping
+
+from conftest import wide_instance
 
 
 def random_instance(seed, q_count=2, n_s=2, n_x=2, n_v=2):
@@ -185,26 +184,20 @@ class TestConditionValues:
                 superposed_mi(inst, table, q), abs=1e-10)
 
 
-def wide_instance(seed):
-    """`bench/workloads.wide_instance`: Q=4, |S|=3, |X|=|Yo|=|Yv|=5."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
-    return MirrorGameInstance.from_jsonable(
-        workloads.wide_instance(np.random.default_rng(seed)))
+KERNEL_INSTANCES = {
+    "reference": mirror.reference_binary_instance,
+    "q3_v3": lambda: mirror.reference_binary_instance(q_count=3, virtual_alphabet=3),
+    "wide": lambda: wide_instance(0),
+}
 
 
 class TestTrialValues:
     """Each stacked candidate's values equal `condition_values` of the
     assignment with that candidate in the slot."""
 
-    @pytest.mark.parametrize("name", ["reference", "q3_v3", "wide"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
     def test_matches_condition_values_per_trial(self, name):
-        inst = {"reference": mirror.reference_binary_instance,
-                "q3_v3": lambda: mirror.reference_binary_instance(
-                    q_count=3, virtual_alphabet=3),
-                "wide": lambda: wide_instance(0)}[name]()
+        inst = KERNEL_INSTANCES[name]()
         rng = np.random.default_rng(5)
         asg = solvers.random_assignment(inst, rng)
         for q in range(inst.q_count):
@@ -221,6 +214,24 @@ class TestTrialValues:
                              else TwinAssignment(asg.original, swapped))
                     np.testing.assert_allclose(
                         got, mirror.condition_values(inst, trial), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+    def test_slot_call_equals_full_kernel(self, name):
+        # recomputing only the entries that read the trial slot, the rest
+        # taken from the current values, is exact for every slot
+        inst = KERNEL_INSTANCES[name]()
+        rng = np.random.default_rng(9)
+        asg = solvers.random_assignment(inst, rng)
+        rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
+        base = mirror._kernel(inst, *rows)
+        for q in range(inst.q_count):
+            for kind in (0, 1):
+                n_x, n_y = rows[kind][q].shape
+                trial = [list(r) for r in rows]
+                trial[kind][q] = rng.dirichlet(np.ones(n_y), size=(4, n_x))
+                full = mirror._kernel(inst, *trial)
+                assert np.array_equal(
+                    mirror._kernel(inst, *trial, base=base, slot=(q, kind)), full)
 
     def test_rejects_bad_kind_and_shape(self):
         inst = mirror.reference_binary_instance()

@@ -326,6 +326,25 @@ class TestMfgSweeps:
         with pytest.raises(ValidationError):
             ns.mfg_solve(heat_grid(n_x=21, n_t=5), max_sweeps=0)
 
+    def test_advective_courant_above_one_rejected(self):
+        # a drift of 6.7e297 on dx = 0.3: the upwind sweep blows up, and
+        # clipping plus renormalizing would hide that behind a unit mass
+        xs = np.linspace(-3.0, 3.0, 21)
+        grid = ns.MfgGrid(x_min=-3.0, x_max=3.0, n_x=21, n_t=3, dt=0.01, sigma=0.1,
+                          initial_density=gaussian_density(xs, 1.0),
+                          mu_weight=np.full(3, 1e300), terminal_value=xs)
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError, match="drift"):
+            ns.mfg_solve(grid)
+
+    def test_courant_bound_checked_on_each_drift(self):
+        grid = heat_grid(n_x=21, n_t=5)
+        limit = grid.dx / grid.dt
+        for drift in (0.99 * limit, -0.99 * limit):
+            ns._forward_density(grid, drift, [])
+        for drift in (1.01 * limit, -1.01 * limit, np.inf, np.nan):
+            with pytest.raises(ConfigurationError):
+                ns._forward_density(grid, drift, [])
+
 
 class TestMeanValueReduce:
     def test_constant_p_exact(self):

@@ -14,6 +14,8 @@ from mirrorwyner.prob import JointPmf2, PrivacyMapping
 from mirrorwyner.solvers import (ObjectiveFn, TrustRegionConfig,
                                  trust_region_solve)
 
+from conftest import wide_instance
+
 RADIUS_TOL = 1e-9
 
 
@@ -137,6 +139,57 @@ class TestEstimateChance:
         assert a == b
 
 
+def full_kernel_greedy(inst, relaxed, budget, seed, omega=1.0, eps=solvers.DEFAULT_EPS,
+                       lam=solvers.DEFAULT_LAMBDA, proposals=6, patience=3):
+    """The greedy search with every trial rescoring all Q x 7 conditions and
+    each candidate's merit taken on its own: the reference for the
+    slot-aware scoring of `solvers.greedy_solve`. Returns the pass records,
+    whether it converged and the final rows."""
+    rng = np.random.default_rng(seed)
+    asg = solvers.random_assignment(inst, rng)
+    orig, virt = rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
+    vals = mirror._kernel(inst, orig, virt)
+    gamma2_eff = inst.gamma2
+    if relaxed:
+        bn = mirror.bottleneck_pair_search(inst, asg, None, vtheta_target=0.9)
+        gamma2_eff = min(inst.gamma2, bn.gamma2_star)
+    constraints = mirror.ConstraintSet.build(
+        inst, gamma2=gamma2_eff, eps=eps if relaxed else None,
+        null_mode="floored" if relaxed else "strict")
+
+    def merit(vals):
+        return float(vals[:, 2].mean() + lam * constraints.violations(vals).sum())
+
+    current, stall, passes, converged = merit(vals), 0, [], False
+    for _ in range(budget):
+        improved = False
+        for q in range(inst.q_count):
+            refresh = mirror.boltzmann_original(inst, q, orig[q], omega)
+            originals = [c for c in (refresh, solvers._nudge_rows(orig[q], 0.1, rng))
+                         if c is not None]
+            virtuals = [solvers._random_rows(virt[q].shape[0], inst.virtual_alphabet, rng)
+                        if j % 2 == 0 else solvers._nudge_rows(virt[q], 0.15, rng)
+                        for j in range(proposals)]
+            for kind, cands in enumerate((originals, virtuals)):
+                for cand in cands:
+                    trial = [list(r) for r in rows]
+                    trial[kind][q] = cand
+                    trial_vals = mirror._kernel(inst, *trial)
+                    trial_merit = merit(trial_vals)
+                    if trial_merit < current - 1e-9:
+                        rows[kind][q] = cand
+                        vals, current = trial_vals, trial_merit
+                        improved = True
+        passes.append((float(vals[:, 2].mean()), current, improved))
+        if constraints.holds(vals).all() and not improved:
+            converged = True
+            break
+        stall = 0 if improved else stall + 1
+        if stall >= patience:
+            break
+    return passes, converged, rows
+
+
 class TestGreedy:
     def vacuous_instance(self):
         return mirror.reference_binary_instance(
@@ -237,6 +290,22 @@ class TestGreedy:
                 assert 1 <= trace.iterations <= 10
                 for m in start.original + asg.original:
                     assert mirror.boltzmann_original(inst, 0, m.rows, omega) is None
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("name,seeds,budget", [("reference", range(20), 60),
+                                                   ("wide", range(2), 2)],
+                             ids=["reference", "wide"])
+    def test_same_search_path_as_full_kernel(self, name, seeds, budget, relaxed):
+        inst = (mirror.reference_binary_instance() if name == "reference"
+                else wide_instance(3))
+        for seed in seeds:
+            asg, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=relaxed,
+                                              budget=budget, seed=seed)
+            passes, converged, rows = full_kernel_greedy(inst, relaxed, budget, seed)
+            assert [(it.objective, it.merit, it.accepted) for it in trace.iterates] == passes
+            assert trace.converged == converged
+            for got, want in zip((asg.original, asg.virtual), rows):
+                assert all(np.array_equal(m.rows, r) for m, r in zip(got, want))
 
     @pytest.mark.parametrize("q_count,budget", [(2, 1), (2, 20), (3, 8)])
     def test_mappings_validated_only_at_the_edges(self, monkeypatch, q_count, budget):
