@@ -9,6 +9,7 @@ error JSON on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -57,6 +58,39 @@ def _list(cfg, key, default):
     if not isinstance(value, (list, range, tuple)):
         raise ValidationError(f"{key}: need a list, got {value!r}")
     return value
+
+
+def _flag(cfg, key, default):
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key}: need true or false, got {value!r:.60}")
+    return value
+
+
+def _floats(key, value):
+    """A config value, a number or nested lists of numbers, as a float array;
+    anything else (strings and bools included) fails under its config key."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:   # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{key}: need numbers or nested lists of numbers, "
+                              f"got {value!r:.60}")
+    return arr.astype(float)
+
+
+def _record(key, cls, value):
+    """cls.from_jsonable of a config object. A value that is not an object
+    of cls's fields fails under its config key; cls's own checks name cls."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key}: need an object, got {value!r:.60}")
+    try:
+        return cls.from_jsonable(value)
+    except (ValidationError, ConfigurationError):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key}: {exc}") from None
 
 
 def _fmt(v) -> str:
@@ -109,7 +143,7 @@ def _cdf_variants(cfg):
 
 
 def _instance(cfg):
-    return mirror.MirrorGameInstance.from_jsonable(cfg["instance"]) \
+    return _record("instance", mirror.MirrorGameInstance, cfg["instance"]) \
         if "instance" in cfg else mirror.reference_binary_instance()
 
 
@@ -278,8 +312,7 @@ def _default_mfg_payload():
 
 
 def run_mfg(cfg, seed, rep):
-    payload = cfg.get("grid", _default_mfg_payload())
-    grid = nonstationary.MfgGrid.from_jsonable(payload)
+    grid = _record("grid", nonstationary.MfgGrid, cfg.get("grid", _default_mfg_payload()))
     sol = nonstationary.mfg_solve(
         grid, tol=_number("tol", cfg.get("tol", 1e-6)),
         max_sweeps=_number("max_sweeps", cfg.get("max_sweeps", 50), True, 1),
@@ -302,7 +335,7 @@ def run_lohe(cfg, seed, rep):
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     h = rng.normal(size=(q, d, d))
     hams = (h + h.transpose(0, 2, 1)) / 2
-    if cfg.get("common_hamiltonian", True):
+    if _flag(cfg, "common_hamiltonian", True):
         hams = np.broadcast_to(hams[0], (q, d, d)).copy()
     sys_ = nonstationary.LoheSystem(
         states=states, hamiltonians=hams, hbar=_number("hbar", cfg.get("hbar", 1.0)),
@@ -323,10 +356,9 @@ def run_lohe(cfg, seed, rep):
 def run_stackelberg(cfg, seed, rep):
     if "laws" in cfg:
         inst = nonstationary.StackelbergInstance(
-            leader_laws=tuple(np.asarray(l, dtype=float) for l in cfg["laws"]),
-            payoffs=np.asarray(cfg["payoffs"], dtype=float),
-            leader_drift=None if cfg.get("drift") is None
-            else np.asarray(cfg["drift"], dtype=float))
+            leader_laws=tuple(_floats("laws", l) for l in _list(cfg, "laws", None)),
+            payoffs=_floats("payoffs", cfg["payoffs"]),
+            leader_drift=None if cfg.get("drift") is None else _floats("drift", cfg["drift"]))
     else:
         rng = np.random.default_rng(seed)
         n_f, n_u, n_laws = (_number(k, cfg.get(k, v), True, 1) for k, v in
@@ -344,7 +376,9 @@ def run_stackelberg(cfg, seed, rep):
 
 def run_nash(cfg, seed, rep):
     if "weights" in cfg:
-        game = equilibrium.KCutGame.from_jsonable(cfg)
+        game = equilibrium.KCutGame(_floats("weights", cfg["weights"]),
+                                    _number("k", cfg["k"], True),
+                                    cfg.get("payoff_mode", "same_color"))
     else:
         rng = np.random.default_rng(seed)
         n = _number("n", cfg.get("n", 8), True, 1)
@@ -352,7 +386,8 @@ def run_nash(cfg, seed, rep):
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
         game = equilibrium.KCutGame(w, _number("k", cfg.get("k", 3), True))
-    init = equilibrium.StrategyProfile(tuple(cfg.get("init", [0] * game.n)))
+    init = equilibrium.StrategyProfile(tuple(
+        _number("init", c, True) for c in _list(cfg, "init", [0] * game.n)))
     res = equilibrium.best_response_dynamics(game, init)
     is_nash, worst = equilibrium.verify_nash(game, res.profile)
     rows = [("|".join(str(c) for c in res.profile.colors), res.rounds,
@@ -367,7 +402,7 @@ def run_plant(cfg, seed, rep):
         if missing:
             raise ValidationError(f"{missing[0]}: a plant given by matrices needs a1 to a4")
         keys = [f.name for f in fields(plant.LinearPlant)]
-        p = plant.LinearPlant.from_jsonable({k: cfg[k] for k in keys if k in cfg})
+        p = plant.LinearPlant(**{k: _floats(k, cfg[k]) for k in keys if k in cfg})
     else:
         rng = np.random.default_rng(seed)
         n = _number("n", cfg.get("n", 4), True, 1)
@@ -385,15 +420,16 @@ def run_plant(cfg, seed, rep):
 
 def run_divergence(cfg, seed, rep):
     if "joint" in cfg:
-        model = dv.LatentModel(np.asarray(cfg["joint"], dtype=float),
+        model = dv.LatentModel(_floats("joint", cfg["joint"]),
                                *(_number(f"theta{i}", cfg.get(f"theta{i}", 1.0))
                                  for i in range(4)))
     else:
         rng = np.random.default_rng(seed)
         model = dv.LatentModel(rng.dirichlet(np.ones(2 * 3 * 4 * 2)).reshape(2, 3, 4, 2))
     n_z = model.p_z().size
-    acc = tuple(cfg.get("accessible", range(n_z - 1)))
-    inacc = tuple(cfg.get("inaccessible", [n_z - 1]))
+    acc, inacc = (tuple(_number(key, z, True) for z in _list(cfg, key, default))
+                  for key, default in (("accessible", range(n_z - 1)),
+                                       ("inaccessible", [n_z - 1])))
     g1 = _number("g1", cfg.get("g1", 0.0))
     g2 = _number("g2", cfg.get("g2", np.log2(model.joint.shape[3])))
     rep_d = dv.cmi_decomposition_report(model)
@@ -447,8 +483,12 @@ def _run(args) -> int:
     return status
 
 
+# built on first use, then kept: `main` may be called many times in one process
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # A failed run reports one JSON line on stderr, so the warnings a run
     # raises are held back and shown only once it has finished.
     with warnings.catch_warnings(record=True) as caught:

@@ -240,24 +240,64 @@ def _channels(x_given_s: np.ndarray, o: np.ndarray, v: np.ndarray):
 # (|Yo| |Yv|)^(Q-1), so the cap stops a large instance before it allocates.
 EXPOSURE_CELL_CAP = 2 ** 24
 
+# A stack larger than this many cells is evaluated a block of candidates at a
+# time, on scratch arrays that a caller's `work` dict keeps between calls: a
+# fresh multi-MB temporary is mapped anew and faults in every page it touches.
+EXPOSURE_BLOCK_CELLS = 2 ** 17
 
-def _cross_mi(p_s: np.ndarray, head: np.ndarray, tails) -> np.ndarray:
+
+def _scratch(work: dict, key: str, shape) -> np.ndarray:
+    """A `shape` view of work[key], which grows to the largest size asked for."""
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _cross_mi(p_s: np.ndarray, head: np.ndarray, tails, work: dict = None) -> np.ndarray:
     """I(H; T_1, ..., T_k) for variables conditionally independent given S,
     from their per-S channels P(H | s) and P(T_j | s), each (..., |S|, n);
-    one value per broadcast leading index."""
+    one value per broadcast leading index.
+
+    A stack of more than EXPOSURE_BLOCK_CELLS cells is computed in blocks of
+    candidates, with its largest arrays written into the scratch arrays of
+    `work` (a fresh dict if None), which a caller may keep across calls."""
     lead = np.broadcast_shapes(*(c.shape[:-2] for c in (head, *tails)))
-    cells = math.prod(lead) * max(p_s.size, head.shape[-1]) * math.prod(
-        t.shape[-1] for t in tails)
+    n_lead, n_s, n_h = math.prod(lead), p_s.size, head.shape[-1]
+    n_cols = math.prod(t.shape[-1] for t in tails)
+    per_table = max(n_s, n_h) * n_cols
+    cells = n_lead * per_table
     if cells > EXPOSURE_CELL_CAP:
         raise ValidationError(f"exposure: a {cells}-cell table exceeds the cap of "
                               f"{EXPOSURE_CELL_CAP} cells")
-    acc = tails[0]
-    for blk in tails[1:]:
-        acc = acc[..., :, :, None] * blk[..., :, None, :]
-        acc = acc.reshape(acc.shape[:-2] + (-1,))
-    table = np.swapaxes(p_s[:, None] * head, -1, -2) @ acc
-    del acc   # free the product columns before `_mi` allocates its buffer
-    return prob._mi(table)
+    weighted = np.swapaxes(p_s[:, None] * head, -1, -2)            # (..., |H|, |S|)
+    block = max(1, EXPOSURE_BLOCK_CELLS // per_table)
+    if block >= n_lead:
+        acc = tails[0]
+        for blk in tails[1:]:
+            acc = acc[..., :, :, None] * blk[..., :, None, :]
+            acc = acc.reshape(acc.shape[:-2] + (-1,))
+        table = weighted @ acc
+        del acc   # free the product columns before `_mi` allocates its buffer
+        return prob._mi(table)
+    work = {} if work is None else work
+    flat = [np.broadcast_to(c, lead + c.shape[-2:]).reshape((n_lead,) + c.shape[-2:])
+            for c in (weighted, *tails)]
+    out = np.empty(n_lead)
+    for a in range(0, n_lead, block):
+        b = min(a + block, n_lead)
+        acc = flat[1][a:b]
+        for blk in flat[2:-1]:
+            acc = (acc[:, :, :, None] * blk[a:b, :, None, :]).reshape(b - a, n_s, -1)
+        if len(flat) > 2:   # the last product goes straight into a scratch array
+            last = flat[-1][a:b]
+            acc = np.multiply(acc[:, :, :, None], last[:, :, None, :], out=_scratch(
+                work, "tail", (b - a, n_s, acc.shape[-1], last.shape[-1])))
+            acc = acc.reshape(b - a, n_s, n_cols)
+        table = np.matmul(flat[0][a:b], acc, out=_scratch(work, "table", (b - a, n_h, n_cols)))
+        out[a:b] = prob._mi(table, terms=_scratch(work, "terms", table.shape))
+    return out.reshape(lead)
 
 
 # The conditions that read one slot of Bob c, by kind (0 for the original
@@ -266,7 +306,8 @@ _SLOT_READS = (((0, 1, 4, 6), (2,)),
                ((3, 6), (2, 4, 5)))
 
 
-def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None) -> np.ndarray:
+def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
+            work: dict = None) -> np.ndarray:
     """Conditions (i)-(vii) from each Bob's original rows orig[q] (..., X_q, Yo)
     and virtual rows virt[q] (..., X_q, Yv), as a (..., Q, 7) array over the
     broadcast leading candidate axes. A term that no stacked rows reach keeps
@@ -274,7 +315,10 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None) -> np.nd
 
     With slot=(c, kind) and base the (Q, 7) values of the same rows outside
     Bob c's `kind` slot (0 original, 1 virtual), only the entries that read
-    that slot are computed; the others are taken from base."""
+    that slot are computed; the others are taken from base.
+
+    `work` is passed on to `_cross_mi`, so a caller that evaluates many
+    stacks (one greedy solve) keeps one set of scratch arrays for them all."""
     p_s, x_given_s = inst.p_s, inst._x_given_s
     chans = [_channels(x_given_s[q], orig[q], virt[q]) for q in range(inst.q_count)]
     lead = np.broadcast_shapes(*(a.shape[:-2] for a in (*orig, *virt)))
@@ -297,13 +341,13 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None) -> np.nd
         if 1 in todo:   # (ii) leakage
             vals[..., q, 1] = prob._mi(_s_yo(inst.joints[q].table, o))
         if 2 in todo:   # (iii) exposure of X_q to everything the other Bobs receive
-            vals[..., q, 2] = _cross_mi(p_s, x_given_s[q], [ov for ov, _, _ in others])
+            vals[..., q, 2] = _cross_mi(p_s, x_given_s[q], [ov for ov, _, _ in others], work)
         if 3 in todo:   # (iv) virtual power
             vals[..., q, 3] = _virtual_power(p_x, v, inst.symbol_values[q])
         if 4 in todo:   # (v) other Bobs' twins vs this Bob's original message
-            vals[..., q, 4] = _cross_mi(p_s, yo_given_s, [yv for _, _, yv in others])
+            vals[..., q, 4] = _cross_mi(p_s, yo_given_s, [yv for _, _, yv in others], work)
         if 5 in todo:   # (vi) other Bobs' twins vs this Bob's source
-            vals[..., q, 5] = _cross_mi(p_s, x_given_s[q], [yv for _, _, yv in others])
+            vals[..., q, 5] = _cross_mi(p_s, x_given_s[q], [yv for _, _, yv in others], work)
         if 6 in todo:   # (vii) own twin vs own original message
             vals[..., q, 6] = prob._mi(np.einsum("x,...xo,...xv->...ov", p_x, o, v))
     return vals

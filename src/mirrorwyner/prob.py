@@ -18,6 +18,10 @@ SUM_TOL = 1e-12
 
 
 def _check_table(table: np.ndarray, name: str) -> None:
+    # One min and one sum pass accept every valid table: a NaN or -inf fails
+    # the min, a +inf the sum. Only a failure re-derives its message below.
+    if table.size and table.min() >= 0 and abs(float(table.sum()) - 1.0) <= SUM_TOL:
+        return
     if not np.all(np.isfinite(table)):
         raise ValidationError(f"{name}: non-finite entries")
     if np.any(table < 0):
@@ -224,15 +228,19 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     return _kl_tables(p.probs, q.probs)
 
 
-def _mi(table: np.ndarray) -> np.ndarray:
+def _mi(table: np.ndarray, terms: np.ndarray = None) -> np.ndarray:
     """I(A;B) in bits of unchecked joint tables (..., |A|, |B|), one value
-    per leading index."""
-    nz = table > 0
+    per leading index. `terms`, if given, is a scratch array of the table's
+    shape that receives the per-cell terms instead of a fresh one."""
     # prod is zero only where the joint is zero, so support is always fine.
     # One buffer goes from the product of the marginals to the terms, since
     # fresh large temporaries cost more than the arithmetic; a zero cell keeps
     # its finite marginal product and adds 0 * prod = 0.
-    terms = table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
+    terms = np.multiply(table.sum(axis=-1)[..., :, None], table.sum(axis=-2)[..., None, :],
+                        out=terms)
+    # a table with no zero (and no NaN) cell needs no mask: the same per-cell
+    # operations, without building and reading one
+    nz = True if table.size and table.min() > 0 else table > 0
     np.divide(table, terms, out=terms, where=nz)
     np.log2(terms, out=terms, where=nz)
     terms *= table

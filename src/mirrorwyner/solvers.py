@@ -287,6 +287,7 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
         return bool(constraints.holds(vals).all())
 
     current = float(merits(vals))
+    work = {}   # the exposure kernel's scratch arrays, kept for this solve only
     stall = 0
     for _ in range(budget):
         improved = False
@@ -306,7 +307,7 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                     continue
                 trial = [list(r) for r in rows]
                 trial[kind][q] = np.stack(cands)
-                stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind))
+                stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind), work=work)
                 for j, trial_merit in enumerate(merits(stacked).tolist()):
                     if trial_merit < current - 1e-9:
                         rows[kind][q] = cands[j]

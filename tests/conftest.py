@@ -51,6 +51,13 @@ def channels(draw, n_in=None, n_out=None, max_size=5):
     return PrivacyMapping(np.vstack(rows))
 
 
+def cli_env():
+    """The environment for a subprocess that imports the package from src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def wide_instance(seed):
     """`bench/workloads.wide_instance`: Q=4, |S|=3, |X|=|Yo|=|Yv|=5."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")

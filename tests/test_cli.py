@@ -13,6 +13,8 @@ import pytest
 from mirrorwyner import cli, mirror
 from mirrorwyner.cli import main
 
+from conftest import cli_env
+
 
 def run_to_file(tmp_path, args, name="out.csv"):
     out = tmp_path / name
@@ -109,6 +111,39 @@ class TestExitCodes:
         assert json.loads(err[0])["field"] == field
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("cmd,cfg,field", [
+        ("nash", {"weights": "abc"}, "weights"),
+        ("nash", {"init": "ab"}, "init"),
+        ("stackelberg", {"laws": 5}, "laws"),
+        ("plant", {"a1": "x", "a2": 1, "a3": 1, "a4": 1}, "a1"),
+        ("mfg", {"grid": 3}, "grid"),
+        ("convergence-cdf", {"instance": 3}, "instance"),
+        ("lohe", {"common_hamiltonian": "no"}, "common_hamiltonian"),
+    ])
+    def test_bad_structured_field_names_key(self, tmp_path, capsys, cmd, cfg, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert (report["error"], report["field"]) == ("ValidationError", field)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_parser_is_reused_across_calls(self, tmp_path):
+        # one parser serves every call; no flag of one call leaks into the next
+        assert cli._parser() is cli._parser()
+        seeded = run_to_file(tmp_path, ["plant", "--seed", "3"], "seeded.csv")
+        run_to_file(tmp_path, ["lohe", "--repetitions", "2"], "lohe.csv")
+        plain = run_to_file(tmp_path, ["plant"], "plain.csv")
+        assert plain != seeded
+        assert plain == run_to_file(tmp_path, ["plant", "--seed", "0"], "zero.csv")
+        assert run_to_file(tmp_path, ["plant", "--seed", "3"], "again.csv") == seeded
+        for argv in (["plant", "--bogus"], ["bogus"], ["plant", "--seed", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
     def test_plant_matrices_ignore_other_keys(self, tmp_path):
         cfg = tmp_path / "plant.json"
         cfg.write_text(json.dumps({"a1": [[0.5]], "a2": [[1.0]], "a3": [[1.0]],
@@ -149,12 +184,6 @@ def courant_grid():
     return {"x_min": -3.0, "x_max": 3.0, "n_x": 21, "n_t": 3, "dt": 0.01, "sigma": 0.1,
             "initial_density": list(dens / (dens.sum() * 0.3)),
             "mu_weight": [1e300] * 3, "terminal_value": list(xs)}
-
-
-def cli_env():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 class TestFailureStderr:

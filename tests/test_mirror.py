@@ -263,6 +263,126 @@ class TestTrialValues:
         assert peak < 2**20
 
 
+def cross_mi_unblocked(p_s, head, tails):
+    """`mirror._cross_mi` as one straight-line stack, on fresh arrays and a
+    masked MI: the reference the blocked evaluation must match bit for bit."""
+    acc = tails[0]
+    for blk in tails[1:]:
+        acc = acc[..., :, :, None] * blk[..., :, None, :]
+        acc = acc.reshape(acc.shape[:-2] + (-1,))
+    table = np.swapaxes(p_s[:, None] * head, -1, -2) @ acc
+    nz = table > 0
+    terms = table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
+    np.divide(table, terms, out=terms, where=nz)
+    np.log2(terms, out=terms, where=nz)
+    terms *= table
+    return terms.sum(axis=(-2, -1))
+
+
+def bob_channels(inst, q, rng, lead=(), n_out=None, zeros=False):
+    """Bob q's per-S channels (block, Yo, Yv) for random rows with the given
+    leading shape; with zeros=True every original row puts no mass on Yo=0."""
+    n_x = inst.x_marginal(q).alphabet_size
+    o = rng.dirichlet(np.ones(n_out or n_x), size=lead + (n_x,))
+    if zeros:
+        o[..., 0] = 0.0
+        o /= o.sum(axis=-1, keepdims=True)
+    v = rng.dirichlet(np.ones(inst.virtual_alphabet), size=lead + (n_x,))
+    return mirror._channels(inst.x_given_s(q), o, v)
+
+
+class TestBlockedExposure:
+    """`_cross_mi` over blocks of candidates, on scratch arrays, equals the
+    straight-line stack exactly."""
+
+    def wide_exposure(self, k, seed=0):
+        # condition (iii) of Bob 0 with Bob 1's original rows stacked k deep
+        inst = wide_instance(0)
+        rng = np.random.default_rng(seed)
+        tails = [bob_channels(inst, q, rng, (k,) if q == 1 else ())[0] for q in (1, 2, 3)]
+        return inst.p_s, inst.x_given_s(0), tails
+
+    @pytest.mark.parametrize("k,block", [(1, 1), (2, 1), (7, 1), (7, 3)])
+    def test_wide_stack_matches_unblocked(self, monkeypatch, k, block):
+        # one wide table is 5 x 15,625 cells, so a block holds one table and
+        # k candidates span one block, two or seven; blocks of three tables
+        # leave a partial last block
+        p_s, head, tails = self.wide_exposure(k)
+        if block > 1:
+            monkeypatch.setattr(mirror, "EXPOSURE_BLOCK_CELLS", block * 5 * 15625)
+        work = {}
+        got = mirror._cross_mi(p_s, head, tails, work)
+        assert got.shape == (k,)
+        assert np.array_equal(got, cross_mi_unblocked(p_s, head, tails))
+        # a one-block stack runs straight through and leaves no scratch arrays
+        assert bool(work) == (k > block)
+
+    @pytest.mark.parametrize("where", ["head", "tails", "both", "neither", "2d", "one_tail"])
+    def test_lead_placement(self, monkeypatch, where):
+        # condition (v) shapes on the q3_v3 instance: head is Bob 0's Yo
+        # channel, the tails the other Bobs' Yv channels; a block of one table
+        inst = mirror.reference_binary_instance(q_count=3, virtual_alphabet=3)
+        rng = np.random.default_rng(3)
+        leads = {"head": ((5,), (), ()), "tails": ((), (5,), ()), "both": ((5,), (), (5,)),
+                 "neither": ((), (), ()), "2d": ((3, 1), (1, 4), (4,)),
+                 "one_tail": ((), (5,))}[where]
+        head = bob_channels(inst, 0, rng, leads[0])[1]
+        tails = [bob_channels(inst, q, rng, lead)[2] for q, lead in zip((1, 2), leads[1:])]
+        monkeypatch.setattr(mirror, "EXPOSURE_BLOCK_CELLS", 1)
+        got = mirror._cross_mi(inst.p_s, head, tails, {})
+        want = cross_mi_unblocked(inst.p_s, head, tails)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_zero_cells_take_the_masked_path(self, monkeypatch):
+        inst = wide_instance(1)
+        rng = np.random.default_rng(4)
+        tails = [bob_channels(inst, q, rng, (3,) if q == 2 else (), zeros=True)[0]
+                 for q in (1, 2, 3)]
+        head = inst.x_given_s(0)
+        mins, mi = [], prob._mi
+
+        def spy(table, terms=None):
+            mins.append(float(table.min()))
+            return mi(table, terms)
+
+        monkeypatch.setattr(prob, "_mi", spy)
+        got = mirror._cross_mi(inst.p_s, head, tails, {})
+        assert mins == [0.0] * 3
+        assert np.array_equal(got, cross_mi_unblocked(inst.p_s, head, tails))
+
+    def test_work_stays_within_three_blocks(self):
+        # every stacked trial of a wide solve, one work dict for them all
+        inst = wide_instance(2)
+        rng = np.random.default_rng(7)
+        asg = solvers.random_assignment(inst, rng)
+        rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
+        base = mirror._kernel(inst, *rows)
+        work = {}
+        for q in range(inst.q_count):
+            for kind in (0, 1):
+                trial = [list(r) for r in rows]
+                n_x, n_y = rows[kind][q].shape
+                trial[kind][q] = rng.dirichlet(np.ones(n_y), size=(6, n_x))
+                assert np.array_equal(
+                    mirror._kernel(inst, *trial, base=base, slot=(q, kind), work=work),
+                    mirror._kernel(inst, *trial, base=base, slot=(q, kind)))
+        one_table = 5 * 25 ** 3
+        assert sorted(work) == ["table", "tail", "terms"]
+        assert sum(buf.size for buf in work.values()) <= 3 * max(
+            mirror.EXPOSURE_BLOCK_CELLS, one_table)
+
+    def test_cap_counts_the_whole_stack(self):
+        # each wide table is far below the cap, the stack of 215 is above it
+        p_s, head, tails = self.wide_exposure(215)
+        cells = 215 * 5 * 15625
+        assert 5 * 15625 < mirror.EXPOSURE_CELL_CAP < cells
+        work = {}
+        with pytest.raises(ValidationError, match=f"a {cells}-cell table exceeds the cap"):
+            mirror._cross_mi(p_s, head, tails, work)
+        assert not work
+
+
 class TestUncertainty:
     def test_zero_magnitude_is_identity(self):
         rng = np.random.default_rng(0)

@@ -127,6 +127,19 @@ class TestMutualInformation:
         for idx in np.ndindex(3, 2):
             assert got[idx] == pytest.approx(mi_brute(tables[idx]), abs=1e-12)
 
+    def test_mask_free_path_is_bit_identical(self):
+        # a table with no zero cell skips the masks: the same values as an
+        # all-true mask, bit for bit
+        rng = np.random.default_rng(6)
+        tables = rng.dirichlet(np.ones(40), size=(4, 3)).reshape(4, 3, 5, 8)
+        nz = np.ones(tables.shape, dtype=bool)
+        terms = tables.sum(axis=-1)[..., :, None] * tables.sum(axis=-2)[..., None, :]
+        np.divide(tables, terms, out=terms, where=nz)
+        np.log2(terms, out=terms, where=nz)
+        terms *= tables
+        assert tables.min() > 0
+        assert np.array_equal(prob._mi(tables), terms.sum(axis=(-2, -1)))
+
     @given(joint2())
     def test_symmetry(self, j):
         assert prob.mutual_information(j) == pytest.approx(
@@ -206,6 +219,21 @@ class TestValidation:
     def test_push_mismatch(self):
         with pytest.raises(ValidationError):
             PrivacyMapping.bsc(0.1).push(Pmf.uniform(3))
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0.5, np.nan], [0.25, 0.25]], "JointPmf2: non-finite entries"),
+        ([[0.5, -np.inf], [0.25, 0.25]], "JointPmf2: non-finite entries"),
+        ([[0.5, np.inf], [0.25, 0.25]], "JointPmf2: non-finite entries"),
+        ([[np.inf, -np.inf], [0.0, 0.0]], "JointPmf2: non-finite entries"),
+        ([[1.25, -0.25], [0.0, 0.0]], "JointPmf2: negative entries"),
+        ([[0.5, 0.25], [0.25, 0.25]], "JointPmf2: entries sum to 1.25, not 1"),
+        (np.zeros((0, 2)), "JointPmf2: entries sum to 0.0, not 1"),
+    ])
+    def test_table_messages(self, table, message):
+        # the first failing check names the fault, in this order
+        with pytest.raises(ValidationError) as exc:
+            JointPmf2(np.asarray(table, dtype=float))
+        assert str(exc.value) == message
 
 
 class TestJson:
