@@ -21,7 +21,7 @@ from . import divergence as dv
 from . import equilibrium, mirror, nonstationary, plant, prob, solvers
 from .errors import ConfigurationError, ValidationError
 from .mirror import UncertaintyModel
-from .prob import JointPmf2, Pmf, PrivacyMapping
+from .prob import JointPmf2, PrivacyMapping
 
 SUBCOMMANDS = ("mi-tradeoff", "secrecy-gap", "convergence-cdf", "mfg", "lohe",
                "stackelberg", "nash", "plant", "divergence")
@@ -128,9 +128,8 @@ def _write(out_path, header, rows):
 # ---------------------------------------------------------------------------
 
 def _cdf_variants(cfg):
-    eps = tuple(_number("eps", e, lo=0.0) for e in _list(cfg, "eps", solvers.DEFAULT_EPS))
-    if len(eps) != 3:
-        raise ValidationError(f"eps: need three floors, got {list(eps)}")
+    # `mirror.ConstraintSet.build` checks for three positive floors
+    eps = tuple(_number("eps", e) for e in _list(cfg, "eps", solvers.DEFAULT_EPS))
     mode = cfg.get("mode", "two")
     if mode not in ("two", "three"):
         raise ValidationError(f"mode: must be 'two' or 'three', got {mode!r}")
@@ -143,8 +142,24 @@ def _cdf_variants(cfg):
 
 
 def _instance(cfg):
-    return _record("instance", mirror.MirrorGameInstance, cfg["instance"]) \
-        if "instance" in cfg else mirror.reference_binary_instance()
+    """The `instance` object read by the rules of top-level keys, a missing or
+    bad field failing under `instance` by name; the reference one if absent."""
+    if "instance" not in cfg:
+        return mirror.reference_binary_instance()
+    data = cfg["instance"]
+    if not isinstance(data, dict):
+        raise ValidationError(f"instance: need an object, got {data!r:.60}")
+    for f in fields(mirror.MirrorGameInstance):
+        if f.init and f.name not in data:
+            raise ValidationError(f"instance: {f.name}: missing")
+    try:
+        joints = [_floats("joints", j) for j in _list(data, "joints", None)]
+        kw = {k: _floats(k, data[k]) for k in ("gamma0", "gamma1", "theta_levels", "symbol_values")}
+        kw.update((k, _number(k, data[k], k == "virtual_alphabet"))
+                  for k in ("gamma2", "gamma3", "virtual_alphabet"))
+    except ValidationError as exc:
+        raise ValidationError(f"instance: {exc}") from None
+    return mirror.MirrorGameInstance(joints=tuple(map(JointPmf2, joints)), **kw)
 
 
 def run_convergence_cdf(cfg, seed, rep):

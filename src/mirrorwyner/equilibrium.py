@@ -41,18 +41,6 @@ class KCutGame:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def is_symmetric(self) -> bool:
-        return bool(np.allclose(self.weights, self.weights.T))
-
-    def to_jsonable(self):
-        return {"weights": [list(r) for r in self.weights], "k": self.k,
-                "payoff_mode": self.payoff_mode}
-
-    @classmethod
-    def from_jsonable(cls, data) -> "KCutGame":
-        return cls(np.asarray(data["weights"], dtype=float), int(data["k"]),
-                   data.get("payoff_mode", "same_color"))
-
 
 @dataclass(frozen=True)
 class StrategyProfile:

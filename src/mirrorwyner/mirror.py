@@ -1,6 +1,6 @@
 """Virtual-twin mirror game: feasibility conditions, the base optimization
 problem, and its relaxation chain (chance constraints, epsilon floors,
-Boltzmann posteriors, bottleneck pair search, objective decomposition).
+Boltzmann posteriors, bottleneck pair search).
 
 Multi-Bob coupling model: the per-Bob non-private sources X_q are
 conditionally independent given the shared private source S, and all
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import prob
 from .errors import NumericUnderflowError, ValidationError
-from .prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
+from .prob import JointPmf2, Pmf, PrivacyMapping
 
 # conditions (v)-(vii) use this as "numerically zero" in strict mode
 NULL_TOL = 1e-9
@@ -98,9 +98,9 @@ class MirrorGameInstance:
                          for _ in joints)
         else:
             vals = tuple(np.asarray(v, dtype=float) for v in self.symbol_values)
-            for v in vals:
-                if v.size != self.virtual_alphabet:
-                    raise ValidationError("MirrorGameInstance: symbol_values size mismatch")
+            if len(vals) != len(joints) or any(v.size != self.virtual_alphabet for v in vals):
+                raise ValidationError("MirrorGameInstance: symbol_values need one row of "
+                                      "virtual_alphabet values per Bob")
         object.__setattr__(self, "symbol_values", vals)
         object.__setattr__(self, "p_s", _read_only(joints[0].table.sum(axis=1)))
         object.__setattr__(self, "p_x", tuple(_read_only(j.table.sum(axis=0)) for j in joints))
@@ -140,19 +140,6 @@ class MirrorGameInstance:
             "virtual_alphabet": self.virtual_alphabet,
         }
 
-    @classmethod
-    def from_jsonable(cls, data) -> "MirrorGameInstance":
-        return cls(
-            joints=tuple(JointPmf2.from_jsonable(j) for j in data["joints"]),
-            gamma0=np.asarray(data["gamma0"], dtype=float),
-            gamma1=np.asarray(data["gamma1"], dtype=float),
-            gamma2=float(data["gamma2"]),
-            gamma3=float(data["gamma3"]),
-            theta_levels=np.asarray(data["theta_levels"], dtype=float),
-            symbol_values=tuple(np.asarray(v, dtype=float) for v in data["symbol_values"]),
-            virtual_alphabet=int(data["virtual_alphabet"]),
-        )
-
 
 @dataclass(frozen=True)
 class TwinAssignment:
@@ -166,36 +153,6 @@ class TwinAssignment:
         object.__setattr__(self, "virtual", tuple(self.virtual))
         if len(self.original) != len(self.virtual):
             raise ValidationError("TwinAssignment: original/virtual count mismatch")
-
-    def to_jsonable(self):
-        return {
-            "original": [m.to_jsonable() for m in self.original],
-            "virtual": [m.to_jsonable() for m in self.virtual],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data) -> "TwinAssignment":
-        return cls(
-            original=tuple(PrivacyMapping.from_jsonable(m) for m in data["original"]),
-            virtual=tuple(PrivacyMapping.from_jsonable(m) for m in data["virtual"]),
-        )
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Numeric values and pass flags for conditions (i)-(vii), per Bob."""
-
-    values: np.ndarray   # (Q, 7)
-    passed: np.ndarray   # (Q, 7) booleans
-    feasible: bool
-
-    def csv_row(self) -> str:
-        cells = []
-        for q in range(self.values.shape[0]):
-            cells.extend(f"{v:.12g}" for v in self.values[q])
-            cells.extend(str(int(p)) for p in self.passed[q])
-        cells.append(str(int(self.feasible)))
-        return ",".join(cells)
 
 
 def _check_consistent(inst: MirrorGameInstance, asg: TwinAssignment) -> None:
@@ -359,31 +316,6 @@ def condition_values(inst: MirrorGameInstance, asg: TwinAssignment) -> np.ndarra
     return _kernel(inst, [m.rows for m in asg.original], [m.rows for m in asg.virtual])
 
 
-def trial_values(inst: MirrorGameInstance, asg: TwinAssignment, q: int, kind: str,
-                 rows) -> np.ndarray:
-    """`condition_values` of each trial assignment that puts one of the stacked
-    row-stochastic rows (K, |X_q|, |Y|) into Bob q's `kind` slot ("original"
-    or "virtual") of `asg`, as a (K, Q, 7) array."""
-    if kind not in ("original", "virtual"):
-        raise ValidationError("trial_values: kind must be 'original' or 'virtual'")
-    _check_consistent(inst, asg)
-    trial = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
-    slot = trial[kind == "virtual"]
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 3 or rows.shape[1:] != slot[q].shape:
-        raise ValidationError(f"trial_values: need (K, {slot[q].shape[0]}, "
-                              f"{slot[q].shape[1]}) rows for Bob {q}'s {kind} slot")
-    slot[q] = rows
-    return _kernel(inst, *trial)
-
-
-def evaluate_conditions(inst: MirrorGameInstance, asg: TwinAssignment) -> ConditionReport:
-    """Check conditions (i)-(vii) exactly, with (vii) in its strict-null form."""
-    vals = condition_values(inst, asg)
-    passed = ConstraintSet.build(inst).holds(vals)
-    return ConditionReport(values=vals, passed=passed, feasible=bool(passed.all()))
-
-
 def _utility(p_x: np.ndarray, o: np.ndarray):
     """Condition (i), I(X; Yo), of original rows o (..., X, Yo) driven by
     P(X) = p_x; one value per leading index."""
@@ -393,16 +325,6 @@ def _utility(p_x: np.ndarray, o: np.ndarray):
 def _virtual_power(p_x: np.ndarray, v: np.ndarray, symbol_values: np.ndarray):
     """E{||Yv||^2} for virtual rows v (..., X, Yv) driven by P(X) = p_x."""
     return np.sum((p_x @ v) * symbol_values ** 2, axis=-1)
-
-
-def virtual_power(mapping: PrivacyMapping, x_marginal: Pmf, symbol_values) -> float:
-    """E{||Yv||^2} with the output distribution pushed forward from X."""
-    symbol_values = np.asarray(symbol_values, dtype=float)
-    if symbol_values.size != mapping.output_size:
-        raise ValidationError("virtual_power: one embedding value per output symbol required")
-    if x_marginal.alphabet_size != mapping.input_size:
-        raise ValidationError("virtual_power: input alphabet mismatch")
-    return float(_virtual_power(x_marginal.probs, mapping.rows, symbol_values))
 
 
 # The pass test meets the instance thresholds of (i)-(iv) within NULL_TOL and
@@ -430,11 +352,16 @@ class ConstraintSet:
     def build(cls, inst: MirrorGameInstance, gamma2: float = None, eps=None,
               null_mode: str = "strict") -> "ConstraintSet":
         """Bounds from the instance thresholds, the utility floor (the
-        instance's gamma2 by default) and the eps floors, if any."""
+        instance's gamma2 by default) and the eps floors, if any: three
+        positive reals."""
         if null_mode not in ("strict", "floored"):
             raise ValidationError("null_mode must be 'strict' or 'floored'")
         if eps is None and null_mode == "floored":
             raise ValidationError("null_mode 'floored' needs eps floors")
+        if eps is not None:
+            eps = np.asarray(eps, dtype=float)
+            if eps.shape != (3,) or not np.all(eps > 0):
+                raise ValidationError(f"eps: need three positive floors, got {eps.tolist()}")
         e1, e2, e3 = (NULL_TOL, NULL_TOL, None) if eps is None else eps
         lo = np.full((inst.q_count, 7), -np.inf)
         hi = np.full((inst.q_count, 7), np.inf)
@@ -556,9 +483,6 @@ def epsilon_floor(ccp: ChanceConstrainedProblem, eps, null_mode: str = "floored"
     relaxed form flips the equality into I >= eps3; the strict band is kept
     available via null_mode="strict" since the two readings contradict.
     """
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (3,) or np.any(eps <= 0):
-        raise ValidationError("epsilon_floor: eps must be three positive reals")
     return replace(ccp, constraints=ConstraintSet.build(ccp.instance, eps=eps,
                                                         null_mode=null_mode))
 
@@ -635,26 +559,6 @@ def bottleneck_pair_search(inst: MirrorGameInstance, asg: TwinAssignment,
     if vtheta_target > 1.0 or not met.size:
         return BottleneckResult(0.0, 0.0, gap, feasible=False)
     return BottleneckResult(float(met[-1]), 1.0, gap, feasible=True)
-
-
-def objective_decompose(inst: MirrorGameInstance, asg: TwinAssignment,
-                        q: int, q_prime: int):
-    """Both chain-rule terms of I(X_q; (Yo_q', Yv_q')):
-    returns (I(X_q; Yo_q'), I(X_q; Yv_q' | Yo_q'))."""
-    if q == q_prime:
-        raise ValidationError("objective_decompose: q and q_prime must differ")
-    _check_consistent(inst, asg)
-    p_s = inst.p_s
-    x_given_s = inst.x_given_s(q)                                    # (S, X)
-    # independence of Yo_q' and Yv_q' given S does NOT hold (they share X_q'),
-    # so use the full per-s block for Bob q_prime
-    blk = _channels(inst.x_given_s(q_prime), asg.original[q_prime].rows,
-                    asg.virtual[q_prime].rows)[0].reshape(
-        p_s.size, asg.original[q_prime].output_size, -1)              # (S, Yo, Yv)
-    joint = np.einsum("s,sx,sov->xvo", p_s, x_given_s, blk)           # (X, Yv, Yo)
-    i_xo = prob.mutual_information(JointPmf3(joint).margin_ac())
-    i_xv_given_o = prob.conditional_mutual_information(JointPmf3(joint))
-    return float(i_xo), float(i_xv_given_o)
 
 
 def _sum_channel(inst: MirrorGameInstance, q: int, o: np.ndarray, v: np.ndarray) -> np.ndarray:

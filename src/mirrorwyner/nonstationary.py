@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import prob
 from .errors import (ConfigurationError, DegenerateIntegralError, NumericError,
                      ValidationError)
 
@@ -410,30 +409,6 @@ def mfg_solve(grid: MfgGrid, tol: float = 1e-6, max_sweeps: int = 50,
             break
     return MfgSolution(value=value, density=density, residuals=residuals,
                        converged=residuals[-1] < tol, drift=drift)
-
-
-def kl_drift_profile(density_trajectory: np.ndarray, checkpoints):
-    """KL (bits) between the initial density slice and each checkpoint slice,
-    with slices renormalized to pmfs. Returns (kl values, argmin checkpoint).
-    Disjoint support yields +inf entries."""
-    traj = np.asarray(density_trajectory, dtype=float)
-    checkpoints = [int(c) for c in checkpoints]
-    if traj.ndim != 2:
-        raise ValidationError("kl_drift_profile: need a (time, state) trajectory")
-    if not checkpoints:
-        raise ValidationError("kl_drift_profile: need at least one checkpoint")
-    if any(c < 0 or c >= traj.shape[0] for c in checkpoints):
-        raise ValidationError("kl_drift_profile: checkpoint outside horizon")
-
-    def _pmf(row):
-        s = row.sum()
-        if s <= 0:
-            raise ValidationError("kl_drift_profile: empty density slice")
-        return row / s
-
-    p0 = _pmf(traj[0])
-    kls = np.asarray([prob.kl_or_inf(p0, _pmf(traj[c])) for c in checkpoints])
-    return kls, checkpoints[int(np.argmin(kls))]
 
 
 # ---------------------------------------------------------------------------

@@ -56,15 +56,6 @@ class LinearPlant:
     def n(self) -> int:
         return self.a1.shape[0]
 
-    def to_jsonable(self):
-        return {k: [list(r) for r in getattr(self, k)]
-                for k in ("a1", "a2", "a3", "a4", "process_cov", "observation_cov")}
-
-    @classmethod
-    def from_jsonable(cls, data) -> "LinearPlant":
-        kw = {k: np.asarray(data[k], dtype=float) for k in data}
-        return cls(**kw)
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -55,13 +55,6 @@ class Pmf:
     def alphabet_size(self) -> int:
         return self.probs.size
 
-    def to_jsonable(self):
-        return list(self.probs)
-
-    @classmethod
-    def from_jsonable(cls, data) -> "Pmf":
-        return cls(np.asarray(data, dtype=float))
-
     @classmethod
     def uniform(cls, n: int) -> "Pmf":
         return cls(np.full(n, 1.0 / n))
@@ -100,10 +93,6 @@ class JointPmf2:
         return [list(row) for row in self.table]
 
     @classmethod
-    def from_jsonable(cls, data) -> "JointPmf2":
-        return cls(np.asarray(data, dtype=float))
-
-    @classmethod
     def product(cls, pa: Pmf, pb: Pmf) -> "JointPmf2":
         return cls(np.outer(pa.probs, pb.probs))
 
@@ -129,13 +118,6 @@ class JointPmf3:
 
     def margin_ac(self) -> JointPmf2:
         return JointPmf2(self.table.sum(axis=1))
-
-    def to_jsonable(self):
-        return [[list(row) for row in plane] for plane in self.table]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "JointPmf3":
-        return cls(np.asarray(data, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -167,13 +149,6 @@ class PrivacyMapping:
         if p_in.alphabet_size != self.input_size:
             raise ValidationError("push: input alphabet mismatch")
         return Pmf(p_in.probs @ self.rows)
-
-    def to_jsonable(self):
-        return [list(row) for row in self.rows]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "PrivacyMapping":
-        return cls(np.asarray(data, dtype=float))
 
     @classmethod
     def identity(cls, n: int) -> "PrivacyMapping":

@@ -1,6 +1,5 @@
 """The two optimization procedures: a greedy coordinate-ascent loop over twin
-assignments, and a dogleg trust-region method on a finite-difference model,
-plus the Monte Carlo chance estimator both consume.
+assignments, and a dogleg trust-region method on a finite-difference model.
 """
 
 from __future__ import annotations
@@ -200,21 +199,6 @@ def trust_region_solve(f: ObjectiveFn, x0, cfg: TrustRegionConfig = None):
     else:
         trace.converged = float(np.linalg.norm(f.gradient(x))) < cfg.eps_th
     return x, trace
-
-
-def estimate_chance(predicate: Callable[[np.random.Generator], bool],
-                    u: mirror.UncertaintyModel, n: int, seed: int = None):
-    """Monte Carlo estimate of Pr{predicate} over n i.i.d. sampled worlds.
-
-    Returns (estimate, 95% CI half-width via the normal approximation).
-    """
-    if n < 1:
-        raise ValidationError("estimate_chance: need n >= 1")
-    rng = np.random.default_rng(u.seed if seed is None else seed)
-    hits = sum(bool(predicate(rng)) for _ in range(n))
-    p = hits / n
-    half = 1.96 * np.sqrt(p * (1 - p) / n)
-    return p, half
 
 
 # ---------------------------------------------------------------------------

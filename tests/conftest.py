@@ -7,7 +7,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from mirrorwyner.mirror import MirrorGameInstance
+from mirrorwyner import cli
 from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
 
 
@@ -58,11 +58,17 @@ def cli_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+def bench_module(name):
+    """The module bench/<name>.py, loaded by file path: bench/ is not a package."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
 def wide_instance(seed):
-    """`bench/workloads.wide_instance`: Q=4, |S|=3, |X|=|Yo|=|Yv|=5."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
-    return MirrorGameInstance.from_jsonable(
-        workloads.wide_instance(np.random.default_rng(seed)))
+    """`bench/workloads.wide_instance`: Q=4, |S|=3, |X|=|Yo|=|Yv|=5, decoded
+    as the CLI decodes an `instance` config key."""
+    workloads = bench_module("workloads")
+    return cli._instance({"instance": workloads.wide_instance(np.random.default_rng(seed))})

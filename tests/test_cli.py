@@ -16,6 +16,9 @@ from mirrorwyner.cli import main
 from conftest import cli_env
 
 
+REF_INSTANCE = mirror.reference_binary_instance().to_jsonable()
+
+
 def run_to_file(tmp_path, args, name="out.csv"):
     out = tmp_path / name
     rc = main(args + ["--out", str(out)])
@@ -101,6 +104,7 @@ class TestExitCodes:
         ("plant", {"n": 0}, "n"),
         ("convergence-cdf", {"eps": [0.01]}, "eps"),
         ("convergence-cdf", {"mode": "four"}, "mode"),
+        ("convergence-cdf", {"eps": [0, 0.01, 0.01]}, "eps"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -111,7 +115,7 @@ class TestExitCodes:
         assert json.loads(err[0])["field"] == field
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("cmd,cfg,field", [
+    @pytest.mark.parametrize("cmd,cfg,key", [
         ("nash", {"weights": "abc"}, "weights"),
         ("nash", {"init": "ab"}, "init"),
         ("stackelberg", {"laws": 5}, "laws"),
@@ -119,15 +123,25 @@ class TestExitCodes:
         ("mfg", {"grid": 3}, "grid"),
         ("convergence-cdf", {"instance": 3}, "instance"),
         ("lohe", {"common_hamiltonian": "no"}, "common_hamiltonian"),
+        ("convergence-cdf", {"instance": dict(REF_INSTANCE, virtual_alphabet=2.7)},
+         "instance: virtual_alphabet"),
+        ("convergence-cdf", {"instance": dict(REF_INSTANCE, gamma2=True)}, "instance: gamma2"),
+        ("convergence-cdf", {"instance": {k: v for k, v in REF_INSTANCE.items()
+                                          if k != "joints"}}, "instance: joints"),
+        ("mi-tradeoff", {"instance": dict(REF_INSTANCE, gamma0="abc")}, "instance: gamma0"),
+        ("secrecy-gap", {"instance": dict(REF_INSTANCE, symbol_values=[[0.0, 1.0]])},
+         "MirrorGameInstance"),
     ])
-    def test_bad_structured_field_names_key(self, tmp_path, capsys, cmd, cfg, field):
+    def test_bad_structured_field_names_key(self, tmp_path, capsys, cmd, cfg, key):
+        # the report's field is the top-level key; its message names the nested one
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main([cmd, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1
         report = json.loads(err[0])
-        assert (report["error"], report["field"]) == ("ValidationError", field)
+        assert (report["error"], report["field"]) == ("ValidationError", key.split(":")[0])
+        assert report["message"].startswith(key + ":")
         assert not (tmp_path / "o.csv").exists()
 
     def test_parser_is_reused_across_calls(self, tmp_path):

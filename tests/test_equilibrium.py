@@ -167,9 +167,3 @@ class TestWeights:
             KCutGame(np.zeros((2, 2)), 1)  # too few colors
         with pytest.raises(ValidationError):
             StrategyProfile((0, 5)).check(KCutGame(np.zeros((2, 2)), 3))
-
-    def test_json_round_trip(self):
-        game = random_game(2)
-        back = KCutGame.from_jsonable(game.to_jsonable())
-        np.testing.assert_array_equal(back.weights, game.weights)
-        assert back.k == game.k

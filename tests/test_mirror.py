@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorwyner import mirror, prob, solvers
+from mirrorwyner import cli, mirror, prob, solvers
 from mirrorwyner.errors import NumericUnderflowError, ValidationError
 from mirrorwyner.mirror import (MirrorGameInstance, TwinAssignment,
                                 UncertaintyModel)
-from mirrorwyner.prob import JointPmf2, Pmf, PrivacyMapping
+from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
 
 from conftest import wide_instance
 
@@ -131,8 +131,7 @@ class TestConditionValues:
     def test_virtual_power_monte_carlo(self):
         inst = random_instance(7)
         asg = random_assignment(inst, 8)
-        expect = mirror.virtual_power(asg.virtual[0], inst.x_marginal(0),
-                                      inst.symbol_values[0])
+        expect = mirror.condition_values(inst, asg)[0, 3]
         rng = np.random.default_rng(0)
         n = 200_000
         xs = rng.choice(2, size=n, p=inst.x_marginal(0).probs)
@@ -156,12 +155,15 @@ class TestConditionValues:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_chain_rule_decomposition(self, seed):
+        # exposure (iii) of Bob 0 splits as I(X_0; Yo_1) + I(X_0; Yv_1 | Yo_1)
         inst = random_instance(seed)
         asg = random_assignment(inst, seed + 50)
-        i_xo, i_xv_o = mirror.objective_decompose(inst, asg, 0, 1)
         table = full_joint(inst, asg)
-        direct = mi_of(table, (1,), (5, 6))
-        assert i_xo + i_xv_o == pytest.approx(direct, abs=1e-10)
+        x_yv_yo = JointPmf3(table.sum(axis=(0, 2, 3, 4)).transpose(0, 2, 1))
+        i_xo = prob.mutual_information(x_yv_yo.margin_ac())
+        i_xv_o = prob.conditional_mutual_information(x_yv_yo)
+        assert i_xo + i_xv_o == pytest.approx(
+            mirror.condition_values(inst, asg)[0, 2], abs=1e-10)
 
     def test_superposed_exposure_bounded_by_tuple(self):
         # the sum is a function of the tuple, so its MI can only be lower
@@ -200,13 +202,15 @@ class TestTrialValues:
         inst = KERNEL_INSTANCES[name]()
         rng = np.random.default_rng(5)
         asg = solvers.random_assignment(inst, rng)
+        rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
         for q in range(inst.q_count):
             for kind, slots in (("original", asg.original), ("virtual", asg.virtual)):
                 cands = [PrivacyMapping(rng.dirichlet(np.ones(slots[q].output_size),
                                                       size=slots[q].input_size))
                          for _ in range(3)]
-                stacked = mirror.trial_values(inst, asg, q, kind,
-                                              np.stack([c.rows for c in cands]))
+                trial = [list(r) for r in rows]
+                trial[kind == "virtual"][q] = np.stack([c.rows for c in cands])
+                stacked = mirror._kernel(inst, *trial)
                 assert stacked.shape == (3, inst.q_count, 7)
                 for cand, got in zip(cands, stacked):
                     swapped = tuple(cand if p == q else m for p, m in enumerate(slots))
@@ -232,17 +236,6 @@ class TestTrialValues:
                 full = mirror._kernel(inst, *trial)
                 assert np.array_equal(
                     mirror._kernel(inst, *trial, base=base, slot=(q, kind)), full)
-
-    def test_rejects_bad_kind_and_shape(self):
-        inst = mirror.reference_binary_instance()
-        asg = random_assignment(inst, 0)
-        rows = np.stack([asg.virtual[0].rows] * 2)
-        with pytest.raises(ValidationError):
-            mirror.trial_values(inst, asg, 0, "twin", rows)
-        with pytest.raises(ValidationError):
-            mirror.trial_values(inst, asg, 0, "virtual", rows[0])
-        with pytest.raises(ValidationError):
-            mirror.trial_values(inst, asg, 0, "virtual", np.ones((2, 2, 3)) / 3)
 
     def test_exposure_size_guard_allocates_nothing(self):
         # Q=6 with |Yo| = |Yv| = 5: condition (iii) would need 25^5 product
@@ -664,17 +657,12 @@ class TestInstance:
                                gamma2=0.1, gamma3=1.0)
 
     def test_json_round_trip(self):
-        inst = mirror.reference_binary_instance()
-        back = MirrorGameInstance.from_jsonable(inst.to_jsonable())
-        np.testing.assert_allclose(back.joints[0].table, inst.joints[0].table)
-        np.testing.assert_array_equal(back.theta_levels, inst.theta_levels)
-        asg = random_assignment(inst, 0)
-        back_asg = TwinAssignment.from_jsonable(asg.to_jsonable())
-        np.testing.assert_allclose(back_asg.original[0].rows, asg.original[0].rows)
-
-    def test_report_csv_row(self):
-        inst = mirror.reference_binary_instance()
-        asg = random_assignment(inst, 0)
-        report = mirror.evaluate_conditions(inst, asg)
-        row = report.csv_row()
-        assert len(row.split(",")) == 2 * 7 * 2 + 1
+        # `to_jsonable` writes the CLI's `instance` format, read by `cli._instance`
+        inst = mirror.reference_binary_instance(q_count=3, virtual_alphabet=3)
+        back = cli._instance({"instance": inst.to_jsonable()})
+        for a, b in zip(back.joints, inst.joints, strict=True):
+            np.testing.assert_array_equal(a.table, b.table)
+        for name in ("gamma0", "gamma1", "theta_levels", "symbol_values"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(inst, name))
+        assert (back.gamma2, back.gamma3, back.virtual_alphabet) == \
+            (inst.gamma2, inst.gamma3, inst.virtual_alphabet)

@@ -377,31 +377,6 @@ class TestMeanValueReduce:
             float(np.min(np.abs(p * mu_prime - target))), abs=1e-12)
 
 
-class TestKlDrift:
-    def test_monotone_for_spreading_gaussian(self):
-        grid = heat_grid()
-        sol = ns.mfg_solve(grid, damping=1.0)
-        checkpoints = [0, 20, 50, 99]
-        kls, best = ns.kl_drift_profile(sol.density, checkpoints)
-        assert best == 0
-        assert kls[0] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(np.diff(kls) >= -1e-10)
-
-    def test_disjoint_support_infinite(self):
-        traj = np.array([[1.0, 0.0], [0.0, 1.0]])
-        kls, best = ns.kl_drift_profile(traj, [0, 1])
-        assert kls[0] == 0.0 and np.isinf(kls[1])
-        assert best == 0
-
-    def test_bad_checkpoint(self):
-        with pytest.raises(ValidationError):
-            ns.kl_drift_profile(np.ones((3, 4)), [5])
-
-    def test_no_checkpoints(self):
-        with pytest.raises(ValidationError):
-            ns.kl_drift_profile(np.ones((3, 4)), [])
-
-
 class TestClustering:
     def exhaustive_oracle(self, x, V, w):
         """Best objective over every assignment of points to levels, with the

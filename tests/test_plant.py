@@ -143,9 +143,3 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             LinearPlant(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.eye(1),
                         process_cov=-np.eye(2))
-
-    def test_json_round_trip(self):
-        p = LinearPlant(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.eye(1))
-        back = LinearPlant.from_jsonable(p.to_jsonable())
-        np.testing.assert_array_equal(back.a1, p.a1)
-        np.testing.assert_array_equal(back.process_cov, p.process_cov)

@@ -234,15 +234,3 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             JointPmf2(np.asarray(table, dtype=float))
         assert str(exc.value) == message
-
-
-class TestJson:
-    def test_round_trips(self):
-        p = Pmf(np.array([0.25, 0.75]))
-        assert Pmf.from_jsonable(p.to_jsonable()).probs.tolist() == [0.25, 0.75]
-        j = JointPmf2(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        np.testing.assert_array_equal(JointPmf2.from_jsonable(j.to_jsonable()).table, j.table)
-        m = PrivacyMapping.bsc(0.3)
-        np.testing.assert_array_equal(PrivacyMapping.from_jsonable(m.to_jsonable()).rows, m.rows)
-        t = JointPmf3(np.full((2, 2, 2), 0.125))
-        np.testing.assert_array_equal(JointPmf3.from_jsonable(t.to_jsonable()).table, t.table)

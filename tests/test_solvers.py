@@ -120,25 +120,6 @@ class TestTrustRegion:
         assert len(lines) == trace.iterations + 1
 
 
-class TestEstimateChance:
-    def test_coin_probability(self):
-        u = UncertaintyModel(0.5, seed=0)
-        p, half = solvers.estimate_chance(
-            lambda rng: rng.random() < 0.3, u, n=20_000)
-        assert abs(p - 0.3) < 3 * half + 1e-9
-
-    def test_degenerate(self):
-        u = UncertaintyModel(0.5, seed=0)
-        p, half = solvers.estimate_chance(lambda rng: True, u, n=100)
-        assert p == 1.0 and half == 0.0
-
-    def test_seed_determinism(self):
-        u = UncertaintyModel(0.5, seed=7)
-        a = solvers.estimate_chance(lambda rng: rng.random() < 0.5, u, n=500)
-        b = solvers.estimate_chance(lambda rng: rng.random() < 0.5, u, n=500)
-        assert a == b
-
-
 def full_kernel_greedy(inst, relaxed, budget, seed, omega=1.0, eps=solvers.DEFAULT_EPS,
                        lam=solvers.DEFAULT_LAMBDA, proposals=6, patience=3):
     """The greedy search with every trial rescoring all Q x 7 conditions and
