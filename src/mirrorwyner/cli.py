@@ -142,16 +142,21 @@ def _cdf_variants(cfg):
 
 
 def _instance(cfg):
-    """The `instance` object read by the rules of top-level keys, a missing or
-    bad field failing under `instance` by name; the reference one if absent."""
+    """The `instance` object read by the rules of top-level keys, a missing,
+    unknown or bad field failing under `instance` by name; the reference one
+    if absent."""
     if "instance" not in cfg:
         return mirror.reference_binary_instance()
     data = cfg["instance"]
     if not isinstance(data, dict):
         raise ValidationError(f"instance: need an object, got {data!r:.60}")
-    for f in fields(mirror.MirrorGameInstance):
-        if f.init and f.name not in data:
-            raise ValidationError(f"instance: {f.name}: missing")
+    names = [f.name for f in fields(mirror.MirrorGameInstance) if f.init]
+    for key in data:
+        if key not in names:
+            raise ValidationError(f"instance: {key}: unknown key")
+    for name in names:
+        if name not in data:
+            raise ValidationError(f"instance: {name}: missing")
     try:
         joints = [_floats("joints", j) for j in _list(data, "joints", None)]
         kw = {k: _floats(k, data[k]) for k in ("gamma0", "gamma1", "theta_levels", "symbol_values")}
@@ -198,16 +203,10 @@ def run_convergence_cdf(cfg, seed, rep):
         rows.append(tuple(row))
     ok = True
     if per["relaxed"].size and per["unrelaxed"].size:
-        # imported here: scipy.stats costs about a second and tens of MB,
-        # and no other subcommand uses it
-        from scipy import stats
-        confirm = stats.ks_2samp(per["relaxed"], per["unrelaxed"],
-                                 alternative="greater")
-        violate = stats.ks_2samp(per["relaxed"], per["unrelaxed"],
-                                 alternative="less")
-        ok = violate.pvalue >= 0.05
-        rows.append(("summary", "ks_dominates", "", confirm.statistic,
-                     confirm.pvalue, int(ok), ""))
+        stat, p_confirm = prob.ks_one_sided(per["relaxed"], per["unrelaxed"], "greater")
+        _, p_violate = prob.ks_one_sided(per["relaxed"], per["unrelaxed"], "less")
+        ok = p_violate >= 0.05
+        rows.append(("summary", "ks_dominates", "", stat, p_confirm, int(ok), ""))
     rows.append(("summary", "completed", "",
                  *[per[name].size for name, _ in variants[:2]],
                  len(results), ""))

@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from mirrorwyner import cli, mirror
+from mirrorwyner import cli, mirror, solvers
 from mirrorwyner.cli import main
 
 from conftest import cli_env
@@ -131,6 +134,7 @@ class TestExitCodes:
         ("mi-tradeoff", {"instance": dict(REF_INSTANCE, gamma0="abc")}, "instance: gamma0"),
         ("secrecy-gap", {"instance": dict(REF_INSTANCE, symbol_values=[[0.0, 1.0]])},
          "MirrorGameInstance"),
+        ("convergence-cdf", {"instance": dict(REF_INSTANCE, gamma_2=5)}, "instance: gamma_2"),
     ])
     def test_bad_structured_field_names_key(self, tmp_path, capsys, cmd, cfg, key):
         # the report's field is the top-level key; its message names the nested one
@@ -228,12 +232,26 @@ class TestFailureStderr:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # only convergence-cdf uses scipy.stats, and it imports it when it runs
+    # nothing in the package imports scipy
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, mirrorwyner.cli; print('scipy.stats' in sys.modules)"],
         env=cli_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_convergence_cdf_run_leaves_scipy_unloaded(tmp_path):
+    # the KS row is computed by prob.ks_one_sided, so a run never loads scipy
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"n_seeds": 4, "budget": 8}))
+    argv = ["convergence-cdf", "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, mirrorwyner.cli; rc = mirrorwyner.cli.main({argv!r}); "
+         "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=cli_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0 []"
+    assert ",summary,ks_dominates," in out.read_text()
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -428,3 +446,55 @@ class TestModuleOracles:
         assert main(["plant"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("rep,n,ctrb_rank")
+
+
+class TestKsDominatesRow:
+    """The `ks_dominates` row and the exit code against the run rows: the
+    statistic as an exact ECDF maximum, the p-values from scipy."""
+
+    @staticmethod
+    def check(tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc, data = run_to_file(tmp_path, ["convergence-cdf", "--config", str(path)])
+        header, *lines = data.decode().strip().split("\n")
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        a, b = ([int(r["col_a"]) for r in rows
+                 if (r["record"], r["variant"], r["tag"]) == ("run", name, "ok")]
+                for name in ("relaxed", "unrelaxed"))
+        gap = max(Fraction(sum(x <= t for x in a), len(a))
+                  - Fraction(sum(x <= t for x in b), len(b)) for t in a + b)
+        (ks,) = [r for r in rows if r["variant"] == "ks_dominates"]
+        assert ks["col_a"] == f"{float(gap):.12g}"
+        assert float(ks["col_b"]) == pytest.approx(
+            stats.ks_2samp(a, b, alternative="greater").pvalue, rel=1e-11)
+        assert rc == (1 if stats.ks_2samp(a, b, alternative="less").pvalue < 0.05 else 0)
+        assert ks["col_c"] == str(1 - rc)
+        return a, b, gap, rc
+
+    def test_equal_sizes(self, tmp_path):
+        a, b, _, rc = self.check(tmp_path, {"n_seeds": 8, "budget": 15})
+        assert (len(a), len(b), rc) == (8, 8, 0)
+
+    def test_failed_seed_gives_unequal_sizes(self, tmp_path, monkeypatch):
+        # one relaxed seed fails, so the p-value comes from the lattice-path count
+        solve = solvers.greedy_solve
+
+        def flaky(inst, u, **kw):
+            if kw["relaxed"] and kw["seed"] == 3:
+                raise FloatingPointError("overflow")
+            return solve(inst, u, **kw)
+
+        monkeypatch.setattr(solvers, "greedy_solve", flaky)
+        a, b, gap, _ = self.check(tmp_path, {"n_seeds": 8, "budget": 15})
+        assert (len(a), len(b)) == (7, 8)
+        assert gap > 0
+
+    def test_slower_relaxed_runs_exit_1(self, tmp_path, monkeypatch):
+        def solve(inst, u, budget, seed, relaxed, eps):
+            return None, SimpleNamespace(iterations=seed + 10 * relaxed,
+                                         converged=True, feasible=True)
+
+        monkeypatch.setattr(solvers, "greedy_solve", solve)
+        *_, rc = self.check(tmp_path, {"n_seeds": 8, "budget": 15})
+        assert rc == 1
