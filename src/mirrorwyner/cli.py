@@ -53,6 +53,14 @@ def _number(key, value, integral=False, lo=-np.inf, hi=np.inf):
     return int(value) if integral else float(value)
 
 
+def _positive(key, value):
+    """A config value as a float > 0, failing under its config key."""
+    x = _number(key, value)
+    if not x > 0:
+        raise ValidationError(f"{key}: need a positive number, got {value!r}")
+    return x
+
+
 def _list(cfg, key, default):
     value = cfg.get(key, default)
     if not isinstance(value, (list, range, tuple)):
@@ -112,9 +120,27 @@ def _fmt(v) -> str:
     return f"{v:.12g}"
 
 
+# `%` specs that format an exact float, int or str cell as `_fmt` does,
+# a NaN float aside
+_SPECS = {float: "%.12g", int: "%d", str: "%s"}
+
+
 def _write(out_path, header, rows):
-    lines = [header]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    """Write the CSV text. A row whose cells are all exact floats, ints and
+    strs is one `%` format, cached per tuple of cell types; any other row, or
+    a line that reads "nan" (a NaN cell, or a string holding it), goes
+    through `_fmt` cell by cell, which rejects the NaN."""
+    formats, lines = {}, [header]
+    for row in rows:
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = (",".join(map(_SPECS.get, kinds))
+                                    if all(k in _SPECS for k in kinds) else False)
+        line = fmt % tuple(row) if fmt else None
+        if line is None or "nan" in line:
+            line = ",".join(map(_fmt, row))
+        lines.append(line)
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -344,6 +370,9 @@ def run_mfg(cfg, seed, rep):
 def run_lohe(cfg, seed, rep):
     q = _number("q", cfg.get("q", 4), True, 1)
     d = _number("d", cfg.get("d", 2), True, 1)
+    coupling = cfg.get("coupling", "aligning")
+    if coupling not in ("aligning", "printed"):
+        raise ValidationError(f"coupling: must be 'aligning' or 'printed', got {coupling!r:.60}")
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -352,19 +381,16 @@ def run_lohe(cfg, seed, rep):
     if _flag(cfg, "common_hamiltonian", True):
         hams = np.broadcast_to(hams[0], (q, d, d)).copy()
     sys_ = nonstationary.LoheSystem(
-        states=states, hamiltonians=hams, hbar=_number("hbar", cfg.get("hbar", 1.0)),
-        alpha=_number("alpha", cfg.get("alpha", 1.0)),
-        coupling=cfg.get("coupling", "aligning"))
-    dt = _number("dt", cfg.get("dt", 1e-2))
-    steps = _number("steps", cfg.get("steps", 500), True)
+        states=states, hamiltonians=hams, hbar=_positive("hbar", cfg.get("hbar", 1.0)),
+        alpha=_number("alpha", cfg.get("alpha", 1.0)), coupling=coupling)
+    dt = _positive("dt", cfg.get("dt", 1e-2))
+    steps = _number("steps", cfg.get("steps", 500), True, 1)
     stride = _number("stride", cfg.get("stride", 10), True, 1)
-    traj = nonstationary.lohe_integrate(sys_, dt, steps)
-    rows = []
-    for k in range(0, steps + 1, stride):
-        norms = np.linalg.norm(traj[k], axis=1)
-        rows.append((k, nonstationary.sync_order(traj[k]),
-                     float(norms.min()), float(norms.max())))
-    return "step,sync_order,min_norm,max_norm", rows, 0
+    kept = nonstationary.lohe_integrate(sys_, dt, steps)[::stride]
+    norms = np.linalg.norm(kept, axis=2)
+    rows = zip(range(0, steps + 1, stride), nonstationary.sync_order(kept).tolist(),
+               norms.min(axis=1).tolist(), norms.max(axis=1).tolist())
+    return "step,sync_order,min_norm,max_norm", list(rows), 0
 
 
 def run_stackelberg(cfg, seed, rep):

@@ -1,6 +1,8 @@
 """CLI harness tests: determinism, exit codes, and module-oracle checks on
 the emitted CSV."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,10 +13,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mirrorwyner import cli, mirror, solvers
 from mirrorwyner.cli import main
+from mirrorwyner.errors import ValidationError
 
 from conftest import cli_env
 
@@ -29,8 +34,8 @@ def run_to_file(tmp_path, args, name="out.csv"):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("cmd", ["nash", "plant", "stackelberg",
-                                     "divergence", "lohe", "secrecy-gap"])
+    @pytest.mark.parametrize("cmd", ["nash", "plant", "stackelberg", "divergence",
+                                     "lohe", "secrecy-gap", "mfg", "mi-tradeoff"])
     def test_byte_identical_reruns(self, tmp_path, cmd):
         rc1, b1 = run_to_file(tmp_path, [cmd, "--seed", "3"], "a.csv")
         rc2, b2 = run_to_file(tmp_path, [cmd, "--seed", "3"], "b.csv")
@@ -108,6 +113,10 @@ class TestExitCodes:
         ("convergence-cdf", {"eps": [0.01]}, "eps"),
         ("convergence-cdf", {"mode": "four"}, "mode"),
         ("convergence-cdf", {"eps": [0, 0.01, 0.01]}, "eps"),
+        ("lohe", {"dt": -1}, "dt"),
+        ("lohe", {"steps": 0}, "steps"),
+        ("lohe", {"hbar": 0}, "hbar"),
+        ("lohe", {"coupling": "printd"}, "coupling"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -202,6 +211,53 @@ def courant_grid():
     return {"x_min": -3.0, "x_max": 3.0, "n_x": 21, "n_t": 3, "dt": 0.01, "sigma": 0.1,
             "initial_density": list(dens / (dens.sum() * 0.3)),
             "mu_weight": [1e300] * 3, "terminal_value": list(xs)}
+
+
+class TestWriter:
+    """`_write`'s text is `_fmt` of every cell, one line per row, whichever
+    path a row takes."""
+
+    floats = st.one_of(st.floats(allow_nan=False),
+                       st.sampled_from([-0.0, np.inf, -np.inf, 5e-324, 1e300]))
+    cells = st.one_of(
+        floats,
+        st.integers(), st.just(2 ** 70),
+        floats.map(np.float64), st.floats(allow_nan=False, width=32).map(np.float32),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.booleans(), st.booleans().map(np.bool_),
+        st.text(max_size=8),
+        st.sampled_from(["nan", "banana", "inf", "-inf", "NaN", "nan,inf", ""]))
+
+    @staticmethod
+    def written(rows):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write(None, "h", rows)
+        return out.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(cells, max_size=6), max_size=12))
+    def test_matches_fmt_per_cell(self, rows):
+        # each row twice, so rows of one cell-type tuple reuse its format
+        rows = [tuple(r) for r in rows] + [list(r) for r in rows]
+        expect = ["h"] + [",".join(map(cli._fmt, row)) for row in rows]
+        assert self.written(rows) == "\n".join(expect) + "\n"
+
+    def test_exact_type_rows(self):
+        rows = [(0, 3, -0.0, 2 ** 70, "nan"), (1, -4, 1 / 3, 5e-324, "ok"),
+                (2, 0, np.inf, -np.inf, "info")]
+        assert self.written(rows) == ("h\n0,3,-0,1180591620717411303424,nan\n"
+                                      "1,-4,0.333333333333,4.94065645841e-324,ok\n"
+                                      "2,0,inf,-inf,info\n")
+
+    @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan"), np.float32("nan")])
+    def test_nan_cell_raises_and_writes_nothing(self, tmp_path, nan):
+        out = tmp_path / "o.csv"
+        for row in [(0, 1.5, nan), (0, "nan", nan), (nan,)]:
+            with pytest.raises(ValidationError) as exc:
+                cli._write(str(out), "h", [(0, 1, 2.5, "x"), row])
+            assert str(exc.value) == "output: NaN cell with no tag"
+            assert not out.exists()
 
 
 class TestFailureStderr:

@@ -104,11 +104,87 @@ class TestLohe:
         # aligning mode, which drives the overlap to 1
         assert c1 == pytest.approx(c0, abs=1e-4)
 
+    @staticmethod
+    def einsum_deriv(sys, psi):
+        """The right-hand side term by term, each constant applied per call."""
+        inner = psi.conj() @ psi.T  # inner[q, q'] = <psi_q | psi_q'>
+        ham_term = np.einsum("qij,qj->qi", sys.hamiltonians, psi)
+        if sys.coupling == "aligning":
+            coup = np.einsum("qp,pi->qi", sys.beta, psi) \
+                - np.einsum("qp,qp,qi->qi", sys.beta, inner, psi)
+            return ham_term / (1j * sys.hbar) + (sys.alpha / sys.hbar) * coup
+        coup = psi * sys.beta.sum(axis=1)[:, None] \
+            - np.einsum("qp,qp,pi->qi", sys.beta, inner, psi)
+        return (ham_term + sys.alpha * coup) / (1j * sys.hbar)
+
+    @classmethod
+    def einsum_integrate(cls, sys, dt, steps):
+        psi, traj = sys.states.copy(), [sys.states]
+        for _ in range(steps):
+            k1 = cls.einsum_deriv(sys, psi)
+            k2 = cls.einsum_deriv(sys, psi + dt / 2 * k1)
+            k3 = cls.einsum_deriv(sys, psi + dt / 2 * k2)
+            k4 = cls.einsum_deriv(sys, psi + dt * k3)
+            psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+            traj.append(psi)
+        return np.array(traj)
+
+    @staticmethod
+    def general_system(q, d, coupling, seed):
+        """Distinct complex Hermitian generators, an asymmetric beta with a
+        nonzero diagonal, and hbar != 1."""
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        h = rng.normal(size=(q, d, d)) + 1j * rng.normal(size=(q, d, d))
+        hams = (h + h.conj().transpose(0, 2, 1)) / 2
+        return ns.LoheSystem(states=states, hamiltonians=hams, hbar=0.7, alpha=1.3,
+                             beta=rng.uniform(0.0, 2.0, size=(q, q)), coupling=coupling)
+
+    @pytest.mark.parametrize("coupling", ["aligning", "printed"])
+    @pytest.mark.parametrize("q,d", [(1, 1), (2, 3), (5, 2)])
+    def test_rhs_matches_einsum_oracle(self, q, d, coupling):
+        sys = self.general_system(q, d, coupling, seed=10 * q + d)
+        assert sys.beta[0, 0] != 0 and (q == 1 or not np.allclose(sys.beta, sys.beta.T))
+        rhs = ns._lohe_rhs(sys)
+        rng = np.random.default_rng(q * d)
+        for _ in range(20):
+            psi = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
+            expect = self.einsum_deriv(sys, psi)
+            got = rhs(psi)
+            assert got.shape == expect.shape
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("coupling", ["aligning", "printed"])
+    @pytest.mark.parametrize("q,d", [(1, 1), (2, 3), (5, 2)])
+    def test_trajectory_matches_einsum_rk4(self, q, d, coupling):
+        sys = self.general_system(q, d, coupling, seed=q + 7 * d)
+        traj = ns.lohe_integrate(sys, 1e-2, 500)
+        assert traj.shape == (501, q, d)
+        np.testing.assert_allclose(traj, self.einsum_integrate(sys, 1e-2, 500),
+                                   rtol=0, atol=1e-12)
+
     def test_sync_order_bounds(self):
         psi = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         assert ns.sync_order(psi) == pytest.approx(1.0, abs=1e-12)
         ortho = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         assert ns.sync_order(ortho) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("q,d", [(1, 1), (4, 2), (3, 5)])
+    def test_sync_order_stack_matches_blocks(self, q, d):
+        traj = ns.lohe_integrate(self.make_system(q=q, d=d, alpha=1.0, seed=q + d),
+                                 1e-2, 60)
+        stacked = ns.sync_order(traj)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (61,)
+        per_block = [ns.sync_order(block) for block in traj]
+        assert all(type(v) is float for v in per_block)
+        assert stacked.tolist() == per_block
+        # a deeper stack keeps its leading axes
+        assert ns.sync_order(traj[:60].reshape(6, 10, q, d)).tolist() == \
+            np.reshape(per_block[:60], (6, 10)).tolist()
+        with pytest.raises(ValidationError):
+            ns.sync_order(np.ones(3))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
