@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
@@ -22,9 +21,6 @@ from . import equilibrium, mirror, nonstationary, plant, prob, solvers
 from .errors import ConfigurationError, ValidationError
 from .mirror import UncertaintyModel
 from .prob import JointPmf2, PrivacyMapping
-
-SUBCOMMANDS = ("mi-tradeoff", "secrecy-gap", "convergence-cdf", "mfg", "lohe",
-               "stackelberg", "nash", "plant", "divergence")
 
 
 def _load_config(path):
@@ -53,52 +49,82 @@ def _number(key, value, integral=False, lo=-np.inf, hi=np.inf):
     return int(value) if integral else float(value)
 
 
-def _positive(key, value):
-    """A config value as a float > 0, failing under its config key."""
+def _positive(key, value, hi=np.inf):
+    """A config value as a float in (0, hi], failing under its config key."""
     x = _number(key, value)
-    if not x > 0:
-        raise ValidationError(f"{key}: need a positive number, got {value!r}")
+    if not 0 < x <= hi:
+        raise ValidationError(f"{key}: need a number in (0, {hi}], got {value!r}")
     return x
 
 
-def _list(cfg, key, default):
-    value = cfg.get(key, default)
-    if not isinstance(value, (list, range, tuple)):
-        raise ValidationError(f"{key}: need a list, got {value!r}")
-    return value
-
-
-def _flag(cfg, key, default):
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise ValidationError(f"{key}: need true or false, got {value!r:.60}")
-    return value
-
-
 def _floats(key, value):
-    """A config value, a number or nested lists of numbers, as a float array;
-    anything else (strings and bools included) fails under its config key."""
+    """A config value, a finite number or nested lists of them, as a float
+    array; anything else, strings and bools included, fails under its key."""
     try:
         arr = np.asarray(value)
     except ValueError:   # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{key}: need numbers or nested lists of numbers, "
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValidationError(f"{key}: need finite numbers or nested lists of them, "
                               f"got {value!r:.60}")
     return arr.astype(float)
 
 
-def _record(key, cls, value):
-    """cls.from_jsonable of a config object. A value that is not an object
-    of cls's fields fails under its config key; cls's own checks name cls."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{key}: need an object, got {value!r:.60}")
-    try:
-        return cls.from_jsonable(value)
-    except (ValidationError, ConfigurationError):
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key}: {exc}") from None
+def _list(read):
+    """A reader of a list whose every entry `read` reads under the list's key."""
+    def read_list(key, value):
+        if not isinstance(value, (list, range, tuple)):
+            raise ValidationError(f"{key}: need a list, got {value!r:.60}")
+        return tuple(read(key, v) for v in value)
+    return read_list
+
+
+def _int(lo=-np.inf):
+    return functools.partial(_number, integral=True, lo=lo)
+
+
+def _choice(*options):
+    """A reader of one of `options`, of the same type too: `1` is not `true`."""
+    def read(key, value):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ValidationError(f"{key}: must be one of {options}, got {value!r:.60}")
+        return value
+    return read
+
+
+def _seeds(key, value):
+    seeds = _list(_int(0))(key, value)
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValidationError(f"{key}: need distinct seeds, got {list(seeds)}")
+    return seeds
+
+
+def _parse(table, cfg, prefix=""):
+    """A config object's values by its table: an unknown key fails first,
+    then each key in table order. An absent key is missing if its default is
+    `_REQUIRED` or a key that needs it is given; otherwise its default is read
+    as a given value would be, and a default of None is left to the runner.
+    Errors name a key after `prefix`, the outer key of a nested object."""
+    for key in cfg:
+        if key not in table:
+            raise ValidationError(f"{prefix}{key}: unknown key")
+    values = dict.fromkeys(table)
+    for key, (read, default, *needed_by) in table.items():
+        if key not in cfg and (default is _REQUIRED or any(k in cfg for k in needed_by)):
+            raise ValidationError(f"{prefix}{key}: missing")
+        if key in cfg or default is not None:
+            values[key] = read(prefix + key, cfg.get(key, default))
+    return values
+
+
+def _object(table, build):
+    """A reader of a JSON object whose keys `table` reads and `build` takes by
+    name; a bad key fails under the outer one, as `grid: bogus: unknown key`."""
+    def read(key, value):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{key}: need an object, got {value!r:.60}")
+        return build(**_parse(table, value, f"{key}: "))
+    return read
 
 
 def _fmt(v) -> str:
@@ -153,63 +179,21 @@ def _write(out_path, header, rows):
 # Batch experiment: iterations-to-converge CDFs, relaxed vs unrelaxed
 # ---------------------------------------------------------------------------
 
-def _cdf_variants(cfg):
-    # `mirror.ConstraintSet.build` checks for three positive floors
-    eps = tuple(_number("eps", e) for e in _list(cfg, "eps", solvers.DEFAULT_EPS))
-    mode = cfg.get("mode", "two")
-    if mode not in ("two", "three"):
-        raise ValidationError(f"mode: must be 'two' or 'three', got {mode!r}")
+def run_convergence_cdf(c, seed):
+    seeds = c["seeds"] or _seeds("seeds", range(seed, seed + c["n_seeds"]))
+    eps = c["eps"]
     variants = [("relaxed", dict(relaxed=True, eps=eps)),
                 ("unrelaxed", dict(relaxed=False, eps=eps))]
-    if mode == "three":
-        tight = tuple(e / 10 for e in eps)
-        variants.append(("relaxed_tight", dict(relaxed=True, eps=tight)))
-    return variants
-
-
-def _instance(cfg):
-    """The `instance` object read by the rules of top-level keys, a missing,
-    unknown or bad field failing under `instance` by name; the reference one
-    if absent."""
-    if "instance" not in cfg:
-        return mirror.reference_binary_instance()
-    data = cfg["instance"]
-    if not isinstance(data, dict):
-        raise ValidationError(f"instance: need an object, got {data!r:.60}")
-    names = [f.name for f in fields(mirror.MirrorGameInstance) if f.init]
-    for key in data:
-        if key not in names:
-            raise ValidationError(f"instance: {key}: unknown key")
-    for name in names:
-        if name not in data:
-            raise ValidationError(f"instance: {name}: missing")
-    try:
-        joints = [_floats("joints", j) for j in _list(data, "joints", None)]
-        kw = {k: _floats(k, data[k]) for k in ("gamma0", "gamma1", "theta_levels", "symbol_values")}
-        kw.update((k, _number(k, data[k], k == "virtual_alphabet"))
-                  for k in ("gamma2", "gamma3", "virtual_alphabet"))
-    except ValidationError as exc:
-        raise ValidationError(f"instance: {exc}") from None
-    return mirror.MirrorGameInstance(joints=tuple(map(JointPmf2, joints)), **kw)
-
-
-def run_convergence_cdf(cfg, seed, rep):
-    inst = _instance(cfg)
-    n_seeds = _number("n_seeds", cfg.get("n_seeds", 40), True, 1)
-    budget = _number("budget", cfg.get("budget", 60), True, 1)
-    mag = _number("b_magnitude", cfg.get("b_magnitude", 0.5), lo=0.0, hi=1.0)
-    seeds = [_number("seeds", s, True, 0)
-             for s in _list(cfg, "seeds", range(seed, seed + n_seeds))]
-    if not seeds or len(set(seeds)) < len(seeds):
-        raise ValidationError(f"seeds: need distinct seeds, got {seeds}")
-    variants = _cdf_variants(cfg)
+    if c["mode"] == "three":
+        variants.append(("relaxed_tight", dict(relaxed=True, eps=tuple(e / 10 for e in eps))))
 
     results = []
     for name, kw in variants:
         for s in seeds:
-            u = UncertaintyModel(magnitude=mag, seed=s)
+            u = UncertaintyModel(magnitude=c["b_magnitude"], seed=s)
             try:
-                _, trace = solvers.greedy_solve(inst, u, budget=budget, seed=s, **kw)
+                _, trace = solvers.greedy_solve(c["instance"], u, budget=c["budget"],
+                                                seed=s, **kw)
                 results.append((name, s, trace.iterations, trace.converged,
                                 trace.feasible, ""))
             except ArithmeticError as exc:
@@ -255,21 +239,8 @@ def _binary_mappings(resolution):
     return np.stack([a, 1 - a, b, 1 - b], axis=-1).reshape(-1, 2, 2)
 
 
-def _sweep_config(cfg, default_mags, default_points):
-    """The settings both sweeps read: magnitudes, draws per point, grid points
-    and mapping resolution, each rejected under its config key when out of
-    range. The first two rules are `mirror.sample_leakage`'s."""
-    return ([_number("b_magnitudes", b, lo=0.0, hi=1.0)
-             for b in _list(cfg, "b_magnitudes", default_mags)],
-            _number("n_samples", cfg.get("n_samples", 64), True, 1),
-            _number("grid_points", cfg.get("grid_points", default_points), True, 2),
-            _number("resolution", cfg.get("resolution", 16), True, 0))
-
-
-def run_mi_tradeoff(cfg, seed, rep):
-    inst = _instance(cfg)
-    mags, n_samples, n_grid, res = _sweep_config(cfg, (0.1, 0.5), 6)
-    theta = _number("theta", cfg.get("theta", 0.9), lo=0.0, hi=1.0)
+def run_mi_tradeoff(c, seed):
+    inst, n_samples = c["instance"], c["n_samples"]
     q = 0
     p_x = inst.x_marginal(q)
     if p_x.alphabet_size != 2:
@@ -277,20 +248,20 @@ def run_mi_tradeoff(cfg, seed, rep):
     i_sx = prob.mutual_information(inst.joints[q])
     h_x = prob.entropy(p_x)
     const_v = PrivacyMapping.constant(p_x.alphabet_size, inst.virtual_alphabet)
-    grid = _binary_mappings(res)
+    grid = _binary_mappings(c["resolution"])
     utilities = mirror._utility(p_x.probs, grid)
     asgs = [mirror.TwinAssignment((PrivacyMapping(o),) * inst.q_count,
                                   (const_v,) * inst.q_count) for o in grid]
-    bounds = np.linspace(0.0, i_sx, n_grid)
+    bounds = np.linspace(0.0, i_sx, c["grid_points"])
     rows = []
-    for mag in mags:
+    for mag in c["b_magnitudes"]:
         draws = np.zeros((len(grid), n_samples))
         for mi, asg in enumerate(asgs):
             draws[mi] = mirror.sample_leakage(inst, asg, q, mag,
                                               np.random.default_rng(seed + 1000 * mi),
                                               n_samples)
         for gi, bound in enumerate(bounds):
-            feas = np.mean(draws <= bound + mirror.NULL_TOL, axis=1) >= theta
+            feas = np.mean(draws <= bound + mirror.NULL_TOL, axis=1) >= c["theta"]
             solved = bool(np.any(feas))
             best = float(utilities[feas].max()) if solved else 0.0
             rows.append((mag, gi, bound / i_sx if i_sx > 0 else 0.0,
@@ -299,9 +270,8 @@ def run_mi_tradeoff(cfg, seed, rep):
     return header, rows, 0
 
 
-def run_secrecy_gap(cfg, seed, rep):
-    inst = _instance(cfg)
-    mags, n_samples, n_grid, res = _sweep_config(cfg, (0.6, 0.7), 5)
+def run_secrecy_gap(c, seed):
+    inst = c["instance"]
     q = 0
     if inst.virtual_alphabet != 2 or any(j.table.shape[1] != 2 for j in inst.joints):
         raise ValidationError("instance: secrecy-gap sweeps 2x2 twin mappings, so every "
@@ -309,8 +279,8 @@ def run_secrecy_gap(cfg, seed, rep):
     p_x = inst.x_marginal(q)
     ident = PrivacyMapping.identity(p_x.alphabet_size)
     power_max = float(np.max(inst.symbol_values[q] ** 2))
-    budgets = np.linspace(0.0, power_max, n_grid)
-    grid = _binary_mappings(res)
+    budgets = np.linspace(0.0, power_max, c["grid_points"])
+    grid = _binary_mappings(c["resolution"])
     # `superposed_exposure` of the whole grid: at grid point k every Bob
     # takes the identity original and the virtual rows grid[k]
     exposure = mirror._cross_mi(inst.p_s, inst.x_given_s(q),
@@ -323,9 +293,9 @@ def run_secrecy_gap(cfg, seed, rep):
     asg0 = mirror.TwinAssignment((ident,) * inst.q_count, (const_v,) * inst.q_count)
     constraints = mirror.ConstraintSet.build(inst)
     rows = []
-    for mag in mags:
+    for mag in c["b_magnitudes"]:
         draws = mirror.sample_leakage(inst, asg0, q, mag, np.random.default_rng(seed),
-                                      n_samples)
+                                      c["n_samples"])
         leak_chance = float(np.mean(constraints.holds(draws, q, 1)))
         for gi, budget in enumerate(budgets):
             feas = power <= budget + 1e-12
@@ -342,21 +312,10 @@ def run_secrecy_gap(cfg, seed, rep):
 # Module dispatch subcommands
 # ---------------------------------------------------------------------------
 
-def _default_mfg_payload():
-    n_x, x_min, x_max, s0 = 101, -3.0, 3.0, 0.5
-    xs = np.linspace(x_min, x_max, n_x)
-    dens = np.exp(-xs**2 / (2 * s0**2))
-    dens /= dens.sum() * (xs[1] - xs[0])
-    return {"x_min": x_min, "x_max": x_max, "n_x": n_x, "n_t": 100,
-            "dt": 0.01, "sigma": 0.1, "initial_density": list(dens)}
-
-
-def run_mfg(cfg, seed, rep):
-    grid = _record("grid", nonstationary.MfgGrid, cfg.get("grid", _default_mfg_payload()))
-    sol = nonstationary.mfg_solve(
-        grid, tol=_number("tol", cfg.get("tol", 1e-6)),
-        max_sweeps=_number("max_sweeps", cfg.get("max_sweeps", 50), True, 1),
-        damping=_number("damping", cfg.get("damping", 0.5)))
+def run_mfg(c, seed):
+    grid = c["grid"]
+    sol = nonstationary.mfg_solve(grid, tol=c["tol"], max_sweeps=c["max_sweeps"],
+                                  damping=c["damping"])
     print(json.dumps({"converged": bool(sol.converged),
                       "sweeps": len(sol.residuals),
                       "final_residual": float(sol.residuals[-1])}),
@@ -367,85 +326,65 @@ def run_mfg(cfg, seed, rep):
     return "k,x,J,P_df", rows, 0
 
 
-def run_lohe(cfg, seed, rep):
-    q = _number("q", cfg.get("q", 4), True, 1)
-    d = _number("d", cfg.get("d", 2), True, 1)
-    coupling = cfg.get("coupling", "aligning")
-    if coupling not in ("aligning", "printed"):
-        raise ValidationError(f"coupling: must be 'aligning' or 'printed', got {coupling!r:.60}")
+def run_lohe(c, seed):
+    q, d, steps, stride = c["q"], c["d"], c["steps"], c["stride"]
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     h = rng.normal(size=(q, d, d))
     hams = (h + h.transpose(0, 2, 1)) / 2
-    if _flag(cfg, "common_hamiltonian", True):
+    if c["common_hamiltonian"]:
         hams = np.broadcast_to(hams[0], (q, d, d)).copy()
-    sys_ = nonstationary.LoheSystem(
-        states=states, hamiltonians=hams, hbar=_positive("hbar", cfg.get("hbar", 1.0)),
-        alpha=_number("alpha", cfg.get("alpha", 1.0)), coupling=coupling)
-    dt = _positive("dt", cfg.get("dt", 1e-2))
-    steps = _number("steps", cfg.get("steps", 500), True, 1)
-    stride = _number("stride", cfg.get("stride", 10), True, 1)
-    kept = nonstationary.lohe_integrate(sys_, dt, steps)[::stride]
+    sys_ = nonstationary.LoheSystem(states=states, hamiltonians=hams, hbar=c["hbar"],
+                                    alpha=c["alpha"], coupling=c["coupling"])
+    kept = nonstationary.lohe_integrate(sys_, c["dt"], steps)[::stride]
     norms = np.linalg.norm(kept, axis=2)
     rows = zip(range(0, steps + 1, stride), nonstationary.sync_order(kept).tolist(),
                norms.min(axis=1).tolist(), norms.max(axis=1).tolist())
     return "step,sync_order,min_norm,max_norm", list(rows), 0
 
 
-def run_stackelberg(cfg, seed, rep):
-    if "laws" in cfg:
+def run_stackelberg(c, seed):
+    if c["laws"] is not None:
         inst = nonstationary.StackelbergInstance(
-            leader_laws=tuple(_floats("laws", l) for l in _list(cfg, "laws", None)),
-            payoffs=_floats("payoffs", cfg["payoffs"]),
-            leader_drift=None if cfg.get("drift") is None else _floats("drift", cfg["drift"]))
+            leader_laws=c["laws"], payoffs=c["payoffs"], leader_drift=c["drift"])
     else:
         rng = np.random.default_rng(seed)
-        n_f, n_u, n_laws = (_number(k, cfg.get(k, v), True, 1) for k, v in
-                            (("n_follower", 6), ("n_leader_state", 4), ("n_laws", 8)))
+        n_f, n_u, n_laws = c["n_follower"], c["n_leader_state"], c["n_laws"]
         laws = tuple(rng.dirichlet(np.ones(n_u), size=n_f) for _ in range(n_laws))
         inst = nonstationary.StackelbergInstance(
             leader_laws=laws, payoffs=rng.normal(size=(n_f, n_u)))
     rows = []
-    for stage in _list(cfg, "stages", [0]):
-        stage = _number("stages", stage, True)
+    for stage in c["stages"]:
         li, a, v = nonstationary.stackelberg_solve(inst, stage=stage)
         rows.append((stage, li, a, v))
     return "stage,leader_law,follower_action,value", rows, 0
 
 
-def run_nash(cfg, seed, rep):
-    if "weights" in cfg:
-        game = equilibrium.KCutGame(_floats("weights", cfg["weights"]),
-                                    _number("k", cfg["k"], True),
-                                    cfg.get("payoff_mode", "same_color"))
-    else:
+def run_nash(c, seed):
+    w = c["weights"]
+    if w is None:
         rng = np.random.default_rng(seed)
-        n = _number("n", cfg.get("n", 8), True, 1)
-        w = rng.uniform(0, 1, size=(n, n))
+        w = rng.uniform(0, 1, size=(c["n"], c["n"]))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        game = equilibrium.KCutGame(w, _number("k", cfg.get("k", 3), True))
-    init = equilibrium.StrategyProfile(tuple(
-        _number("init", c, True) for c in _list(cfg, "init", [0] * game.n)))
+    game = equilibrium.KCutGame(w, c["k"], c["payoff_mode"])
+    init = equilibrium.StrategyProfile((0,) * game.n if c["init"] is None else c["init"])
     res = equilibrium.best_response_dynamics(game, init)
     is_nash, worst = equilibrium.verify_nash(game, res.profile)
-    rows = [("|".join(str(c) for c in res.profile.colors), res.rounds,
+    rows = [("|".join(map(str, res.profile.colors)), res.rounds,
              int(res.converged), int(is_nash),
              equilibrium.potential(game, res.profile))]
     return "colors,rounds,converged,is_nash,potential", rows, 0
 
 
-def run_plant(cfg, seed, rep):
-    if "a1" in cfg:
-        missing = [k for k in ("a2", "a3", "a4") if k not in cfg]
-        if missing:
-            raise ValidationError(f"{missing[0]}: a plant given by matrices needs a1 to a4")
-        keys = [f.name for f in fields(plant.LinearPlant)]
-        p = plant.LinearPlant(**{k: _floats(k, cfg[k]) for k in keys if k in cfg})
+def run_plant(c, seed):
+    if c["a1"] is not None:
+        p = plant.LinearPlant(c["a1"], c["a2"], c["a3"], c["a4"],
+                              c["process_cov"], c["observation_cov"])
     else:
         rng = np.random.default_rng(seed)
-        n = _number("n", cfg.get("n", 4), True, 1)
+        n = c["n"]
         p = plant.LinearPlant(rng.normal(size=(n, n)) / n,
                               rng.normal(size=(n, 1)),
                               rng.normal(size=(1, n)),
@@ -458,24 +397,19 @@ def run_plant(cfg, seed, rep):
     return "n,ctrb_rank,controllable,obsv_rank,observable,spectral_radius,stable", rows, 0
 
 
-def run_divergence(cfg, seed, rep):
-    if "joint" in cfg:
-        model = dv.LatentModel(_floats("joint", cfg["joint"]),
-                               *(_number(f"theta{i}", cfg.get(f"theta{i}", 1.0))
-                                 for i in range(4)))
-    else:
-        rng = np.random.default_rng(seed)
-        model = dv.LatentModel(rng.dirichlet(np.ones(2 * 3 * 4 * 2)).reshape(2, 3, 4, 2))
+def run_divergence(c, seed):
+    joint = c["joint"]
+    if joint is None:
+        joint = np.random.default_rng(seed).dirichlet(np.ones(2 * 3 * 4 * 2)).reshape(2, 3, 4, 2)
+    model = dv.LatentModel(joint, *(c[f"theta{i}"] for i in range(4)))
     n_z = model.p_z().size
-    acc, inacc = (tuple(_number(key, z, True) for z in _list(cfg, key, default))
-                  for key, default in (("accessible", range(n_z - 1)),
-                                       ("inaccessible", [n_z - 1])))
-    g1 = _number("g1", cfg.get("g1", 0.0))
-    g2 = _number("g2", cfg.get("g2", np.log2(model.joint.shape[3])))
+    acc = tuple(range(n_z - 1)) if c["accessible"] is None else c["accessible"]
+    inacc = (n_z - 1,) if c["inaccessible"] is None else c["inaccessible"]
+    g2 = float(np.log2(model.joint.shape[3])) if c["g2"] is None else c["g2"]
     rep_d = dv.cmi_decomposition_report(model)
-    rows = [("per_z", z, c) for z, c in enumerate(rep_d.per_z)]
+    rows = [("per_z", z, v) for z, v in enumerate(rep_d.per_z)]
     rows.append(("total", "", rep_d.total))
-    res = dv.constrained_cmi_max(model, dv.AccessMask(acc, inacc), g1, g2)
+    res = dv.constrained_cmi_max(model, dv.AccessMask(acc, inacc), c["g1"], g2)
     rows.append(("equivocation", "", res.equivocation))
     rows.append(("feasible", "", int(res.feasible)))
     if res.feasible:
@@ -484,17 +418,79 @@ def run_divergence(cfg, seed, rep):
     return "metric,index,value", rows, 0
 
 
-RUNNERS = {
-    "convergence-cdf": run_convergence_cdf,
-    "mi-tradeoff": run_mi_tradeoff,
-    "secrecy-gap": run_secrecy_gap,
-    "mfg": run_mfg,
-    "lohe": run_lohe,
-    "stackelberg": run_stackelberg,
-    "nash": run_nash,
-    "plant": run_plant,
-    "divergence": run_divergence,
+def _default_mfg_payload():
+    n_x, x_min, x_max, s0 = 101, -3.0, 3.0, 0.5
+    xs = np.linspace(x_min, x_max, n_x)
+    dens = np.exp(-xs**2 / (2 * s0**2))
+    dens /= dens.sum() * (xs[1] - xs[0])
+    return {"x_min": x_min, "x_max": x_max, "n_x": n_x, "n_t": 100,
+            "dt": 0.01, "sigma": 0.1, "initial_density": list(dens)}
+
+
+# A config table maps each key, in the order keys are read, to (reader,
+# default) or (reader, default, a key whose presence makes this one required).
+_REQUIRED = object()   # the default of a key that a config must give
+_UNIT = functools.partial(_number, lo=0.0, hi=1.0)
+INSTANCE_KEYS = {
+    "joints": (_list(_floats), _REQUIRED), "gamma0": (_floats, _REQUIRED),
+    "gamma1": (_floats, _REQUIRED), "theta_levels": (_floats, _REQUIRED),
+    "symbol_values": (_list(_floats), _REQUIRED), "gamma2": (_number, _REQUIRED),
+    "gamma3": (_number, _REQUIRED), "virtual_alphabet": (_int(), _REQUIRED)}
+GRID_KEYS = {
+    "x_min": (_number, _REQUIRED), "x_max": (_number, _REQUIRED), "n_x": (_int(), _REQUIRED),
+    "n_t": (_int(), _REQUIRED), "dt": (_number, _REQUIRED), "sigma": (_number, _REQUIRED),
+    "initial_density": (_floats, _REQUIRED), "mu_weight": (_floats, None),
+    "terminal_value": (_floats, None), "running_cost": (_floats, None),
+    "p_bar": (_number, 0.0), "control_max": (_number, 1.0)}
+_read_instance = _object(INSTANCE_KEYS, lambda joints, **kw: mirror.MirrorGameInstance(
+    joints=tuple(map(JointPmf2, joints)), **kw))
+_INSTANCE = (_read_instance, mirror.reference_binary_instance().to_jsonable())
+
+SUBCOMMANDS = {
+    "mi-tradeoff": (run_mi_tradeoff, {
+        "instance": _INSTANCE, "b_magnitudes": (_list(_UNIT), [0.1, 0.5]),
+        "n_samples": (_int(1), 64), "grid_points": (_int(2), 6), "resolution": (_int(0), 16),
+        "theta": (_UNIT, 0.9)}),
+    "secrecy-gap": (run_secrecy_gap, {
+        "instance": _INSTANCE, "b_magnitudes": (_list(_UNIT), [0.6, 0.7]),
+        "n_samples": (_int(1), 64), "grid_points": (_int(2), 5), "resolution": (_int(0), 16)}),
+    "convergence-cdf": (run_convergence_cdf, {
+        "instance": _INSTANCE, "n_seeds": (_int(1), 40), "budget": (_int(1), 60),
+        "b_magnitude": (_UNIT, 0.5), "seeds": (_seeds, None),
+        "eps": (_list(_number), solvers.DEFAULT_EPS),  # ConstraintSet.build checks the floors
+        "mode": (_choice("two", "three"), "two")}),
+    "mfg": (run_mfg, {
+        "grid": (_object(GRID_KEYS, nonstationary.MfgGrid), _default_mfg_payload()),
+        "tol": (_positive, 1e-6), "max_sweeps": (_int(1), 50),
+        "damping": (functools.partial(_positive, hi=1.0), 0.5)}),
+    "lohe": (run_lohe, {
+        "q": (_int(1), 4), "d": (_int(1), 2),
+        "coupling": (_choice("aligning", "printed"), "aligning"),
+        "common_hamiltonian": (_choice(True, False), True), "hbar": (_positive, 1.0),
+        "alpha": (_number, 1.0), "dt": (_positive, 1e-2), "steps": (_int(1), 500),
+        "stride": (_int(1), 10)}),
+    "stackelberg": (run_stackelberg, {
+        "laws": (_list(_floats), None), "payoffs": (_floats, None, "laws"),
+        "drift": (_floats, None), "n_follower": (_int(1), 6), "n_leader_state": (_int(1), 4),
+        "n_laws": (_int(1), 8), "stages": (_list(_int()), [0])}),
+    "nash": (run_nash, {
+        "weights": (_floats, None), "n": (_int(1), 8), "k": (_int(), 3, "weights"),
+        "payoff_mode": (_choice("same_color", "cut"), "same_color"),
+        "init": (_list(_int()), None)}),
+    "plant": (run_plant, {
+        "a1": (_floats, None), "a2": (_floats, None, "a1"), "a3": (_floats, None, "a1"),
+        "a4": (_floats, None, "a1"), "process_cov": (_floats, None),
+        "observation_cov": (_floats, None), "n": (_int(1), 4)}),
+    "divergence": (run_divergence, {
+        "joint": (_floats, None), "theta0": (_number, 1.0), "theta1": (_number, 1.0),
+        "theta2": (_number, 1.0), "theta3": (_number, 1.0), "accessible": (_list(_int()), None),
+        "inaccessible": (_list(_int()), None), "g1": (_number, 0.0), "g2": (_number, None)}),
 }
+
+
+def _instance(cfg):
+    """The MirrorGameInstance of a config's `instance` key."""
+    return _read_instance("instance", cfg["instance"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,10 +509,11 @@ def _run(args) -> int:
     cfg = _load_config(args.config)
     if args.repetitions < 1:
         raise ValidationError("repetitions: must be >= 1")
-    runner = RUNNERS[args.subcommand]
+    runner, table = SUBCOMMANDS[args.subcommand]
+    values = _parse(table, cfg)
     all_rows, header, status = [], None, 0
     for rep in range(args.repetitions):
-        header, rows, code = runner(cfg, args.seed + rep, rep)
+        header, rows, code = runner(values, args.seed + rep)
         status = max(status, code)
         all_rows.extend((rep,) + tuple(r) for r in rows)
     _write(args.out, "rep," + header, all_rows)
@@ -534,8 +531,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             status = _run(args)
-        except (ValidationError, ConfigurationError, KeyError) as exc:
-            field = str(exc).split(":", 1)[0].strip("'\" ")
+        except (ValidationError, ConfigurationError) as exc:
+            field = str(exc).split(":", 1)[0]
             print(json.dumps({"error": type(exc).__name__, "field": field,
                               "message": str(exc)}), file=sys.stderr)
             return 3

@@ -80,10 +80,11 @@ class MirrorGameInstance:
                 raise ValidationError("MirrorGameInstance: S alphabet mismatch across Bobs")
             if np.max(np.abs(j.marginal_a().probs - s_ref)) > 1e-9:
                 raise ValidationError("MirrorGameInstance: S marginal differs across Bobs")
-        object.__setattr__(self, "gamma0", np.broadcast_to(
-            np.asarray(self.gamma0, dtype=float), (len(joints),)).copy())
-        object.__setattr__(self, "gamma1", np.broadcast_to(
-            np.asarray(self.gamma1, dtype=float), (len(joints),)).copy())
+        for name in ("gamma0", "gamma1"):
+            g = np.asarray(getattr(self, name), dtype=float)
+            if g.shape not in ((), (1,), (len(joints),)):
+                raise ValidationError(f"MirrorGameInstance: {name} needs 1 or q_count values")
+            object.__setattr__(self, name, np.broadcast_to(g, (len(joints),)).copy())
         if np.any(self.gamma0 < 0) or np.any(self.gamma1 < 0) or self.gamma2 < 0 or self.gamma3 < 0:
             raise ValidationError("MirrorGameInstance: thresholds must be non-negative")
         theta = self.theta_levels

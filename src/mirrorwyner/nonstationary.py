@@ -208,14 +208,16 @@ class StackelbergInstance:
         if not laws:
             raise ValidationError("StackelbergInstance: empty leader grid")
         shape = laws[0].shape
-        if self.payoffs.shape != shape:
-            raise ValidationError("StackelbergInstance: payoff table shape mismatch")
+        if len(shape) != 2 or self.payoffs.shape != shape:
+            raise ValidationError("StackelbergInstance: laws and payoffs need one 2-D shape")
         for l in laws:
             if l.shape != shape or np.any(l < 0) or \
                     np.max(np.abs(l.sum(axis=1) - 1.0)) > 1e-9:
                 raise ValidationError("StackelbergInstance: each law row must be a pmf")
         if shape[0] < 1:
             raise ValidationError("StackelbergInstance: empty follower grid")
+        if self.leader_drift is not None and np.shape(self.leader_drift) != shape:
+            raise ValidationError("StackelbergInstance: drift must have the law shape")
 
     def staged_laws(self, stage: int):
         if self.leader_drift is None or stage == 0:
@@ -292,6 +294,8 @@ class MfgGrid:
             raise ValidationError("MfgGrid: value/cost fields must have length n_x")
         if self.control_max < 0:
             raise ValidationError("MfgGrid: control_max must be >= 0")
+        if not all(np.isfinite(getattr(self, f.name)).all() for f in fields(self)):
+            raise ValidationError("MfgGrid: every field must be finite")
 
     @property
     def dx(self) -> float:
@@ -300,15 +304,6 @@ class MfgGrid:
     @property
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_x)
-
-    def to_jsonable(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: list(v) if isinstance(v, np.ndarray) else v for k, v in out.items()}
-
-    @classmethod
-    def from_jsonable(cls, data) -> "MfgGrid":
-        # __post_init__ turns the four field lists into float arrays
-        return cls(**data)
 
 
 @dataclass
@@ -414,6 +409,8 @@ def mfg_solve(grid: MfgGrid, tol: float = 1e-6, max_sweeps: int = 50,
     if cfl > 0.5:
         raise ConfigurationError(f"explicit scheme unstable: sigma^2*dt/dx^2 = {cfl:.3g} > 0.5")
     value, residuals = _backward_value(grid), []
+    if np.isnan(value).any():   # an overflow, e.g. inf - inf in a gradient
+        raise NumericError("mfg_solve: the value field overflowed to NaN", partial=residuals)
     drift = _drift(grid, np.tile(grid.terminal_value, (grid.n_t, 1)))
     target = _forward_density(grid, drift, residuals)
     density = np.tile(grid.initial_density, (grid.n_t, 1))

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 RANK_RTOL = 1e-10  # singular-value threshold, relative to sigma_max
 
@@ -89,6 +89,8 @@ def simulate(p: LinearPlant, x0, horizon: int, seed: int = 0) -> Trajectory:
 
 
 def _svd_rank(m: np.ndarray) -> int:
+    if not np.isfinite(m).all():
+        raise NumericError("rank test: the Krylov matrix overflowed")
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
@@ -121,4 +123,6 @@ def observability_rank(a1, a3):
 def closed_loop_spectral_radius(p: LinearPlant) -> float:
     """Spectral radius of A1 + A2 A4 A3; stable iff < 1."""
     closed = p.a1 + p.a2 @ p.a4 @ p.a3
+    if not np.isfinite(closed).all():
+        raise NumericError("closed_loop_spectral_radius: the closed-loop matrix overflowed")
     return float(np.max(np.abs(np.linalg.eigvals(closed))))

@@ -119,8 +119,9 @@ def test_03_convergence_cdf_dominance():
 
 def test_04_secrecy_gap_monotone():
     start = time.monotonic()
-    header, rows, rc = cli.run_secrecy_gap(
-        {"b_magnitudes": [0.6, 0.7], "grid_points": 5}, seed=0, rep=0)
+    runner, table = cli.SUBCOMMANDS["secrecy-gap"]
+    header, rows, rc = runner(
+        cli._parse(table, {"b_magnitudes": [0.6, 0.7], "grid_points": 5}), seed=0)
     by_mag = {}
     for row in rows:
         by_mag.setdefault(row[0], []).append(row[3])

@@ -63,6 +63,16 @@ class TestDeterminism:
         assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
 
 
+def courant_grid():
+    """An mfg grid whose drift, about 6.7e297, breaks the upwind sweep's
+    Courant bound; computing it overflows, so numpy warns on the way."""
+    xs = np.linspace(-3.0, 3.0, 21)
+    dens = np.exp(-xs ** 2 / 2)
+    return {"x_min": -3.0, "x_max": 3.0, "n_x": 21, "n_t": 3, "dt": 0.01, "sigma": 0.1,
+            "initial_density": list(dens / (dens.sum() * 0.3)),
+            "mu_weight": [1e300] * 3, "terminal_value": list(xs)}
+
+
 class TestExitCodes:
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -117,6 +127,23 @@ class TestExitCodes:
         ("lohe", {"steps": 0}, "steps"),
         ("lohe", {"hbar": 0}, "hbar"),
         ("lohe", {"coupling": "printd"}, "coupling"),
+        ("mfg", {"tol": 0}, "tol"),
+        ("mfg", {"damping": 2}, "damping"),
+        ("mfg", {"damping": 0}, "damping"),
+        ("nash", {"payoff_mode": "bogus"}, "payoff_mode"),
+        # a key the run would not use is checked all the same
+        ("divergence", {"theta0": "x"}, "theta0"),
+        ("stackelberg", {"laws": [[[1.0]]], "payoffs": [[1.0]], "n_laws": 0}, "n_laws"),
+        # a key that another key needs is required once that one is given
+        ("nash", {"weights": [[0, 1], [1, 0]]}, "k"),
+        ("stackelberg", {"laws": [[[0.5, 0.5]]]}, "payoffs"),
+        ("plant", {"a1": [[0.5]]}, "a2"),
+        ("stackelberg", {"laws": [[0.5, 0.5]], "payoffs": [1, 2]}, "StackelbergInstance"),
+        ("stackelberg", {"laws": [[[0.5, 0.5]]], "payoffs": [[1, 2]], "drift": [[1, 2, 3]],
+                         "stages": [1]}, "StackelbergInstance"),
+        ("stackelberg", {"laws": [[[0.5, 0.5]]], "payoffs": [[1, 2]], "drift": [[1, 2, 3]],
+                         "stages": [0]}, "StackelbergInstance"),
+        ("plant", {"a1": [[float("nan")]], "a2": [[1.0]], "a3": [[1.0]], "a4": [[1.0]]}, "a1"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -144,6 +171,12 @@ class TestExitCodes:
         ("secrecy-gap", {"instance": dict(REF_INSTANCE, symbol_values=[[0.0, 1.0]])},
          "MirrorGameInstance"),
         ("convergence-cdf", {"instance": dict(REF_INSTANCE, gamma_2=5)}, "instance: gamma_2"),
+        ("mi-tradeoff", {"instance": dict(REF_INSTANCE, gamma0=[])}, "MirrorGameInstance"),
+        ("mi-tradeoff", {"instance": dict(REF_INSTANCE, symbol_values=0)},
+         "instance: symbol_values"),
+        ("mfg", {"grid": dict(courant_grid(), bogus=1)}, "grid: bogus"),
+        ("mfg", {"grid": dict(courant_grid(), p_bar="x")}, "grid: p_bar"),
+        ("mfg", {"grid": {k: v for k, v in courant_grid().items() if k != "dt"}}, "grid: dt"),
     ])
     def test_bad_structured_field_names_key(self, tmp_path, capsys, cmd, cfg, key):
         # the report's field is the top-level key; its message names the nested one
@@ -155,6 +188,28 @@ class TestExitCodes:
         report = json.loads(err[0])
         assert (report["error"], report["field"]) == ("ValidationError", key.split(":")[0])
         assert report["message"].startswith(key + ":")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("cmd,cfg", [
+        ("convergence-cdf", {"n_seedz": 3, "n_seeds": 2, "budget": 2}),
+        ("mi-tradeoff", {"thetaa": 0.9}),
+        ("secrecy-gap", {"theta": 0.9}),
+        ("mfg", {"grid_": {}}),
+        ("lohe", {"steps": 3, "dts": 0.1}),
+        ("stackelberg", {"stage": [0]}),
+        ("nash", {"payoff": "cut"}),
+        ("plant", {"A1": [[0.5]]}),
+        ("divergence", {"gamma1": 0.0}),
+    ])
+    def test_unknown_key_names_itself(self, tmp_path, capsys, cmd, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        (key,) = set(cfg) - set(cli.SUBCOMMANDS[cmd][1])
+        assert json.loads(err[0]) == {"error": "ValidationError", "field": key,
+                                      "message": f"{key}: unknown key"}
         assert not (tmp_path / "o.csv").exists()
 
     def test_parser_is_reused_across_calls(self, tmp_path):
@@ -201,16 +256,6 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
         assert err["error"] == "ValidationError"
         assert err["field"] == "config"
-
-
-def courant_grid():
-    """An mfg grid whose drift, about 6.7e297, breaks the upwind sweep's
-    Courant bound; computing it overflows, so numpy warns on the way."""
-    xs = np.linspace(-3.0, 3.0, 21)
-    dens = np.exp(-xs ** 2 / 2)
-    return {"x_min": -3.0, "x_max": 3.0, "n_x": 21, "n_t": 3, "dt": 0.01, "sigma": 0.1,
-            "initial_density": list(dens / (dens.sum() * 0.3)),
-            "mu_weight": [1e300] * 3, "terminal_value": list(xs)}
 
 
 class TestWriter:
@@ -264,9 +309,18 @@ class TestFailureStderr:
     @pytest.mark.parametrize("cmd,cfg,code,error", [
         ("lohe", {"dt": 1e6}, 4, "NumericError"),
         ("mfg", {"grid": courant_grid()}, 3, "ConfigurationError"),
+        ("mfg", {"grid": dict(courant_grid(), terminal_value=[float("nan")] * 21)}, 3,
+         "ValidationError"),
+        ("mfg", {"grid": dict(courant_grid(), p_bar="x")}, 3, "ValidationError"),
+        # finite, but its gradient overflows to inf - inf; the value field is NaN
+        ("mfg", {"grid": dict(courant_grid(), terminal_value=[1e308, -1e308] * 10 + [0.0])},
+         4, "NumericError"),
+        # finite matrices whose closed loop overflows; numpy's eigvals once raised
+        ("plant", {"a1": [[0.5]], "a2": [[1e308]], "a3": [[1e308]], "a4": [[1.0]]}, 4,
+         "NumericError"),
     ])
     def test_one_json_line(self, tmp_path, cmd, cfg, code, error):
-        # both runs make numpy warn before they fail; the report stands alone
+        # numpy may warn before a run fails; the report stands alone
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         proc = subprocess.run([sys.executable, "-m", "mirrorwyner.cli", cmd,
@@ -278,11 +332,11 @@ class TestFailureStderr:
         assert json.loads(lines[0])["error"] == error
 
     def test_warnings_of_a_finished_run_are_kept(self, monkeypatch):
-        def runner(cfg, seed, rep):
+        def runner(values, seed):
             warnings.warn("kept", RuntimeWarning)
             return "a", [(1,)], 0
 
-        monkeypatch.setitem(cli.RUNNERS, "plant", runner)
+        monkeypatch.setitem(cli.SUBCOMMANDS, "plant", (runner, {}))
         with pytest.warns(RuntimeWarning, match="kept"):
             assert main(["plant", "--out", os.devnull]) == 0
 
@@ -327,6 +381,17 @@ def test_example_config_runs(tmp_path, name):
     rc, data = run_to_file(tmp_path, [cmd, "--config", os.path.join(CONFIGS, name)])
     assert rc == 0
     assert data.decode().split("\n", 1)[0] == HEADERS[cmd]
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_lists_every_config_key():
+    with open(README) as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    tables = [table for _, table in cli.SUBCOMMANDS.values()] + [cli.INSTANCE_KEYS,
+                                                                  cli.GRID_KEYS]
+    assert sorted({key for t in tables for key in t if f"`{key}`" not in section}) == []
 
 
 class TestModuleOracles:

@@ -240,6 +240,19 @@ class TestStackelberg:
             ns.StackelbergInstance(
                 leader_laws=(np.array([[0.5, 0.6]]),), payoffs=np.zeros((1, 2)))
 
+    def test_laws_must_be_tables(self):
+        # a 1-D law once reached the row sums and raised numpy's AxisError
+        with pytest.raises(ValidationError, match="2-D shape"):
+            ns.StackelbergInstance(leader_laws=(np.array([0.5, 0.5]),),
+                                   payoffs=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("drift", [[[1.0, 2.0, 3.0]], [0.1, 0.1], 0.1])
+    def test_drift_must_have_the_law_shape(self, drift):
+        # checked at construction, so stage 0, which skips the drift, fails too
+        with pytest.raises(ValidationError, match="drift"):
+            ns.StackelbergInstance(leader_laws=(np.array([[0.5, 0.5]]),),
+                                   payoffs=np.array([[1.0, 2.0]]), leader_drift=drift)
+
 
 class TestMfg:
     def test_heat_kernel(self):
@@ -282,11 +295,24 @@ class TestMfg:
             ns.MfgGrid(x_min=-3, x_max=3, n_x=11, n_t=5, dt=0.01, sigma=0.1,
                        initial_density=np.ones(11))
 
-    def test_json_round_trip(self):
-        grid = heat_grid(n_x=21, n_t=5)
-        back = ns.MfgGrid.from_jsonable(grid.to_jsonable())
-        np.testing.assert_allclose(back.initial_density, grid.initial_density)
-        assert back.n_x == grid.n_x and back.dt == grid.dt
+    def test_value_overflow_raises(self):
+        xs = np.linspace(-3, 3, 21)
+        grid = ns.MfgGrid(x_min=-3.0, x_max=3.0, n_x=21, n_t=5, dt=0.01, sigma=0.1,
+                          initial_density=gaussian_density(xs, 0.5),
+                          terminal_value=[1e308, -1e308] * 10 + [0.0])
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="NaN"):
+            ns.mfg_solve(grid)
+
+    @pytest.mark.parametrize("field,value", [
+        ("terminal_value", [np.nan] * 21), ("running_cost", [0.0] * 20 + [np.inf]),
+        ("mu_weight", [np.nan] * 5), ("p_bar", np.nan), ("control_max", np.inf),
+        ("x_min", -np.inf)])
+    def test_non_finite_field_rejected(self, field, value):
+        xs = np.linspace(-3, 3, 21)
+        kw = dict(x_min=-3.0, x_max=3.0, n_x=21, n_t=5, dt=0.01, sigma=0.1,
+                  initial_density=gaussian_density(xs, 0.5))
+        with pytest.raises(ValidationError, match="MfgGrid"):
+            ns.MfgGrid(**dict(kw, **{field: value}))
 
 
 def iterated_mfg(grid, tol=1e-6, max_sweeps=50, damping=0.5):

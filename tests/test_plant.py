@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorwyner import plant
-from mirrorwyner.errors import ValidationError
+from mirrorwyner.errors import NumericError, ValidationError
 from mirrorwyner.plant import LinearPlant
 
 
@@ -104,6 +104,20 @@ class TestSpectralRadius:
         p = LinearPlant(a1, np.array([[1.0]]), np.array([[1.0]]),
                         np.array([[-0.5]]))
         assert plant.closed_loop_spectral_radius(p) == pytest.approx(0.7, abs=1e-12)
+
+
+class TestOverflow:
+    """Finite matrices whose products overflow: the tests fail typed, not
+    with numpy's LinAlgError."""
+
+    def test_spectral_radius(self):
+        p = LinearPlant([[0.5]], [[1e308]], [[1e308]], [[1.0]])
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="closed-loop"):
+            plant.closed_loop_spectral_radius(p)
+
+    def test_rank(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="overflowed"):
+            plant.controllability_rank([[1e308, 0.0], [0.0, 1.0]], [[1e308], [1.0]])
 
 
 class TestSimulate:
