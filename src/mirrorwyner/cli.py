@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 
@@ -39,12 +40,14 @@ def _load_config(path):
 
 
 def _number(key, value, integral=False, lo=-np.inf, hi=np.inf):
-    """A config value as an int (integral=True) or a float in [lo, hi].
-    Anything else, bools and strings included, fails under its config key."""
+    """A config value as an int (integral=True) or a finite float in [lo, hi].
+    Anything else, bools, strings, NaN and infinities included, fails under
+    its config key."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)
             or not lo <= value <= hi
             or integral and isinstance(value, float) and not value.is_integer()):
-        kind = "an integer" if integral else "a number"
+        kind = "an integer" if integral else "a finite number"
         raise ValidationError(f"{key}: need {kind} in [{lo}, {hi}], got {value!r}")
     return int(value) if integral else float(value)
 
@@ -283,9 +286,9 @@ def run_secrecy_gap(c, seed):
     grid = _binary_mappings(c["resolution"])
     # `superposed_exposure` of the whole grid: at grid point k every Bob
     # takes the identity original and the virtual rows grid[k]
-    exposure = mirror._cross_mi(inst.p_s, inst.x_given_s(q),
+    exposure = mirror._cross_mi(inst._x_rows[q],
                                 [mirror._sum_channel(inst, p, ident.rows, grid)
-                                 for p in range(inst.q_count) if p != q])
+                                 for p in range(inst.q_count) if p != q], h_head=inst.h_x[q])
     gap = mirror._utility(p_x.probs, ident.rows) - exposure
     power = mirror._virtual_power(p_x.probs, grid, inst.symbol_values[q])
     # leakage chance under the identity original, per panel
@@ -326,8 +329,25 @@ def run_mfg(c, seed):
     return "k,x,J,P_df", rows, 0
 
 
+# Most cells a lohe run may hold in its Hamiltonians (q d^2) or its
+# trajectory ((steps + 1) q d); a config past it fails before allocating.
+LOHE_CELL_CAP = 2 ** 24
+
+
+def _cap_cells(what, factors):
+    """Fail under the key of the largest factor when the product of
+    `factors` (config key -> its factor) exceeds LOHE_CELL_CAP cells."""
+    cells = math.prod(factors.values())
+    if cells > LOHE_CELL_CAP:
+        key = max(factors, key=factors.get)
+        raise ValidationError(f"{key}: {what} would hold {cells} cells, above the cap "
+                              f"of {LOHE_CELL_CAP}")
+
+
 def run_lohe(c, seed):
     q, d, steps, stride = c["q"], c["d"], c["steps"], c["stride"]
+    _cap_cells("the Hamiltonians", {"q": q, "d": d * d})
+    _cap_cells("the trajectory", {"steps": steps + 1, "q": q, "d": d})
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -509,6 +529,8 @@ def _run(args) -> int:
     cfg = _load_config(args.config)
     if args.repetitions < 1:
         raise ValidationError("repetitions: must be >= 1")
+    if args.seed < 0:
+        raise ValidationError(f"seed: need an integer >= 0, got {args.seed}")
     runner, table = SUBCOMMANDS[args.subcommand]
     values = _parse(table, cfg)
     all_rows, header, status = [], None, 0

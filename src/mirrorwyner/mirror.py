@@ -11,6 +11,7 @@ factorization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -63,10 +64,13 @@ class MirrorGameInstance:
     symbol_values: tuple = None  # per-Bob embedding of the virtual alphabet
     virtual_alphabet: int = 2
     # Read-only arrays derived from the joints once, for the kernels: P(S),
-    # and per Bob P(X_q), P(X_q | S) and P(S | X_q).
+    # and per Bob P(X_q), H(X_q) in nats, P(X_q | S), P(S | X_q) and the
+    # exposure head rows [P(S, X_q), P(S)] of `_head_rows`.
     p_s: np.ndarray = field(init=False, repr=False, compare=False)
     p_x: tuple = field(init=False, repr=False, compare=False)
+    h_x: tuple = field(init=False, repr=False, compare=False)
     _x_given_s: tuple = field(init=False, repr=False, compare=False)
+    _x_rows: tuple = field(init=False, repr=False, compare=False)
     _s_given_x: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,10 +109,14 @@ class MirrorGameInstance:
         object.__setattr__(self, "symbol_values", vals)
         object.__setattr__(self, "p_s", _read_only(joints[0].table.sum(axis=1)))
         object.__setattr__(self, "p_x", tuple(_read_only(j.table.sum(axis=0)) for j in joints))
+        object.__setattr__(self, "h_x", tuple(
+            float(-p @ np.log(np.where(p > 0, p, 1.0))) for p in self.p_x))
         object.__setattr__(self, "_x_given_s",
                            tuple(_read_only(_conditional(j.table)) for j in joints))
         object.__setattr__(self, "_s_given_x",
                            tuple(_read_only(_conditional(j.table.T)) for j in joints))
+        object.__setattr__(self, "_x_rows", tuple(_read_only(_head_rows(self.p_s, x))
+                                                  for x in self._x_given_s))
 
     @property
     def q_count(self) -> int:
@@ -184,13 +192,12 @@ def _s_yo(p_sx: np.ndarray, o: np.ndarray) -> np.ndarray:
     return (p_sx[:, :, None] * o[..., None, :, :]).sum(axis=-2)
 
 
-def _channels(x_given_s: np.ndarray, o: np.ndarray, v: np.ndarray):
-    """One Bob's per-S channels P(. | S = s) from its original rows o
-    (..., X, Yo) and virtual rows v (..., X, Yv): the flattened (Yo, Yv)
-    block, Yo and Yv, each (..., |S|, n)."""
+def _pair_channel(x_given_s: np.ndarray, o: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One Bob's per-S channel P(Yo, Yv | S = s) from its original rows o
+    (..., X, Yo) and virtual rows v (..., X, Yv), with (Yo, Yv) flattened:
+    (..., |S|, |Yo| |Yv|)."""
     ov = o[..., :, :, None] * v[..., :, None, :]
-    ov = ov.reshape(ov.shape[:-2] + (-1,))                          # (..., X, Yo*Yv)
-    return x_given_s @ ov, x_given_s @ o, x_given_s @ v
+    return x_given_s @ ov.reshape(ov.shape[:-2] + (-1,))
 
 
 # Largest stacked exposure table the kernel builds, in cells of
@@ -203,6 +210,8 @@ EXPOSURE_CELL_CAP = 2 ** 24
 # fresh multi-MB temporary is mapped anew and faults in every page it touches.
 EXPOSURE_BLOCK_CELLS = 2 ** 17
 
+_LN2 = math.log(2.0)
+
 
 def _scratch(work: dict, key: str, shape) -> np.ndarray:
     """A `shape` view of work[key], which grows to the largest size asked for."""
@@ -213,49 +222,93 @@ def _scratch(work: dict, key: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _cross_mi(p_s: np.ndarray, head: np.ndarray, tails, work: dict = None) -> np.ndarray:
-    """I(H; T_1, ..., T_k) for variables conditionally independent given S,
-    from their per-S channels P(H | s) and P(T_j | s), each (..., |S|, n);
-    one value per broadcast leading index.
+def _head_rows(p_s: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The head of `_cross_mi` from a channel P(H | s) (..., |S|, |H|): the
+    rows P(s, h) for each h, then one more row equal to P(s), as
+    (..., |H| + 1, |S|)."""
+    rows = np.empty(head.shape[:-2] + (head.shape[-1] + 1, p_s.size))
+    np.multiply(np.swapaxes(head, -1, -2), p_s, out=rows[..., :-1, :])
+    rows[..., -1, :] = p_s
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _block_weights(n_h: int) -> np.ndarray:
+    """1 / ln 2 for each of the n_h joint row blocks of a `_cross_mi` table
+    and -1 / ln 2 for its P(t) block, as an (n_h + 1, 1) column: its block
+    sums in nats to bits."""
+    return _read_only(np.array([[1.0]] * n_h + [[-1.0]]) / _LN2)
+
+
+def _xlnx_blocks(table: np.ndarray, n_blocks: int, logs: np.ndarray = None) -> np.ndarray:
+    """Sum of x ln x (0 ln 0 = 0) over each of the n_blocks row blocks of
+    tables (..., n_blocks m, n), as (..., n_blocks): one log pass into `logs`
+    (a fresh array if None) and one batched row-dot. Zero cells are masked
+    only when the table's smallest cell is not positive."""
+    if table.size and table.min() > 0:
+        logs = np.log(table, out=logs)
+    else:
+        logs = np.empty_like(table) if logs is None else logs
+        logs.fill(0.0)
+        np.log(table, out=logs, where=table > 0)
+    lead = table.shape[:-2] + (n_blocks,)
+    return (table.reshape(lead + (1, -1)) @ logs.reshape(lead + (-1, 1)))[..., 0, 0]
+
+
+def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.ndarray:
+    """I(H; T_1, ..., T_k) in bits for variables conditionally independent
+    given S, from the head's `_head_rows` (..., |H| + 1, |S|) and the tails'
+    per-S channels P(T_j | s) (..., |S|, n_j); one value per broadcast
+    leading index. `h_head` is H(H) in nats if the caller has it; otherwise
+    it is computed from P(h) = sum_s P(s, h).
+
+    A tail with the most leading axes goes last: in slot rescoring, the one
+    tail with a candidate axis. The head's rows and the columns of every
+    other tail fold into `left`, ((|H| + 1) n_left, |S|), once per call. Then
+    `left @ last` is the joint table P(h, t) over all tails, and its extra
+    block of rows is P(t). So I = [sum P(h,t) ln P(h,t) - sum P(t) ln P(t)
+    + H(H)] / ln 2 takes one log pass and no pass for marginals.
 
     A stack of more than EXPOSURE_BLOCK_CELLS cells is computed in blocks of
-    candidates, with its largest arrays written into the scratch arrays of
-    `work` (a fresh dict if None), which a caller may keep across calls."""
-    lead = np.broadcast_shapes(*(c.shape[:-2] for c in (head, *tails)))
-    n_lead, n_s, n_h = math.prod(lead), p_s.size, head.shape[-1]
+    candidates, with the table and its logs written into the scratch arrays
+    of `work` (a fresh dict if None), which a caller may keep across calls."""
+    # at most one stacked operand needs no np.broadcast_shapes, which costs
+    # more than a whole Q=2 table
+    leads = [c.shape[:-2] for c in (rows, *tails)]
+    stacked = [d for d in leads if d]
+    lead = stacked[0] if len(stacked) == 1 else np.broadcast_shapes(*leads)
+    n_lead, n_h, n_s = math.prod(lead), rows.shape[-2] - 1, rows.shape[-1]
     n_cols = math.prod(t.shape[-1] for t in tails)
     per_table = max(n_s, n_h) * n_cols
     cells = n_lead * per_table
     if cells > EXPOSURE_CELL_CAP:
         raise ValidationError(f"exposure: a {cells}-cell table exceeds the cap of "
                               f"{EXPOSURE_CELL_CAP} cells")
-    weighted = np.swapaxes(p_s[:, None] * head, -1, -2)            # (..., |H|, |S|)
+    i_last = max(range(len(tails)), key=lambda j: (tails[j].ndim, j))
+    left, last = rows, tails[i_last]
+    for j, blk in enumerate(tails):
+        if j != i_last:
+            left = left[..., :, None, :] * np.swapaxes(blk, -1, -2)[..., None, :, :]
+            left = left.reshape(left.shape[:-3] + (-1, n_s))
     block = max(1, EXPOSURE_BLOCK_CELLS // per_table)
     if block >= n_lead:
-        acc = tails[0]
-        for blk in tails[1:]:
-            acc = acc[..., :, :, None] * blk[..., :, None, :]
-            acc = acc.reshape(acc.shape[:-2] + (-1,))
-        table = weighted @ acc
-        del acc   # free the product columns before `_mi` allocates its buffer
-        return prob._mi(table)
-    work = {} if work is None else work
-    flat = [np.broadcast_to(c, lead + c.shape[-2:]).reshape((n_lead,) + c.shape[-2:])
-            for c in (weighted, *tails)]
-    out = np.empty(n_lead)
-    for a in range(0, n_lead, block):
-        b = min(a + block, n_lead)
-        acc = flat[1][a:b]
-        for blk in flat[2:-1]:
-            acc = (acc[:, :, :, None] * blk[a:b, :, None, :]).reshape(b - a, n_s, -1)
-        if len(flat) > 2:   # the last product goes straight into a scratch array
-            last = flat[-1][a:b]
-            acc = np.multiply(acc[:, :, :, None], last[:, :, None, :], out=_scratch(
-                work, "tail", (b - a, n_s, acc.shape[-1], last.shape[-1])))
-            acc = acc.reshape(b - a, n_s, n_cols)
-        table = np.matmul(flat[0][a:b], acc, out=_scratch(work, "table", (b - a, n_h, n_cols)))
-        out[a:b] = prob._mi(table, terms=_scratch(work, "terms", table.shape))
-    return out.reshape(lead)
+        ent = _xlnx_blocks(left @ last, n_h + 1)
+    else:
+        work = {} if work is None else work
+        left, last = (np.broadcast_to(c, lead + c.shape[-2:]).reshape((n_lead,) + c.shape[-2:])
+                      for c in (left, last))
+        ent = np.empty((n_lead, n_h + 1))
+        for a in range(0, n_lead, block):
+            b = min(a + block, n_lead)
+            table = np.matmul(left[a:b], last[a:b], out=_scratch(
+                work, "table", (b - a, left.shape[-2], last.shape[-1])))
+            ent[a:b] = _xlnx_blocks(table, n_h + 1, _scratch(work, "logs", table.shape))
+        ent = ent.reshape(lead + (n_h + 1,))
+    if h_head is None:
+        h_head = -_xlnx_blocks(rows[..., :-1, :].sum(axis=-1)[..., None, :], 1)[..., 0]
+    # each candidate's block sums reduce as one row of their own, so a
+    # candidate gets the same bits stacked or alone
+    return (ent[..., None, :] @ _block_weights(n_h))[..., 0, 0] + h_head / _LN2
 
 
 # The conditions that read one slot of Bob c, by kind (0 for the original
@@ -277,21 +330,28 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
 
     `work` is passed on to `_cross_mi`, so a caller that evaluates many
     stacks (one greedy solve) keeps one set of scratch arrays for them all."""
-    p_s, x_given_s = inst.p_s, inst._x_given_s
-    chans = [_channels(x_given_s[q], orig[q], virt[q]) for q in range(inst.q_count)]
+    p_s, x_given_s, q_count = inst.p_s, inst._x_given_s, inst.q_count
     lead = np.broadcast_shapes(*(a.shape[:-2] for a in (*orig, *virt)))
     if slot is None:
-        reads = [range(7)] * inst.q_count
-        vals = np.zeros(lead + (inst.q_count, 7))
+        reads = [range(7)] * q_count
+        vals = np.zeros(lead + (q_count, 7))
     else:
         c, kind = slot
         own, other = _SLOT_READS[kind]
-        reads = [own if q == c else other for q in range(inst.q_count)]
+        reads = [own if q == c else other for q in range(q_count)]
         vals = np.empty(lead + base.shape)
         vals[...] = base
-    for q, (_, yo_given_s, _) in enumerate(chans):
+    # Bob p's (Yo, Yv) channel feeds the other Bobs' (iii), its Yv channel
+    # their (v) and (vi); only the channels some other Bob reads are built
+    pairs, twins = [None] * q_count, [None] * q_count
+    for p in range(q_count):
+        wanted = {i for q in range(q_count) if q != p for i in reads[q]}
+        if 2 in wanted:
+            pairs[p] = _pair_channel(x_given_s[p], orig[p], virt[p])
+        if 4 in wanted or 5 in wanted:
+            twins[p] = x_given_s[p] @ virt[p]
+    for q in range(q_count):
         todo = reads[q]
-        others = chans[:q] + chans[q + 1:]
         p_x = inst.p_x[q]
         o, v = orig[q], virt[q]
         if 0 in todo:   # (i) utility
@@ -299,13 +359,16 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
         if 1 in todo:   # (ii) leakage
             vals[..., q, 1] = prob._mi(_s_yo(inst.joints[q].table, o))
         if 2 in todo:   # (iii) exposure of X_q to everything the other Bobs receive
-            vals[..., q, 2] = _cross_mi(p_s, x_given_s[q], [ov for ov, _, _ in others], work)
+            vals[..., q, 2] = _cross_mi(inst._x_rows[q], pairs[:q] + pairs[q + 1:], work,
+                                        inst.h_x[q])
         if 3 in todo:   # (iv) virtual power
             vals[..., q, 3] = _virtual_power(p_x, v, inst.symbol_values[q])
         if 4 in todo:   # (v) other Bobs' twins vs this Bob's original message
-            vals[..., q, 4] = _cross_mi(p_s, yo_given_s, [yv for _, _, yv in others], work)
+            vals[..., q, 4] = _cross_mi(_head_rows(p_s, x_given_s[q] @ o),
+                                        twins[:q] + twins[q + 1:], work)
         if 5 in todo:   # (vi) other Bobs' twins vs this Bob's source
-            vals[..., q, 5] = _cross_mi(p_s, x_given_s[q], [yv for _, _, yv in others], work)
+            vals[..., q, 5] = _cross_mi(inst._x_rows[q], twins[:q] + twins[q + 1:], work,
+                                        inst.h_x[q])
         if 6 in todo:   # (vii) own twin vs own original message
             vals[..., q, 6] = prob._mi(np.einsum("x,...xo,...xv->...ov", p_x, o, v))
     return vals
@@ -567,7 +630,7 @@ def _sum_channel(inst: MirrorGameInstance, q: int, o: np.ndarray, v: np.ndarray)
     virtual rows v (..., X, Yv), with outputs embedded as real symbol values
     (index values for the original alphabet, symbol_values for the virtual),
     as an (..., |S|, n_sums) array over the sorted sum values."""
-    blk = _channels(inst.x_given_s(q), o, v)[0]                      # (..., S, Yo*Yv)
+    blk = _pair_channel(inst.x_given_s(q), o, v)                     # (..., S, Yo*Yv)
     sums = np.round(np.arange(o.shape[-1])[:, None] + inst.symbol_values[q][None, :], 9).ravel()
     values = np.unique(sums)
     chan = np.zeros(blk.shape[:-1] + (values.size,))
@@ -582,9 +645,9 @@ def superposed_exposure(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -
     physical-layer reading of the total signal. Here the virtual twin really
     can mask the original, so the value falls as virtual power grows."""
     _check_consistent(inst, asg)
-    return float(_cross_mi(inst.p_s, inst.x_given_s(q),
+    return float(_cross_mi(inst._x_rows[q],
                            [_sum_channel(inst, p, asg.original[p].rows, asg.virtual[p].rows)
-                            for p in range(inst.q_count) if p != q]))
+                            for p in range(inst.q_count) if p != q], h_head=inst.h_x[q]))
 
 
 def reference_binary_instance(q_count: int = 2, source_p: float = 0.5,

@@ -206,16 +206,14 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     return _kl_tables(p.probs, q.probs)
 
 
-def _mi(table: np.ndarray, terms: np.ndarray = None) -> np.ndarray:
+def _mi(table: np.ndarray) -> np.ndarray:
     """I(A;B) in bits of unchecked joint tables (..., |A|, |B|), one value
-    per leading index. `terms`, if given, is a scratch array of the table's
-    shape that receives the per-cell terms instead of a fresh one."""
+    per leading index."""
     # prod is zero only where the joint is zero, so support is always fine.
     # One buffer goes from the product of the marginals to the terms, since
     # fresh large temporaries cost more than the arithmetic; a zero cell keeps
     # its finite marginal product and adds 0 * prod = 0.
-    terms = np.multiply(table.sum(axis=-1)[..., :, None], table.sum(axis=-2)[..., None, :],
-                        out=terms)
+    terms = table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
     # a table with no zero (and no NaN) cell needs no mask: the same per-cell
     # operations, without building and reading one
     nz = True if table.size and table.min() > 0 else table > 0

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -144,6 +145,11 @@ class TestExitCodes:
         ("stackelberg", {"laws": [[[0.5, 0.5]]], "payoffs": [[1, 2]], "drift": [[1, 2, 3]],
                          "stages": [0]}, "StackelbergInstance"),
         ("plant", {"a1": [[float("nan")]], "a2": [[1.0]], "a3": [[1.0]], "a4": [[1.0]]}, "a1"),
+        # a number key takes only finite numbers (JSON `Infinity` and `-Infinity`)
+        ("mfg", {"tol": float("inf")}, "tol"),
+        ("mfg", {"tol": -float("inf")}, "tol"),
+        ("lohe", {"alpha": float("inf")}, "alpha"),
+        ("lohe", {"alpha": -float("inf")}, "alpha"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -211,6 +217,44 @@ class TestExitCodes:
         assert json.loads(err[0]) == {"error": "ValidationError", "field": key,
                                       "message": f"{key}: unknown key"}
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("cmd", list(cli.SUBCOMMANDS))
+    def test_negative_seed_exits_3(self, tmp_path, capsys, cmd):
+        out = tmp_path / "o.csv"
+        assert main([cmd, "--seed", "-1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert (report["error"], report["field"]) == ("ValidationError", "seed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg,field", [({"d": 16384}, "d"),
+                                           ({"steps": 6234786069185}, "steps"),
+                                           ({"q": 2 ** 23, "d": 2}, "q")])
+    def test_lohe_size_cap_allocates_nothing(self, tmp_path, capsys, cfg, field):
+        # d = 16384 would take 8 GiB of Hamiltonians and the steps 726 TiB of
+        # trajectory; each config fails under its largest factor's key first
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(cfg))
+        cli._parser()   # built once per process, outside the measurement
+        tracemalloc.start()
+        try:
+            rc = main(["lohe", "--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        report = json.loads(capsys.readouterr().err.strip())
+        assert report["field"] == field
+        assert "above the cap" in report["message"]
+        assert peak < 2 ** 20
+        assert not out.exists()
+
+    def test_lohe_size_cap_is_inclusive(self):
+        # a product at the cap passes; above it, the larger factor's key fails
+        assert cli._cap_cells("x", {"q": 2 ** 22, "d": 4}) is None
+        with pytest.raises(ValidationError, match="q: x would hold 16777220 cells"):
+            cli._cap_cells("x", {"q": 2 ** 22 + 1, "d": 4})
 
     def test_parser_is_reused_across_calls(self, tmp_path):
         # one parser serves every call; no flag of one call leaks into the next

@@ -256,20 +256,46 @@ class TestTrialValues:
         assert peak < 2**20
 
 
-def cross_mi_unblocked(p_s, head, tails):
-    """`mirror._cross_mi` as one straight-line stack, on fresh arrays and a
-    masked MI: the reference the blocked evaluation must match bit for bit."""
+def cross_mi_unblocked(p_s, head, tails, h_head=None):
+    """`mirror._cross_mi` as one straight-line stack on fresh arrays: the
+    reference the blocked evaluation must match bit for bit. The head's
+    P(S)-weighted rows and a P(S) row fold with every tail but the last one
+    with the most leading axes; `left @ last` is P(h, t) with P(t) as its
+    last row block; each block's sum of x ln x is one row-dot."""
+    n_s, n_h = p_s.size, head.shape[-1]
+    rows = np.concatenate([np.swapaxes(head, -1, -2) * p_s,
+                           np.broadcast_to(p_s, head.shape[:-2] + (1, n_s))], axis=-2)
+    i_last = max(range(len(tails)), key=lambda j: (tails[j].ndim, j))
+    left = rows
+    for j, blk in enumerate(tails):
+        if j != i_last:
+            left = left[..., :, None, :] * np.swapaxes(blk, -1, -2)[..., None, :, :]
+            left = left.reshape(left.shape[:-3] + (-1, n_s))
+    table = left @ tails[i_last]
+    logs = np.zeros_like(table)
+    np.log(table, out=logs, where=table > 0)
+    blocks = table.shape[:-2] + (n_h + 1,)
+    ent = (table.reshape(blocks + (1, -1)) @ logs.reshape(blocks + (-1, 1)))[..., 0, 0]
+    if h_head is None:
+        p_h = rows[..., :-1, :].sum(axis=-1)[..., None, :]
+        logs_h = np.log(np.where(p_h > 0, p_h, 1.0))
+        h_head = -(p_h[..., None, :] @ logs_h[..., :, None])[..., 0, 0, 0]
+    weights = np.array([[1.0]] * n_h + [[-1.0]]) / np.log(2.0)
+    return (ent[..., None, :] @ weights)[..., 0, 0] + h_head / np.log(2.0)
+
+
+def cross_mi_ratio(p_s, head, tails):
+    """I(H; T) in bits of the explicit joint table, built by plain products
+    of the tails and evaluated by the ratio form `prob._mi`."""
     acc = tails[0]
     for blk in tails[1:]:
         acc = acc[..., :, :, None] * blk[..., :, None, :]
         acc = acc.reshape(acc.shape[:-2] + (-1,))
-    table = np.swapaxes(p_s[:, None] * head, -1, -2) @ acc
-    nz = table > 0
-    terms = table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
-    np.divide(table, terms, out=terms, where=nz)
-    np.log2(terms, out=terms, where=nz)
-    terms *= table
-    return terms.sum(axis=(-2, -1))
+    return prob._mi(np.swapaxes(p_s[:, None] * head, -1, -2) @ acc)
+
+
+def cross_mi(p_s, head, tails, work=None, h_head=None):
+    return mirror._cross_mi(mirror._head_rows(p_s, head), tails, work, h_head)
 
 
 def bob_channels(inst, q, rng, lead=(), n_out=None, zeros=False):
@@ -281,49 +307,62 @@ def bob_channels(inst, q, rng, lead=(), n_out=None, zeros=False):
         o[..., 0] = 0.0
         o /= o.sum(axis=-1, keepdims=True)
     v = rng.dirichlet(np.ones(inst.virtual_alphabet), size=lead + (n_x,))
-    return mirror._channels(inst.x_given_s(q), o, v)
+    x_given_s = inst.x_given_s(q)
+    return mirror._pair_channel(x_given_s, o, v), x_given_s @ o, x_given_s @ v
+
+
+LEAD_PLACEMENTS = {"head": ((5,), (), ()), "tails": ((), (5,), ()), "both": ((5,), (), (5,)),
+                   "neither": ((), (), ()), "2d": ((3, 1), (1, 4), (4,)),
+                   "one_tail": ((), (5,))}
+
+
+def lead_placement(where):
+    """Condition (v) shapes on the q3_v3 instance: the head is Bob 0's Yo
+    channel, the tails the other Bobs' Yv channels, with leading axes placed
+    as LEAD_PLACEMENTS[where] says."""
+    inst = mirror.reference_binary_instance(q_count=3, virtual_alphabet=3)
+    rng = np.random.default_rng(3)
+    leads = LEAD_PLACEMENTS[where]
+    head = bob_channels(inst, 0, rng, leads[0])[1]
+    tails = [bob_channels(inst, q, rng, lead)[2] for q, lead in zip((1, 2), leads[1:])]
+    return inst.p_s, head, tails
+
+
+def wide_exposure(k, seed=0, zeros=False):
+    # condition (iii) of Bob 0 with Bob 1's original rows stacked k deep
+    inst = wide_instance(0)
+    rng = np.random.default_rng(seed)
+    tails = [bob_channels(inst, q, rng, (k,) if q == 1 else (), zeros=zeros)[0]
+             for q in (1, 2, 3)]
+    return inst.p_s, inst.x_given_s(0), tails
 
 
 class TestBlockedExposure:
     """`_cross_mi` over blocks of candidates, on scratch arrays, equals the
     straight-line stack exactly."""
 
-    def wide_exposure(self, k, seed=0):
-        # condition (iii) of Bob 0 with Bob 1's original rows stacked k deep
-        inst = wide_instance(0)
-        rng = np.random.default_rng(seed)
-        tails = [bob_channels(inst, q, rng, (k,) if q == 1 else ())[0] for q in (1, 2, 3)]
-        return inst.p_s, inst.x_given_s(0), tails
-
     @pytest.mark.parametrize("k,block", [(1, 1), (2, 1), (7, 1), (7, 3)])
     def test_wide_stack_matches_unblocked(self, monkeypatch, k, block):
         # one wide table is 5 x 15,625 cells, so a block holds one table and
         # k candidates span one block, two or seven; blocks of three tables
         # leave a partial last block
-        p_s, head, tails = self.wide_exposure(k)
+        p_s, head, tails = wide_exposure(k)
         if block > 1:
             monkeypatch.setattr(mirror, "EXPOSURE_BLOCK_CELLS", block * 5 * 15625)
         work = {}
-        got = mirror._cross_mi(p_s, head, tails, work)
+        got = cross_mi(p_s, head, tails, work)
         assert got.shape == (k,)
         assert np.array_equal(got, cross_mi_unblocked(p_s, head, tails))
         # a one-block stack runs straight through and leaves no scratch arrays
         assert bool(work) == (k > block)
 
-    @pytest.mark.parametrize("where", ["head", "tails", "both", "neither", "2d", "one_tail"])
+    @pytest.mark.parametrize("where", list(LEAD_PLACEMENTS))
     def test_lead_placement(self, monkeypatch, where):
-        # condition (v) shapes on the q3_v3 instance: head is Bob 0's Yo
-        # channel, the tails the other Bobs' Yv channels; a block of one table
-        inst = mirror.reference_binary_instance(q_count=3, virtual_alphabet=3)
-        rng = np.random.default_rng(3)
-        leads = {"head": ((5,), (), ()), "tails": ((), (5,), ()), "both": ((5,), (), (5,)),
-                 "neither": ((), (), ()), "2d": ((3, 1), (1, 4), (4,)),
-                 "one_tail": ((), (5,))}[where]
-        head = bob_channels(inst, 0, rng, leads[0])[1]
-        tails = [bob_channels(inst, q, rng, lead)[2] for q, lead in zip((1, 2), leads[1:])]
+        # a block of one table
+        p_s, head, tails = lead_placement(where)
         monkeypatch.setattr(mirror, "EXPOSURE_BLOCK_CELLS", 1)
-        got = mirror._cross_mi(inst.p_s, head, tails, {})
-        want = cross_mi_unblocked(inst.p_s, head, tails)
+        got = cross_mi(p_s, head, tails, {})
+        want = cross_mi_unblocked(p_s, head, tails)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -333,16 +372,16 @@ class TestBlockedExposure:
         tails = [bob_channels(inst, q, rng, (3,) if q == 2 else (), zeros=True)[0]
                  for q in (1, 2, 3)]
         head = inst.x_given_s(0)
-        mins, mi = [], prob._mi
+        mins, blocks = [], mirror._xlnx_blocks
 
-        def spy(table, terms=None):
+        def spy(table, n_blocks, logs=None):
             mins.append(float(table.min()))
-            return mi(table, terms)
+            return blocks(table, n_blocks, logs)
 
-        monkeypatch.setattr(prob, "_mi", spy)
-        got = mirror._cross_mi(inst.p_s, head, tails, {})
+        monkeypatch.setattr(mirror, "_xlnx_blocks", spy)
+        got = cross_mi(inst.p_s, head, tails, {}, inst.h_x[0])
         assert mins == [0.0] * 3
-        assert np.array_equal(got, cross_mi_unblocked(inst.p_s, head, tails))
+        assert np.array_equal(got, cross_mi_unblocked(inst.p_s, head, tails, inst.h_x[0]))
 
     def test_work_stays_within_three_blocks(self):
         # every stacked trial of a wide solve, one work dict for them all
@@ -361,19 +400,67 @@ class TestBlockedExposure:
                     mirror._kernel(inst, *trial, base=base, slot=(q, kind), work=work),
                     mirror._kernel(inst, *trial, base=base, slot=(q, kind)))
         one_table = 5 * 25 ** 3
-        assert sorted(work) == ["table", "tail", "terms"]
+        assert sorted(work) == ["logs", "table"]
         assert sum(buf.size for buf in work.values()) <= 3 * max(
             mirror.EXPOSURE_BLOCK_CELLS, one_table)
 
     def test_cap_counts_the_whole_stack(self):
         # each wide table is far below the cap, the stack of 215 is above it
-        p_s, head, tails = self.wide_exposure(215)
+        p_s, head, tails = wide_exposure(215)
         cells = 215 * 5 * 15625
         assert 5 * 15625 < mirror.EXPOSURE_CELL_CAP < cells
         work = {}
         with pytest.raises(ValidationError, match=f"a {cells}-cell table exceeds the cap"):
-            mirror._cross_mi(p_s, head, tails, work)
+            cross_mi(p_s, head, tails, work)
         assert not work
+
+
+class TestFactoredExposure:
+    """The factored evaluation of `_cross_mi` against the ratio form of the
+    same MI on the explicit joint table."""
+
+    @pytest.mark.parametrize("case", ["wide_stack", "wide_zero_cells", "q2", "q2_stacked_head",
+                                      *(f"lead_{w}" for w in LEAD_PLACEMENTS)])
+    def test_matches_ratio_form(self, monkeypatch, case):
+        if case.startswith("wide"):
+            # blocked: each of the 4 candidates is a table of its own
+            p_s, head, tails = wide_exposure(4, seed=5, zeros=case == "wide_zero_cells")
+        elif case.startswith("q2"):
+            inst = mirror.reference_binary_instance()
+            rng = np.random.default_rng(6)
+            head = (inst.x_given_s(0) if case == "q2"
+                    else bob_channels(inst, 0, rng, (8,))[1])
+            p_s, tails = inst.p_s, [bob_channels(inst, 1, rng, (8,))[0]]
+        else:
+            p_s, head, tails = lead_placement(case[len("lead_"):])
+            monkeypatch.setattr(mirror, "EXPOSURE_BLOCK_CELLS", 1)
+        got = cross_mi(p_s, head, tails, {})
+        want = cross_mi_ratio(p_s, head, tails)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_instance_entropy_matches_computed_head(self):
+        # the hoisted H(X_q) gives the value the head's own P(h) gives
+        p_s, head, tails = wide_exposure(3, seed=8)
+        inst = wide_instance(0)
+        np.testing.assert_allclose(cross_mi(p_s, head, tails, {}, inst.h_x[0]),
+                                   cross_mi(p_s, head, tails, {}), rtol=0, atol=1e-14)
+
+    def test_warm_blocked_call_allocates_no_table(self):
+        p_s, head, tails = wide_exposure(6)
+        inst = wide_instance(0)
+        rows, work = inst._x_rows[0], {}
+        want = mirror._cross_mi(rows, tails, work, inst.h_x[0])
+        assert sorted(work) == ["logs", "table"]
+        tracemalloc.start()
+        try:
+            got = mirror._cross_mi(rows, tails, work, inst.h_x[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        # one wide table is (|X| + 1) x 15,625 cells of 8 bytes
+        assert peak < 5 * 15625 * 8 / 2
 
 
 class TestUncertainty:

@@ -288,6 +288,23 @@ class TestGreedy:
             for got, want in zip((asg.original, asg.virtual), rows):
                 assert all(np.array_equal(m.rows, r) for m, r in zip(got, want))
 
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_wide_search_path_within_rounding(self, relaxed):
+        # At Q >= 3 a stacked exposure call folds the candidate's tail last,
+        # an unstacked one the last Bob's, so values may differ in the last
+        # bits; the search makes the same decisions
+        inst = wide_instance(3)
+        for seed in range(2, 6):
+            asg, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=relaxed,
+                                              budget=2, seed=seed)
+            passes, converged, rows = full_kernel_greedy(inst, relaxed, 2, seed)
+            assert [it.accepted for it in trace.iterates] == [p[2] for p in passes]
+            np.testing.assert_allclose([(it.objective, it.merit) for it in trace.iterates],
+                                       [p[:2] for p in passes], rtol=0, atol=1e-12)
+            assert trace.converged == converged
+            for got, want in zip((asg.original, asg.virtual), rows):
+                assert all(np.array_equal(m.rows, r) for m, r in zip(got, want))
+
     @pytest.mark.parametrize("q_count,budget", [(2, 1), (2, 20), (3, 8)])
     def test_mappings_validated_only_at_the_edges(self, monkeypatch, q_count, budget):
         # 2Q in random_assignment and 2Q at return, whatever the budget
