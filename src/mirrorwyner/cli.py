@@ -400,8 +400,7 @@ def run_nash(c, seed):
 
 def run_plant(c, seed):
     if c["a1"] is not None:
-        p = plant.LinearPlant(c["a1"], c["a2"], c["a3"], c["a4"],
-                              c["process_cov"], c["observation_cov"])
+        p = plant.LinearPlant(c["a1"], c["a2"], c["a3"], c["a4"])
     else:
         rng = np.random.default_rng(seed)
         n = c["n"]
@@ -421,7 +420,7 @@ def run_divergence(c, seed):
     joint = c["joint"]
     if joint is None:
         joint = np.random.default_rng(seed).dirichlet(np.ones(2 * 3 * 4 * 2)).reshape(2, 3, 4, 2)
-    model = dv.LatentModel(joint, *(c[f"theta{i}"] for i in range(4)))
+    model = dv.LatentModel(joint)
     n_z = model.p_z().size
     acc = tuple(range(n_z - 1)) if c["accessible"] is None else c["accessible"]
     inacc = (n_z - 1,) if c["inaccessible"] is None else c["inaccessible"]
@@ -494,23 +493,16 @@ SUBCOMMANDS = {
         "drift": (_floats, None), "n_follower": (_int(1), 6), "n_leader_state": (_int(1), 4),
         "n_laws": (_int(1), 8), "stages": (_list(_int()), [0])}),
     "nash": (run_nash, {
-        "weights": (_floats, None), "n": (_int(1), 8), "k": (_int(), 3, "weights"),
+        "weights": (_floats, None), "n": (_int(1), 8), "k": (_int(2), 3, "weights"),
         "payoff_mode": (_choice("same_color", "cut"), "same_color"),
         "init": (_list(_int()), None)}),
     "plant": (run_plant, {
         "a1": (_floats, None), "a2": (_floats, None, "a1"), "a3": (_floats, None, "a1"),
-        "a4": (_floats, None, "a1"), "process_cov": (_floats, None),
-        "observation_cov": (_floats, None), "n": (_int(1), 4)}),
+        "a4": (_floats, None, "a1"), "n": (_int(1), 4)}),
     "divergence": (run_divergence, {
-        "joint": (_floats, None), "theta0": (_number, 1.0), "theta1": (_number, 1.0),
-        "theta2": (_number, 1.0), "theta3": (_number, 1.0), "accessible": (_list(_int()), None),
+        "joint": (_floats, None), "accessible": (_list(_int()), None),
         "inaccessible": (_list(_int()), None), "g1": (_number, 0.0), "g2": (_number, None)}),
 }
-
-
-def _instance(cfg):
-    """The MirrorGameInstance of a config's `instance` key."""
-    return _read_instance("instance", cfg["instance"])
 
 
 def build_parser() -> argparse.ArgumentParser:

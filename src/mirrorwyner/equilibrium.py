@@ -1,15 +1,13 @@
-"""Coalition coloring game: same-color payoffs, best-response dynamics,
-exhaustive Nash verification, and the annular weight-band probability."""
+"""Coalition coloring game: same-color payoffs, best-response dynamics and
+exhaustive Nash verification."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .mirror import UncertaintyModel
 
 
 @dataclass(frozen=True)
@@ -58,20 +56,6 @@ class StrategyProfile:
 
     def with_color(self, i: int, c: int) -> "StrategyProfile":
         return StrategyProfile(self.colors[:i] + (c,) + self.colors[i + 1:])
-
-
-@dataclass(frozen=True)
-class TorusBand:
-    rho1: float
-    rho2: float
-    phi1: float
-    phi2: float
-
-    def __post_init__(self):
-        if not 0 < self.rho1 < self.rho2:
-            raise ValidationError("TorusBand: need 0 < rho1 < rho2")
-        if self.phi1 > self.phi2:
-            raise ValidationError("TorusBand: need phi1 <= phi2")
 
 
 def payoff(g: KCutGame, p: StrategyProfile, i: int) -> float:
@@ -147,29 +131,3 @@ def potential(g: KCutGame, p: StrategyProfile) -> float:
     sym = (g.weights + g.weights.T) / 2
     return float(sym[same].sum() / 2)
 
-
-def torus_band_check(g: KCutGame, p: StrategyProfile, band: TorusBand,
-                     u: UncertaintyModel, n_samples: int) -> float:
-    """Fraction of active (same-color, perturbed) weight magnitudes landing
-    inside [phi1, phi2]. Deterministic when the uncertainty magnitude is 0."""
-    p.check(g)
-    if n_samples < 1:
-        raise ValidationError("torus_band_check: need n_samples >= 1")
-    colors = np.asarray(p.colors)
-    active = colors[:, None] == colors[None, :]
-    np.fill_diagonal(active, False)
-    if not np.any(active):
-        return 0.0
-    w_active = g.weights[active]
-    noise = np.random.default_rng(u.seed).uniform(-1, 1, (n_samples,) + w_active.shape)
-    mags = np.abs(w_active * (1.0 + u.magnitude * noise))
-    return float(np.mean((mags >= band.phi1) & (mags <= band.phi2)))
-
-
-def mi_gap_weights(values: np.ndarray) -> np.ndarray:
-    """Convention for deriving game weights from per-player rate values:
-    w[i, j] = |value_i - value_j| with zero diagonal."""
-    values = np.asarray(values, dtype=float)
-    w = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(w, 0.0)
-    return w

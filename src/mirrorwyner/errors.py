@@ -5,10 +5,6 @@ class ValidationError(ValueError):
     """Input violates a structural precondition (shapes, sums, ranges)."""
 
 
-class InfiniteDivergenceError(ArithmeticError):
-    """KL divergence is +inf: p puts mass where q has none."""
-
-
 class NumericUnderflowError(ArithmeticError):
     """All Boltzmann weights underflowed to zero (omega too large)."""
 

@@ -134,9 +134,6 @@ class MirrorGameInstance:
         zero-mass s are uniform)."""
         return self._x_given_s[q]
 
-    def s_given_x(self, q: int) -> PrivacyMapping:
-        return PrivacyMapping(self._s_given_x[q])
-
     def to_jsonable(self):
         return {
             "joints": [j.to_jsonable() for j in self.joints],
@@ -517,22 +514,6 @@ class ChanceConstrainedProblem:
     def constraint_holds(self, vals: np.ndarray, q: int, i: int) -> bool:
         """Deterministic part of constraint i for Bob q on precomputed values."""
         return bool(self.constraints.holds(vals[q, i], q, i))
-
-    def achievable_theta(self, asg: TwinAssignment, n_samples: int = 200,
-                         seed: int = None) -> np.ndarray:
-        """Estimated Pr{constraint holds} per (Bob, condition), shape (Q, 7).
-
-        Index 2 here is the chance form of the objective, Pr{exposure <= gamma3}.
-        """
-        inst = self.instance
-        vals = condition_values(inst, asg)
-        theta = self.constraints.holds(vals).astype(float)
-        rng = np.random.default_rng(self.uncertainty.seed if seed is None else seed)
-        if self.uncertainty.magnitude > 0:
-            for q in range(inst.q_count):
-                leaks = sample_leakage(inst, asg, q, self.uncertainty.magnitude, rng, n_samples)
-                theta[q, 1] = np.mean(self.constraints.holds(leaks, q, 1))
-        return theta
 
 
 def chance_relax(p1: OptimizationProblem, u: UncertaintyModel) -> ChanceConstrainedProblem:

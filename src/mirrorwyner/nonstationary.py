@@ -1,7 +1,6 @@
-"""Non-stationarity suite: random-walk control means, orthonormal control
-decomposition, coupled oscillator synchronization, the bilevel
-leader-follower game, the coupled value/density field solver, and the
-mean-value / clustering reductions it leans on.
+"""Non-stationarity suite: coupled oscillator synchronization, the bilevel
+leader-follower game, and the coupled value/density field solver with the
+mean-value reduction it leans on.
 """
 
 from __future__ import annotations
@@ -14,67 +13,7 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateIntegralError, NumericError,
                      ValidationError)
 
-ORTHO_TOL = 1e-10
 STATE_NORM_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# Random-walk mean paths and control decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NonstationaryInput:
-    """mu(k+1) = mu(k) + xi(k), xi zero-mean i.i.d. with the given scale."""
-
-    mu0: float
-    scale: float
-    horizon: int
-    law: str = "gaussian"
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError("NonstationaryInput: horizon must be >= 1")
-        if self.scale < 0:
-            raise ValidationError("NonstationaryInput: scale must be >= 0")
-        if self.law not in ("gaussian", "uniform"):
-            raise ValidationError("NonstationaryInput: unknown step law")
-
-
-def random_walk_mean(inp: NonstationaryInput, seed: int = 0) -> np.ndarray:
-    """One realization of the mean path, length horizon + 1."""
-    rng = np.random.default_rng(seed)
-    if inp.law == "gaussian":
-        steps = inp.scale * rng.standard_normal(inp.horizon)
-    else:
-        steps = inp.scale * rng.uniform(-np.sqrt(3), np.sqrt(3), inp.horizon)
-    return np.concatenate([[inp.mu0], inp.mu0 + np.cumsum(steps)])
-
-
-@dataclass(frozen=True)
-class ControlBasis:
-    """Three orthonormal directions for the initial-state, reconstruction and
-    mapping components of a control vector."""
-
-    basis: np.ndarray  # (3, dim)
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
-        b = self.basis
-        if b.ndim != 2 or b.shape[0] != 3 or b.shape[1] < 3:
-            raise ValidationError("ControlBasis: need 3 vectors of dim >= 3")
-        gram = b @ b.T
-        if np.max(np.abs(gram - np.eye(3))) > ORTHO_TOL:
-            raise ValidationError("ControlBasis: vectors must be orthonormal")
-
-
-def decompose_control(u_vector, basis: ControlBasis):
-    """Coefficients along the three basis directions plus the residual norm."""
-    u = np.asarray(u_vector, dtype=float)
-    if u.shape != (basis.basis.shape[1],):
-        raise ValidationError("decompose_control: dimension mismatch")
-    coeffs = basis.basis @ u
-    residual = u - basis.basis.T @ coeffs
-    return coeffs, float(np.linalg.norm(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -427,121 +366,3 @@ def mfg_solve(grid: MfgGrid, tol: float = 1e-6, max_sweeps: int = 50,
     return MfgSolution(value=value, density=density, residuals=residuals,
                        converged=residuals[-1] < tol, drift=drift)
 
-
-# ---------------------------------------------------------------------------
-# Cluster-based path smoothing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClusterResult:
-    gamma: np.ndarray     # (K, V) memberships, rows on the simplex
-    smoothed: np.ndarray  # (K,) smoothed path
-    levels: np.ndarray    # (V,) cluster levels
-    objective: float
-
-
-def _cluster_objective(smoothed, observed, data_weight):
-    rough = float(np.sum(np.diff(smoothed) ** 2))
-    fit = float(np.sum((smoothed - observed) ** 2))
-    return rough + data_weight * fit
-
-
-def fuzzy_cluster_relax(path, v_clusters: int, mode: str = "deterministic",
-                        data_weight: float = 1.0, max_iter: int = 60) -> ClusterResult:
-    """Cluster the path into V levels minimizing the membership-weighted
-    squared-increment objective plus a data-fidelity term.
-
-    data_weight = 0 reproduces the degenerate unregularized problem, whose
-    optimum is a constant path with objective 0. Deterministic mode restricts
-    memberships to {0,1} (solved by dynamic programming over assignments with
-    alternating level refits); fuzzy mode uses quadratic-fuzzifier
-    memberships. Membership rows satisfy the simplex constraints exactly.
-    """
-    x = np.asarray(path, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValidationError("fuzzy_cluster_relax: path must be 1-D")
-    if v_clusters < 1:
-        raise ValidationError("fuzzy_cluster_relax: need V >= 1")
-    if data_weight < 0:
-        raise ValidationError("fuzzy_cluster_relax: data_weight must be >= 0")
-    if mode not in ("deterministic", "fuzzy"):
-        raise ValidationError("fuzzy_cluster_relax: unknown mode")
-    n, V = x.size, v_clusters
-
-    if data_weight == 0.0 or V == 1 or np.ptp(x) == 0.0:
-        level = float(np.mean(x)) if data_weight == 0.0 or V == 1 else float(x[0])
-        gamma = np.zeros((n, V))
-        gamma[:, 0] = 1.0
-        smoothed = np.full(n, level)
-        levels = np.full(V, level)
-        if np.ptp(x) == 0.0 and data_weight > 0:
-            smoothed = x.copy()
-            levels = np.full(V, x[0])
-        return ClusterResult(gamma, smoothed,
-                             levels, _cluster_objective(smoothed, x, data_weight))
-
-    def refit(assign):
-        """Exact quadratic refit of the level vector for a fixed assignment."""
-        A = np.zeros((V, V))
-        b = np.zeros(V)
-        for k in range(n):
-            A[assign[k], assign[k]] += data_weight
-            b[assign[k]] += data_weight * x[k]
-        for k in range(n - 1):
-            a_, b_ = assign[k], assign[k + 1]
-            if a_ != b_:
-                A[a_, a_] += 1.0
-                A[b_, b_] += 1.0
-                A[a_, b_] -= 1.0
-                A[b_, a_] -= 1.0
-        used = np.diag(A) > 0
-        out = np.zeros(V)
-        if np.any(used):
-            out[used] = np.linalg.solve(
-                A[np.ix_(used, used)] + 1e-12 * np.eye(int(used.sum())), b[used])
-        return out
-
-    def descend(levels):
-        assign = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
-            # exact assignment for fixed levels via DP over the chain
-            cost = data_weight * (x[:, None] - levels[None, :]) ** 2  # (n, V)
-            dp = cost[0].copy()
-            back = np.zeros((n, V), dtype=int)
-            for k in range(1, n):
-                trans = dp[:, None] + (levels[:, None] - levels[None, :]) ** 2
-                back[k] = np.argmin(trans, axis=0)
-                dp = trans[back[k], np.arange(V)] + cost[k]
-            new_assign = np.zeros(n, dtype=int)
-            new_assign[-1] = int(np.argmin(dp))
-            for k in range(n - 1, 0, -1):
-                new_assign[k - 1] = back[k, new_assign[k]]
-            new_levels = refit(new_assign)
-            if np.array_equal(new_assign, assign) and np.allclose(new_levels, levels):
-                break
-            assign, levels = new_assign, new_levels
-        return assign, levels, _cluster_objective(levels[assign], x, data_weight)
-
-    # alternation is init-sensitive, so run a deterministic multi-start:
-    # the quantile spread plus seeded picks of V data values as levels
-    starts = [np.quantile(x, np.linspace(0, 1, V))]
-    rng = np.random.default_rng(0)
-    for _ in range(min(16, max(4, n))):
-        starts.append(rng.choice(x, size=V, replace=n < V))
-    assign, levels, best_obj = None, None, np.inf
-    for init in starts:
-        a_t, l_t, obj_t = descend(np.asarray(init, dtype=float))
-        if obj_t < best_obj - 1e-15:
-            assign, levels, best_obj = a_t, l_t, obj_t
-
-    if mode == "deterministic":
-        gamma = np.zeros((n, V))
-        gamma[np.arange(n), assign] = 1.0
-        smoothed = levels[assign]
-    else:
-        d2 = (x[:, None] - levels[None, :]) ** 2 + 1e-12
-        inv = 1.0 / d2
-        gamma = inv / inv.sum(axis=1, keepdims=True)
-        smoothed = gamma @ levels
-    return ClusterResult(gamma, smoothed, levels,
-                         _cluster_objective(smoothed, x, data_weight))

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteDivergenceError, ValidationError
+from .errors import ValidationError
 
 SUM_TOL = 1e-12
 
@@ -59,10 +59,6 @@ class Pmf:
         return self.probs.size
 
     @classmethod
-    def uniform(cls, n: int) -> "Pmf":
-        return cls(np.full(n, 1.0 / n))
-
-    @classmethod
     def bernoulli(cls, p: float) -> "Pmf":
         return cls(np.array([1.0 - p, p]))
 
@@ -89,15 +85,8 @@ class JointPmf2:
     def marginal_b(self) -> Pmf:
         return Pmf(self.table.sum(axis=0))
 
-    def swapped(self) -> "JointPmf2":
-        return JointPmf2(self.table.T)
-
     def to_jsonable(self):
         return [list(row) for row in self.table]
-
-    @classmethod
-    def product(cls, pa: Pmf, pb: Pmf) -> "JointPmf2":
-        return cls(np.outer(pa.probs, pb.probs))
 
 
 @dataclass(frozen=True)
@@ -115,9 +104,6 @@ class JointPmf3:
     @property
     def shape(self):
         return self.table.shape
-
-    def margin_ab(self) -> JointPmf2:
-        return JointPmf2(self.table.sum(axis=2))
 
     def margin_ac(self) -> JointPmf2:
         return JointPmf2(self.table.sum(axis=1))
@@ -147,12 +133,6 @@ class PrivacyMapping:
     def output_size(self) -> int:
         return self.rows.shape[1]
 
-    def push(self, p_in: Pmf) -> Pmf:
-        """Output marginal of p_in through the channel."""
-        if p_in.alphabet_size != self.input_size:
-            raise ValidationError("push: input alphabet mismatch")
-        return Pmf(p_in.probs @ self.rows)
-
     @classmethod
     def identity(cls, n: int) -> "PrivacyMapping":
         return cls(np.eye(n))
@@ -173,37 +153,14 @@ def entropy(p: Pmf) -> float:
     return float(-_plogp(p.probs).sum())
 
 
-def _kl_tables(p: np.ndarray, q: np.ndarray) -> float:
-    if p.shape != q.shape:
-        raise ValidationError("kl_divergence: shape mismatch")
-    mass_on_zero = (p > 0) & (q == 0)
-    if np.any(mass_on_zero):
-        raise InfiniteDivergenceError("kl_divergence: p has mass where q has none")
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log2(p[nz] / q[nz])))
-
-
-def kl_or_inf(p: np.ndarray, q: np.ndarray) -> float:
-    """D(p || q) in bits on raw arrays; +inf on a support violation."""
-    try:
-        return _kl_tables(p, q)
-    except InfiniteDivergenceError:
-        return np.inf
-
-
 def _kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(p[i] || q[j]) in bits for every row of p (m, n) against every row of
-    q (k, n), as an (m, k) matrix; +inf on a support violation, as `kl_or_inf`."""
+    q (k, n), as an (m, k) matrix; +inf on a support violation."""
     p, q = p[:, None, :], q[None, :, :]
     # a cell with p > 0 = q gives p * log2(inf) = +inf, and so an infinite sum
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log2(p / q), 0.0)
     return terms.sum(axis=-1)
-
-
-def kl_divergence(p: Pmf, q: Pmf) -> float:
-    """D(p || q) in bits; raises InfiniteDivergenceError on support violation."""
-    return _kl_tables(p.probs, q.probs)
 
 
 def _mi(table: np.ndarray) -> np.ndarray:
@@ -226,25 +183,6 @@ def _mi(table: np.ndarray) -> np.ndarray:
 def mutual_information(j: JointPmf2) -> float:
     """I(A;B) = D(joint || product of marginals), in bits."""
     return float(_mi(j.table))
-
-
-def conditional_entropy(j: JointPmf2) -> float:
-    """H(A|B) = H(A,B) - H(B) in bits."""
-    h_joint = float(-_plogp(j.table).sum())
-    h_b = entropy(j.marginal_b())
-    return max(h_joint - h_b, 0.0)
-
-
-def conditional_mutual_information(j: JointPmf3) -> float:
-    """I(X;Y|Z) for a joint over (X, Y, Z), in bits."""
-    total = 0.0
-    p_z = j.table.sum(axis=(0, 1))
-    for z in range(j.table.shape[2]):
-        if p_z[z] <= 0:
-            continue
-        slab = j.table[:, :, z] / p_z[z]
-        total += p_z[z] * mutual_information(JointPmf2(slab))
-    return total
 
 
 def markov_compose(p_sx: JointPmf2, mapping: PrivacyMapping) -> JointPmf3:

@@ -61,28 +61,13 @@ class SolveTrace:
     converged: bool = False
     feasible: Optional[bool] = None
 
-    def __len__(self):
-        return len(self.iterates)
-
     @property
     def iterations(self) -> int:
         return len(self.iterates)
 
-    def csv_lines(self):
-        yield "iter,objective,grad_norm,radius,ratio,accepted"
-        for m, it in enumerate(self.iterates):
-            ratio = "" if it.ratio is None else f"{it.ratio:.12g}"
-            yield (f"{m},{it.objective:.12g},{it.grad_norm:.12g},"
-                   f"{it.radius:.12g},{ratio},{int(it.accepted)}")
-
 
 class GreedyTrace(SolveTrace):
     """Trace of `greedy_solve`, one GreedyPass record per outer pass."""
-
-    def csv_lines(self):
-        yield "iter,objective,merit,accepted"
-        for m, it in enumerate(self.iterates):
-            yield f"{m},{it.objective:.12g},{it.merit:.12g},{int(it.accepted)}"
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from mirrorwyner import cli
-from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
+from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf
 
 
 def _normalize(values):
@@ -39,16 +39,28 @@ def joint3(draw, max_size=4):
     return JointPmf3(_normalize(vals).reshape(dims))
 
 
-@st.composite
-def channels(draw, n_in=None, n_out=None, max_size=5):
-    n_in = n_in or draw(st.integers(2, max_size))
-    n_out = n_out or draw(st.integers(2, max_size))
-    rows = [
-        _normalize(draw(st.lists(st.floats(1e-3, 1.0),
-                                 min_size=n_out, max_size=n_out)))
-        for _ in range(n_in)
-    ]
-    return PrivacyMapping(np.vstack(rows))
+def kl_or_inf(p, q):
+    """D(p || q) in bits of two pmf arrays by a plain sum over the support of
+    p; +inf when p puts mass where q has none."""
+    nz = p > 0
+    if np.any(q[nz] == 0):
+        return np.inf
+    return float(np.sum(p[nz] * np.log2(p[nz] / q[nz])))
+
+
+def cmi_loops(xyz):
+    """I(X;Y|Z) in bits of a joint table xyz[x, y, z] by plain triple summation."""
+    p_z = xyz.sum(axis=(0, 1))
+    p_xz = xyz.sum(axis=1)
+    p_yz = xyz.sum(axis=0)
+    total = 0.0
+    for x in range(xyz.shape[0]):
+        for y in range(xyz.shape[1]):
+            for z in range(xyz.shape[2]):
+                p = xyz[x, y, z]
+                if p > 0:
+                    total += p * np.log2(p * p_z[z] / (p_xz[x, z] * p_yz[y, z]))
+    return total
 
 
 def cli_env():
@@ -71,4 +83,4 @@ def wide_instance(seed):
     """`bench/workloads.wide_instance`: Q=4, |S|=3, |X|=|Yo|=|Yv|=5, decoded
     as the CLI decodes an `instance` config key."""
     workloads = bench_module("workloads")
-    return cli._instance({"instance": workloads.wide_instance(np.random.default_rng(seed))})
+    return cli._read_instance("instance", workloads.wide_instance(np.random.default_rng(seed)))

@@ -132,8 +132,9 @@ class TestExitCodes:
         ("mfg", {"damping": 2}, "damping"),
         ("mfg", {"damping": 0}, "damping"),
         ("nash", {"payoff_mode": "bogus"}, "payoff_mode"),
-        # a key the run would not use is checked all the same
-        ("divergence", {"theta0": "x"}, "theta0"),
+        # a key the run would not use is checked all the same: given weights,
+        # nash draws no random game of n players
+        ("nash", {"weights": [[0, 1], [1, 0]], "k": 2, "n": "x"}, "n"),
         ("stackelberg", {"laws": [[[1.0]]], "payoffs": [[1.0]], "n_laws": 0}, "n_laws"),
         # a key that another key needs is required once that one is given
         ("nash", {"weights": [[0, 1], [1, 0]]}, "k"),
@@ -150,6 +151,8 @@ class TestExitCodes:
         ("mfg", {"tol": -float("inf")}, "tol"),
         ("lohe", {"alpha": float("inf")}, "alpha"),
         ("lohe", {"alpha": -float("inf")}, "alpha"),
+        # an out-of-range value fails under its key, not the class it builds
+        ("nash", {"k": 1}, "k"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -206,6 +209,9 @@ class TestExitCodes:
         ("nash", {"payoff": "cut"}),
         ("plant", {"A1": [[0.5]]}),
         ("divergence", {"gamma1": 0.0}),
+        # plant takes no noise covariances and divergence no temperatures
+        ("plant", {"process_cov": [[-1.0]]}),
+        ("divergence", {"theta0": 1.0}),
     ])
     def test_unknown_key_names_itself(self, tmp_path, capsys, cmd, cfg):
         path = tmp_path / "cfg.json"

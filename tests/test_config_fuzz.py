@@ -47,7 +47,7 @@ BASES = {
                     "drift": [[0.1, -0.1], [0.0, 0.0]], "stages": [0, 2]},
     "nash": {"weights": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "k": 2, "init": [0, 1, 0]},
     "plant": {"a1": [[0.5, 0.1], [0.0, 0.3]], "a2": [[1.0], [0.0]], "a3": [[1.0, 1.0]],
-              "a4": [[0.1]], "process_cov": [[1, 0], [0, 1]], "observation_cov": [[1]]},
+              "a4": [[0.1]]},
     "divergence": {"joint": (np.ones((2, 3, 4, 2)) / 48).tolist(),
                    "accessible": [0, 1], "inaccessible": [3], "g1": 0.0, "g2": 1.0},
 }

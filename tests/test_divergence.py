@@ -1,6 +1,5 @@
-"""Latent-model diagnostics: decomposition against loop summation, field
-antisymmetry and undefined-cell handling, and the constrained maximization
-against a fine simplex grid."""
+"""Latent-model diagnostics: decomposition against loop summation and the
+constrained maximization against a fine simplex grid."""
 
 from itertools import combinations_with_replacement
 
@@ -12,25 +11,12 @@ from hypothesis import strategies as st
 from mirrorwyner import divergence as dv
 from mirrorwyner.errors import ValidationError
 
+from conftest import cmi_loops
+
 
 def random_model(seed, dims=(2, 3, 4, 2)):
     rng = np.random.default_rng(seed)
     return dv.LatentModel(rng.dirichlet(np.ones(int(np.prod(dims)))).reshape(dims))
-
-
-def cmi_loops(xyz):
-    """I(X;Y|Z) by plain triple summation."""
-    p_z = xyz.sum(axis=(0, 1))
-    p_xz = xyz.sum(axis=1)
-    p_yz = xyz.sum(axis=0)
-    total = 0.0
-    for x in range(xyz.shape[0]):
-        for y in range(xyz.shape[1]):
-            for z in range(xyz.shape[2]):
-                p = xyz[x, y, z]
-                if p > 0:
-                    total += p * np.log2(p * p_z[z] / (p_xz[x, z] * p_yz[y, z]))
-    return total
 
 
 class TestDecomposition:
@@ -55,58 +41,6 @@ class TestDecomposition:
         joint = xyz[:, :, :, None] * np.array([0.5, 0.5])[None, None, None, :]
         rep = dv.cmi_decomposition_report(dv.LatentModel(joint))
         assert rep.total == pytest.approx(0.0, abs=1e-12)
-
-    def test_csv_lines(self):
-        lines = list(dv.cmi_decomposition_report(random_model(0)).csv_lines())
-        assert lines[0] == "z,contribution_bits"
-        assert lines[-1].startswith("total,")
-
-
-class TestLogRatioField:
-    def test_antisymmetry_under_role_swap(self):
-        m = random_model(1)
-        f1 = dv.log_ratio_field(m)
-        m_swapped = dv.LatentModel(np.transpose(m.joint, (1, 0, 2, 3)))
-        f2 = dv.log_ratio_field(m_swapped)
-        err = np.nanmax(np.abs(f1.log_ratio + np.transpose(f2.log_ratio, (1, 0, 2))))
-        assert err < 1e-12
-
-    def test_proxy_nonnegative_where_defined(self):
-        f = dv.log_ratio_field(random_model(2))
-        defined = ~f.undefined
-        assert np.all(f.proxy[defined] >= 0)
-        assert np.all(np.isfinite(f.log_ratio[defined]))
-
-    def test_undefined_cells_flagged(self):
-        # x=1 carries the same P(M|x) as the whole z=0 slice, so the proxy
-        # denominator vanishes there and the cell must be excluded
-        joint = np.zeros((2, 2, 1, 2))
-        joint[0, 0, 0] = [0.2, 0.1]
-        joint[0, 1, 0] = [0.1, 0.2]
-        joint[1, 0, 0] = [0.1, 0.1]
-        joint[1, 1, 0] = [0.1, 0.1]
-        f = dv.log_ratio_field(dv.LatentModel(joint))
-        assert f.undefined[:, 1, 0].all()
-
-    def test_intervals_well_formed(self):
-        for seed in range(4):
-            f = dv.log_ratio_field(random_model(seed))
-            n_cells = f.log_ratio.shape[0] * f.log_ratio.shape[1]
-            for runs in f.intervals:
-                for start, end, direction in runs:
-                    assert 0 <= start <= end < n_cells
-                    assert direction in (-1, 1)
-
-    def test_run_directions_hold(self):
-        f = dv.log_ratio_field(random_model(3))
-        for z, runs in enumerate(f.intervals):
-            lr = f.log_ratio[:, :, z].ravel()
-            pr = f.proxy[:, :, z].ravel()
-            for start, end, direction in runs:
-                d_lr = direction * np.diff(lr[start:end + 1])
-                d_pr = direction * np.diff(pr[start:end + 1])
-                assert np.all(d_lr >= -1e-12)
-                assert np.all(d_pr >= -1e-12)
 
 
 class TestConstrainedMax:
@@ -174,5 +108,3 @@ class TestMaskAndModel:
     def test_model_validation(self):
         with pytest.raises(ValidationError):
             dv.LatentModel(np.ones((2, 2, 2)) / 8)
-        with pytest.raises(ValidationError):
-            dv.LatentModel(np.full((2, 2, 2, 2), 1 / 16), theta1=-1.0)

@@ -1,5 +1,5 @@
-"""Coloring-game tests: payoff oracle, potential monotonicity, exhaustive
-Nash certification, and the weight-band probability."""
+"""Coloring-game tests: payoff oracle, potential monotonicity and exhaustive
+Nash certification."""
 
 import itertools
 
@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorwyner import equilibrium
-from mirrorwyner.equilibrium import (KCutGame, StrategyProfile, TorusBand,
+from mirrorwyner.equilibrium import (KCutGame, StrategyProfile,
                                      best_response_dynamics, payoff,
                                      potential, verify_nash)
 from mirrorwyner.errors import ValidationError
-from mirrorwyner.mirror import UncertaintyModel
 
 
 def random_game(seed, n=5, k=3, symmetric=True):
@@ -123,43 +121,7 @@ class TestDynamics:
         assert gain == pytest.approx(1.0, abs=1e-12)
 
 
-class TestTorusBand:
-    def test_deterministic_at_zero_magnitude(self):
-        w = np.array([[0.0, 0.3, 0.8], [0.3, 0.0, 0.5], [0.8, 0.5, 0.0]])
-        game = KCutGame(w, 2)
-        p = StrategyProfile((0, 0, 1))
-        band = TorusBand(0.5, 2.0, 0.2, 0.4)
-        frac = equilibrium.torus_band_check(game, p, band, UncertaintyModel(0.0), 1)
-        # active same-color weights: w[0,1] and w[1,0], both 0.3, inside band
-        assert frac == 1.0
-
-    def test_no_active_pairs(self):
-        game = random_game(0, n=3, k=3)
-        p = StrategyProfile((0, 1, 2))
-        band = TorusBand(0.5, 2.0, 0.0, 1.0)
-        assert equilibrium.torus_band_check(game, p, band, UncertaintyModel(0.0), 1) == 0.0
-
-    def test_perturbed_fraction_in_range(self):
-        game = random_game(3, n=6, k=2)
-        p = StrategyProfile((0, 0, 0, 1, 1, 1))
-        band = TorusBand(0.5, 2.0, 0.1, 0.6)
-        frac = equilibrium.torus_band_check(game, p, band,
-                                            UncertaintyModel(0.5, seed=0), 200)
-        assert 0.0 <= frac <= 1.0
-
-    def test_band_validation(self):
-        with pytest.raises(ValidationError):
-            TorusBand(2.0, 0.5, 0.0, 1.0)
-
-
 class TestWeights:
-    @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6))
-    def test_mi_gap_weights(self, values):
-        w = equilibrium.mi_gap_weights(np.asarray(values))
-        assert np.all(np.diag(w) == 0)
-        np.testing.assert_allclose(w, w.T, atol=0)
-        assert np.all(w >= 0)
-
     def test_game_validation(self):
         with pytest.raises(ValidationError):
             KCutGame(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)  # nonzero diagonal

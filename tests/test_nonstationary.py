@@ -1,9 +1,6 @@
 """Non-stationarity suite: oscillators against the matrix-exponential oracle,
-the coupled value/density solver against the heat kernel, the bilevel game
-against brute force, and the clustering relaxation against exhaustive
-boundary enumeration."""
-
-import itertools
+the coupled value/density solver against the heat kernel, and the bilevel
+game against brute force."""
 
 import numpy as np
 import pytest
@@ -25,37 +22,6 @@ def heat_grid(n_x=101, n_t=100, sigma=0.1, dt=0.01, s0=0.5):
     xs = np.linspace(-3.0, 3.0, n_x)
     return ns.MfgGrid(x_min=-3.0, x_max=3.0, n_x=n_x, n_t=n_t, dt=dt,
                       sigma=sigma, initial_density=gaussian_density(xs, s0))
-
-
-class TestInputs:
-    def test_random_walk_shape_and_start(self):
-        inp = ns.NonstationaryInput(mu0=2.0, scale=0.1, horizon=50)
-        path = ns.random_walk_mean(inp, seed=0)
-        assert path.shape == (51,)
-        assert path[0] == 2.0
-
-    def test_zero_scale_constant(self):
-        inp = ns.NonstationaryInput(mu0=1.5, scale=0.0, horizon=10)
-        np.testing.assert_allclose(ns.random_walk_mean(inp), 1.5, atol=0)
-
-    def test_uniform_law_and_determinism(self):
-        inp = ns.NonstationaryInput(mu0=0.0, scale=1.0, horizon=100, law="uniform")
-        a = ns.random_walk_mean(inp, seed=5)
-        b = ns.random_walk_mean(inp, seed=5)
-        np.testing.assert_array_equal(a, b)
-        # uniform steps are bounded by scale * sqrt(3)
-        assert np.max(np.abs(np.diff(a))) <= np.sqrt(3) + 1e-12
-
-    def test_decompose_control_exact(self):
-        basis = ns.ControlBasis(np.eye(5)[:3])
-        u = np.array([1.0, -2.0, 3.0, 4.0, 0.0])
-        coeffs, residual = ns.decompose_control(u, basis)
-        np.testing.assert_allclose(coeffs, [1.0, -2.0, 3.0], atol=1e-12)
-        assert residual == pytest.approx(4.0, abs=1e-12)
-
-    def test_basis_must_be_orthonormal(self):
-        with pytest.raises(ValidationError):
-            ns.ControlBasis(np.ones((3, 4)))
 
 
 class TestLohe:
@@ -478,80 +444,3 @@ class TestMeanValueReduce:
         assert residual == pytest.approx(
             float(np.min(np.abs(p * mu_prime - target))), abs=1e-12)
 
-
-class TestClustering:
-    def exhaustive_oracle(self, x, V, w):
-        """Best objective over every assignment of points to levels, with the
-        levels refit exactly for each assignment (small instances only)."""
-        n = x.size
-        best = np.inf
-        best_assign = None
-        for assign in itertools.product(range(V), repeat=n):
-            a = np.asarray(assign)
-            A = np.zeros((V, V))
-            b = np.zeros(V)
-            for k in range(n):
-                A[a[k], a[k]] += w
-                b[a[k]] += w * x[k]
-            for k in range(n - 1):
-                i, j = a[k], a[k + 1]
-                if i != j:
-                    A[i, i] += 1.0
-                    A[j, j] += 1.0
-                    A[i, j] -= 1.0
-                    A[j, i] -= 1.0
-            used = np.diag(A) > 0
-            levels = np.zeros(V)
-            if np.any(used):
-                levels[used] = np.linalg.solve(
-                    A[np.ix_(used, used)] + 1e-12 * np.eye(int(used.sum())),
-                    b[used])
-            smoothed = levels[a]
-            obj = float(np.sum(np.diff(smoothed) ** 2)
-                        + w * np.sum((smoothed - x) ** 2))
-            if obj < best:
-                best, best_assign = obj, a
-        return best, best_assign
-
-    def test_step_path_matches_exhaustive(self):
-        x = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
-        res = ns.fuzzy_cluster_relax(x, 2, mode="deterministic")
-        best, best_assign = self.exhaustive_oracle(x, 2, 1.0)
-        assert res.objective == pytest.approx(best, abs=1e-8)
-        boundary = int(np.argmax(np.diff(res.gamma.argmax(axis=1)) != 0)) + 1
-        assert boundary == 3
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_short_paths_match_exhaustive(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=6)
-        res = ns.fuzzy_cluster_relax(x, 2, mode="deterministic")
-        best, _ = self.exhaustive_oracle(x, 2, 1.0)
-        assert res.objective == pytest.approx(best, abs=1e-8)
-
-    def test_zero_data_weight_constant(self):
-        x = np.array([1.0, 4.0, -2.0, 3.0])
-        res = ns.fuzzy_cluster_relax(x, 3, data_weight=0.0)
-        assert np.ptp(res.smoothed) == 0.0
-        assert res.objective == 0.0
-
-    def test_single_cluster(self):
-        x = np.array([1.0, 2.0, 3.0])
-        res = ns.fuzzy_cluster_relax(x, 1)
-        np.testing.assert_allclose(res.smoothed, np.mean(x), atol=1e-12)
-
-    def test_membership_rows_on_simplex(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=12)
-        for mode in ("deterministic", "fuzzy"):
-            res = ns.fuzzy_cluster_relax(x, 3, mode=mode)
-            np.testing.assert_allclose(res.gamma.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(res.gamma >= 0)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ns.fuzzy_cluster_relax(np.ones((2, 2)), 2)
-        with pytest.raises(ValidationError):
-            ns.fuzzy_cluster_relax(np.ones(3), 0)
-        with pytest.raises(ValidationError):
-            ns.fuzzy_cluster_relax(np.ones(3), 2, mode="hard")

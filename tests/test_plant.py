@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorwyner import plant
-from mirrorwyner.errors import NumericError, ValidationError
+from mirrorwyner.errors import NumericError
 from mirrorwyner.plant import LinearPlant
 
 
@@ -119,41 +119,3 @@ class TestOverflow:
         with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="overflowed"):
             plant.controllability_rank([[1e308, 0.0], [0.0, 1.0]], [[1e308], [1.0]])
 
-
-class TestSimulate:
-    def test_noiseless_follows_closed_loop(self):
-        rng = np.random.default_rng(1)
-        n = 3
-        p = LinearPlant(rng.normal(size=(n, n)) * 0.3, rng.normal(size=(n, 1)),
-                        rng.normal(size=(1, n)), rng.normal(size=(1, 1)))
-        x0 = rng.normal(size=n)
-        traj = plant.simulate(p, x0, horizon=10, seed=0)
-        closed = p.a1 + p.a2 @ p.a4 @ p.a3
-        x = x0.copy()
-        for k in range(10):
-            x = closed @ x
-            np.testing.assert_allclose(traj.states[k + 1], x, atol=1e-10)
-
-    def test_shapes_and_determinism(self):
-        rng = np.random.default_rng(2)
-        n = 2
-        p = LinearPlant(rng.normal(size=(n, n)), rng.normal(size=(n, 1)),
-                        rng.normal(size=(1, n)), rng.normal(size=(1, 1)),
-                        process_cov=0.1 * np.eye(n),
-                        observation_cov=np.array([[0.05]]))
-        t1 = plant.simulate(p, np.zeros(n), horizon=5, seed=9)
-        t2 = plant.simulate(p, np.zeros(n), horizon=5, seed=9)
-        assert t1.states.shape == (6, 2)
-        assert t1.observations.shape == (5, 1)
-        assert t1.controls.shape == (5, 1)
-        np.testing.assert_array_equal(t1.states, t2.states)
-
-    def test_validation(self):
-        p = LinearPlant(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.eye(1))
-        with pytest.raises(ValidationError):
-            plant.simulate(p, np.zeros(3), horizon=5)
-        with pytest.raises(ValidationError):
-            plant.simulate(p, np.zeros(2), horizon=0)
-        with pytest.raises(ValidationError):
-            LinearPlant(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.eye(1),
-                        process_cov=-np.eye(2))

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mirrorwyner import prob
-from mirrorwyner.errors import InfiniteDivergenceError, ValidationError
-from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
+from mirrorwyner.errors import ValidationError
+from mirrorwyner.prob import JointPmf2, Pmf, PrivacyMapping
 
-from conftest import channels, joint2, joint3, pmfs
+from conftest import cmi_loops, joint2, joint3, kl_or_inf, pmfs
 
 
 def h2(p):
@@ -37,7 +37,7 @@ def mi_brute(table):
 class TestEntropy:
     def test_uniform(self):
         for n in (2, 3, 8):
-            assert prob.entropy(Pmf.uniform(n)) == pytest.approx(np.log2(n), abs=1e-12)
+            assert prob.entropy(Pmf(np.full(n, 1.0 / n))) == pytest.approx(np.log2(n), abs=1e-12)
 
     def test_deterministic_is_zero(self):
         assert prob.entropy(Pmf(np.array([1.0, 0.0, 0.0]))) == 0.0
@@ -60,26 +60,28 @@ def posterior_rows(draw, n, max_rows=4):
     return np.array([np.asarray(r) / sum(r) for r in rows])
 
 
+def kl(p: Pmf, q: Pmf) -> float:
+    """D(p || q) in bits, as the 1 x 1 matrix of `prob._kl_matrix`."""
+    return float(prob._kl_matrix(p.probs[None], q.probs[None])[0, 0])
+
+
 class TestKl:
     def test_self_divergence_zero(self):
         p = Pmf(np.array([0.2, 0.3, 0.5]))
-        assert prob.kl_divergence(p, p) == 0.0
+        assert kl(p, p) == 0.0
 
     def test_support_violation(self):
-        p = Pmf(np.array([0.5, 0.5]))
-        q = Pmf(np.array([1.0, 0.0]))
-        with pytest.raises(InfiniteDivergenceError):
-            prob.kl_divergence(p, q)
+        assert kl(Pmf(np.array([0.5, 0.5])), Pmf(np.array([1.0, 0.0]))) == np.inf
 
     def test_known_value(self):
         # D(Bern(1/2) || Bern(1/4)) = 0.5*log(2) + 0.5*log(2/3) in bits
         expect = 0.5 * np.log2(0.5 / 0.25) + 0.5 * np.log2(0.5 / 0.75)
-        got = prob.kl_divergence(Pmf.bernoulli(0.5), Pmf.bernoulli(0.25))
+        got = kl(Pmf.bernoulli(0.5), Pmf.bernoulli(0.25))
         assert got == pytest.approx(expect, abs=1e-12)
 
     @given(pmfs(min_size=3, max_size=3), pmfs(min_size=3, max_size=3))
     def test_nonnegative(self, p, q):
-        assert prob.kl_divergence(p, q) >= -1e-12
+        assert kl(p, q) >= -1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(1, 10))
@@ -88,7 +90,7 @@ class TestKl:
         # +inf entries included; numpy's pairwise sum regroups from 8 terms,
         # so only up to 7 symbols is the match bit for bit
         p, q = data.draw(posterior_rows(n)), data.draw(posterior_rows(n))
-        oracle = np.array([[prob.kl_or_inf(a, b) for b in q] for a in p])
+        oracle = np.array([[kl_or_inf(a, b) for b in q] for a in p])
         got = prob._kl_matrix(p, q)
         assert got.shape == oracle.shape
         if n <= 7:
@@ -108,7 +110,7 @@ class TestMutualInformation:
         assert prob.mutual_information(joint) == pytest.approx(1 - h2(0.1), abs=1e-12)
 
     def test_independent_is_zero(self):
-        j = JointPmf2.product(Pmf.bernoulli(0.3), Pmf.uniform(4))
+        j = JointPmf2(np.outer(Pmf.bernoulli(0.3).probs, np.full(4, 0.25)))
         assert prob.mutual_information(j) == pytest.approx(0.0, abs=1e-12)
 
     @given(joint2())
@@ -146,7 +148,7 @@ class TestMutualInformation:
     @given(joint2())
     def test_symmetry(self, j):
         assert prob.mutual_information(j) == pytest.approx(
-            prob.mutual_information(j.swapped()), abs=1e-12)
+            prob.mutual_information(JointPmf2(j.table.T)), abs=1e-12)
 
     @given(joint2())
     def test_nonnegative_and_bounded(self, j):
@@ -157,11 +159,8 @@ class TestMutualInformation:
 
 
 class TestConditional:
-    @given(joint2())
-    def test_conditional_entropy_chain(self, j):
-        h_ab = prob.entropy(Pmf(j.table.ravel()))
-        assert prob.conditional_entropy(j) == pytest.approx(
-            h_ab - prob.entropy(j.marginal_b()), abs=1e-10)
+    """The conditional-MI oracle that tests of the exposure condition lean
+    on, checked against `mutual_information` by the chain rule."""
 
     @given(joint3())
     def test_cmi_chain_rule(self, j):
@@ -169,15 +168,14 @@ class TestConditional:
         a, b, c = j.shape
         flat = JointPmf2(j.table.reshape(a, b * c))
         i_abc = prob.mutual_information(flat)
-        i_ab = prob.mutual_information(j.margin_ab())
+        i_ab = prob.mutual_information(JointPmf2(j.table.sum(axis=2)))
         # reorder to (A, C, B) so the conditioning variable sits last
-        acb = JointPmf3(j.table.transpose(0, 2, 1))
-        assert i_ab + prob.conditional_mutual_information(acb) == pytest.approx(
+        assert i_ab + cmi_loops(j.table.transpose(0, 2, 1)) == pytest.approx(
             i_abc, abs=1e-10)
 
     @given(joint3())
     def test_cmi_nonnegative(self, j):
-        assert prob.conditional_mutual_information(j) >= -1e-12
+        assert cmi_loops(j.table) >= -1e-12
 
 
 class TestMarkovCompose:
@@ -194,7 +192,7 @@ class TestMarkovCompose:
     def test_marginals(self):
         j_sx = JointPmf2(np.array([[0.3, 0.2], [0.1, 0.4]]))
         j3 = prob.markov_compose(j_sx, PrivacyMapping.bsc(0.2))
-        np.testing.assert_allclose(j3.margin_ab().table, j_sx.table, atol=1e-15)
+        np.testing.assert_allclose(j3.table.sum(axis=2), j_sx.table, atol=1e-15)
         # constant mapping: Y independent of (S, X)
         j3c = prob.markov_compose(j_sx, PrivacyMapping.constant(2, 2))
         assert prob.mutual_information(j3c.margin_ac()) == pytest.approx(0.0, abs=1e-12)
@@ -218,10 +216,6 @@ class TestValidation:
     def test_row_sum_rejected(self):
         with pytest.raises(ValidationError):
             PrivacyMapping(np.array([[0.5, 0.6], [0.5, 0.5]]))
-
-    def test_push_mismatch(self):
-        with pytest.raises(ValidationError):
-            PrivacyMapping.bsc(0.1).push(Pmf.uniform(3))
 
     @pytest.mark.parametrize("table,message", [
         ([[0.5, np.nan], [0.25, 0.25]], "JointPmf2: non-finite entries"),

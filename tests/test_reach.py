@@ -1,0 +1,78 @@
+"""Every function, class and method under src/mirrorwyner is named somewhere
+outside its own definition: elsewhere in src/, in scripts/, in the
+acceptance suite or in the benchmark tracer's FUNCTIONS. A definition that
+only its own unit tests name reaches no run, and this check lists it.
+
+The check is static and by name alone (a word-boundary match, comments and
+docstrings included), so it stays fast and needs no run of the program."""
+
+import ast
+import os
+import re
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _py_files(*parts):
+    directory = os.path.join(ROOT, *parts)
+    return sorted(os.path.join(directory, f) for f in os.listdir(directory)
+                  if f.endswith(".py"))
+
+
+def tracer_names():
+    """The attribute names in bench/tracer.py's FUNCTIONS, read without
+    importing it."""
+    tree = ast.parse(_read(os.path.join(ROOT, "bench", "tracer.py")))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "FUNCTIONS" for t in node.targets):
+            return " ".join(attr for _, _, attr in ast.literal_eval(node.value))
+    raise AssertionError("bench/tracer.py defines no FUNCTIONS")
+
+
+def definitions(tree, prefix=""):
+    """(qualified name, name, first line, last line) of every function,
+    class and method in `tree`, nested ones included, dunders left out."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield prefix + node.name, node.name, node.lineno, node.end_lineno
+            yield from definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from definitions(node, prefix)
+
+
+def unreached(sources, others):
+    """The qualified names of the definitions in `sources` (module name ->
+    text) that no text names outside their own lines: not the rest of their
+    module, another module, nor any of the `others` texts."""
+    missing = []
+    for module, text in sources.items():
+        lines = text.splitlines()
+        for qualname, name, first, last in definitions(ast.parse(text)):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            outside = "\n".join(lines[:first - 1] + lines[last:])
+            texts = [outside] + [t for m, t in sources.items() if m != module] + others
+            if not any(word.search(t) for t in texts):
+                missing.append(f"{module}.{qualname}")
+    return missing
+
+
+def test_every_definition_is_named_outside_itself():
+    sources = {os.path.basename(p)[:-3]: _read(p) for p in _py_files("src", "mirrorwyner")}
+    others = [_read(p) for p in _py_files("scripts")]
+    others += [_read(os.path.join(ROOT, "tests", "test_acceptance.py")), tracer_names()]
+    assert unreached(sources, others) == []
+
+
+def test_a_name_used_only_inside_its_own_definition_is_flagged():
+    sources = {"a": "def walk(n):\n    return walk(n - 1) if n else 0\n\n\n"
+                    "class Box:\n    def open(self):\n        return self\n",
+               "b": "from a import Box\n\n\ndef __dunder__():\n    pass\n"}
+    assert unreached(sources, []) == ["a.walk", "a.Box.open"]
+    assert unreached(sources, ["Box().open()", "walk"]) == []
