@@ -21,7 +21,7 @@ from . import divergence as dv
 from . import equilibrium, mirror, nonstationary, plant, prob, solvers
 from .errors import ConfigurationError, ValidationError
 from .mirror import UncertaintyModel
-from .prob import JointPmf2, PrivacyMapping
+from .prob import JointPmf2
 
 
 def _load_config(path):
@@ -190,10 +190,10 @@ def run_convergence_cdf(c, seed):
     if c["mode"] == "three":
         variants.append(("relaxed_tight", dict(relaxed=True, eps=tuple(e / 10 for e in eps))))
 
+    u = UncertaintyModel(magnitude=c["b_magnitude"])   # greedy_solve does not read it
     results = []
     for name, kw in variants:
         for s in seeds:
-            u = UncertaintyModel(magnitude=c["b_magnitude"], seed=s)
             try:
                 _, trace = solvers.greedy_solve(c["instance"], u, budget=c["budget"],
                                                 seed=s, **kw)
@@ -250,17 +250,14 @@ def run_mi_tradeoff(c, seed):
         raise ValidationError("instance: mi-tradeoff sweeps 2x2 mappings, so X_0 must be binary")
     i_sx = prob.mutual_information(inst.joints[q])
     h_x = prob.entropy(p_x)
-    const_v = PrivacyMapping.constant(p_x.alphabet_size, inst.virtual_alphabet)
     grid = _binary_mappings(c["resolution"])
     utilities = mirror._utility(p_x.probs, grid)
-    asgs = [mirror.TwinAssignment((PrivacyMapping(o),) * inst.q_count,
-                                  (const_v,) * inst.q_count) for o in grid]
     bounds = np.linspace(0.0, i_sx, c["grid_points"])
     rows = []
     for mag in c["b_magnitudes"]:
         draws = np.zeros((len(grid), n_samples))
-        for mi, asg in enumerate(asgs):
-            draws[mi] = mirror.sample_leakage(inst, asg, q, mag,
+        for mi, o in enumerate(grid):
+            draws[mi] = mirror.sample_leakage(inst, q, o, mag,
                                               np.random.default_rng(seed + 1000 * mi),
                                               n_samples)
         for gi, bound in enumerate(bounds):
@@ -280,24 +277,21 @@ def run_secrecy_gap(c, seed):
         raise ValidationError("instance: secrecy-gap sweeps 2x2 twin mappings, so every "
                               "X_q and the virtual alphabet must be binary")
     p_x = inst.x_marginal(q)
-    ident = PrivacyMapping.identity(p_x.alphabet_size)
+    ident = np.eye(2)
     power_max = float(np.max(inst.symbol_values[q] ** 2))
     budgets = np.linspace(0.0, power_max, c["grid_points"])
     grid = _binary_mappings(c["resolution"])
-    # `superposed_exposure` of the whole grid: at grid point k every Bob
-    # takes the identity original and the virtual rows grid[k]
-    exposure = mirror._cross_mi(inst._x_rows[q],
-                                [mirror._sum_channel(inst, p, ident.rows, grid)
-                                 for p in range(inst.q_count) if p != q], h_head=inst.h_x[q])
-    gap = mirror._utility(p_x.probs, ident.rows) - exposure
+    # at grid point k every Bob takes the identity original and the virtual
+    # rows grid[k]
+    exposure = mirror.superposed_exposure(inst, q, [ident] * inst.q_count,
+                                          [grid] * inst.q_count)
+    gap = mirror._utility(p_x.probs, ident) - exposure
     power = mirror._virtual_power(p_x.probs, grid, inst.symbol_values[q])
-    # leakage chance under the identity original, per panel
-    const_v = PrivacyMapping.constant(p_x.alphabet_size, inst.virtual_alphabet)
-    asg0 = mirror.TwinAssignment((ident,) * inst.q_count, (const_v,) * inst.q_count)
     constraints = mirror.ConstraintSet.build(inst)
     rows = []
     for mag in c["b_magnitudes"]:
-        draws = mirror.sample_leakage(inst, asg0, q, mag, np.random.default_rng(seed),
+        # leakage chance under the identity original, per panel
+        draws = mirror.sample_leakage(inst, q, ident, mag, np.random.default_rng(seed),
                                       c["n_samples"])
         leak_chance = float(np.mean(constraints.holds(draws, q, 1)))
         for gi, budget in enumerate(budgets):

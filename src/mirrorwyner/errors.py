@@ -5,10 +5,6 @@ class ValidationError(ValueError):
     """Input violates a structural precondition (shapes, sums, ranges)."""
 
 
-class NumericUnderflowError(ArithmeticError):
-    """All Boltzmann weights underflowed to zero (omega too large)."""
-
-
 class ConfigurationError(ValueError):
     """A solver configuration is unusable before any work starts (e.g. CFL)."""
 

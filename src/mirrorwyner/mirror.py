@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import prob
-from .errors import NumericUnderflowError, ValidationError
+from .errors import ValidationError
 from .prob import JointPmf2, Pmf, PrivacyMapping
 
 # conditions (v)-(vii) use this as "numerically zero" in strict mode
@@ -484,16 +484,17 @@ def _s_given_yo(p_sx: np.ndarray, o: np.ndarray):
     return p_y, np.where(p_y[None, :] > 0, sy / np.where(p_y > 0, p_y, 1.0), 0.0).T
 
 
-def sample_leakage(inst: MirrorGameInstance, asg: TwinAssignment, q: int,
-                   magnitude: float, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """n draws of I(Yo_q; S) under the perturbed posterior P(S | Yo_q), as an
-    (n,) array. The posterior is built once and its n perturbations take one
-    noise draw, so values and generator state match n single draws."""
+def sample_leakage(inst: MirrorGameInstance, q: int, o: np.ndarray, magnitude: float,
+                   rng: np.random.Generator, n: int = 1) -> np.ndarray:
+    """n draws of I(Yo_q; S) under the perturbed posterior P(S | Yo_q) of Bob
+    q's original rows o (X, Yo), as an (n,) array. The posterior is built
+    once and its n perturbations take one noise draw, so values and
+    generator state match n single draws."""
     if not 0.0 <= magnitude <= 1.0:
         raise ValidationError(f"sample_leakage: magnitude {magnitude!r} is outside [0, 1]")
     if n < 1:
         raise ValidationError(f"sample_leakage: need n >= 1 draws, got {n!r}")
-    p_y, post = _s_given_yo(inst.joints[q].table, asg.original[q].rows)
+    p_y, post = _s_given_yo(inst.joints[q].table, o)
     post = perturb_posterior(np.broadcast_to(post, (n,) + post.shape), magnitude, rng)
     return prob._mi(np.swapaxes(p_y[:, None] * post, -1, -2))
 
@@ -532,34 +533,17 @@ def epsilon_floor(ccp: ChanceConstrainedProblem, eps, null_mode: str = "floored"
                                                         null_mode=null_mode))
 
 
-def _boltzmann(p_x: np.ndarray, s_given_x: np.ndarray, s_given_y: np.ndarray, omega: float):
-    """`boltzmann_posterior` on raw rows, or None when a row loses all weight.
-    An infinite divergence zeroes the weight at omega > 0; at omega = 0 it
-    leaves a NaN row."""
+def boltzmann_posterior(p_x: np.ndarray, s_given_x: np.ndarray, s_given_y: np.ndarray,
+                        omega: float):
+    """P(x | y) proportional to P(x) exp(-omega D(P(S|y) || P(S|x))), from
+    P(X) and the rows of P(S | X) and P(S | Y), as rows indexed by y; None
+    when a row loses all weight (omega too large for the instance).
+    Divergences are in bits. An infinite divergence zeroes the weight at
+    omega > 0; at omega = 0 it leaves a NaN row."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = p_x[None, :] * np.exp(-omega * prob._kl_matrix(s_given_y, s_given_x))
     sums = w.sum(axis=1, keepdims=True)
     return None if np.any(sums <= 0) else w / sums
-
-
-def boltzmann_posterior(p_x: Pmf, p_s_given_x: PrivacyMapping,
-                        p_s_given_y: PrivacyMapping, omega: float) -> PrivacyMapping:
-    """P(x | y) proportional to P(x) exp(-omega D(P(S|y) || P(S|x))).
-
-    Rows of the result are indexed by y. Divergences are in bits; an infinite
-    divergence zeroes the weight. A row with no surviving weight raises
-    NumericUnderflowError (omega too large for the instance).
-    """
-    if omega < 0:
-        raise ValidationError("boltzmann_posterior: omega must be non-negative")
-    if p_s_given_x.input_size != p_x.alphabet_size:
-        raise ValidationError("boltzmann_posterior: X alphabet mismatch")
-    if p_s_given_x.output_size != p_s_given_y.output_size:
-        raise ValidationError("boltzmann_posterior: S alphabet mismatch")
-    x_given_y = _boltzmann(p_x.probs, p_s_given_x.rows, p_s_given_y.rows, omega)
-    if x_given_y is None:
-        raise NumericUnderflowError("boltzmann_posterior: a row lost all weight")
-    return PrivacyMapping(x_given_y)
 
 
 def boltzmann_original(inst: MirrorGameInstance, q: int, o: np.ndarray, omega: float):
@@ -569,7 +553,7 @@ def boltzmann_original(inst: MirrorGameInstance, q: int, o: np.ndarray, omega: f
     weight (omega too large for the posterior), or a refreshed row is not finite."""
     p_y, post = _s_given_yo(inst.joints[q].table, o)
     p_x = inst.p_x[q][:, None]
-    x_given_y = _boltzmann(inst.p_x[q], inst._s_given_x[q], post, omega) \
+    x_given_y = boltzmann_posterior(inst.p_x[q], inst._s_given_x[q], post, omega) \
         if np.all(p_y > 0) else None
     if x_given_y is None:
         return None
@@ -581,29 +565,14 @@ def boltzmann_original(inst: MirrorGameInstance, q: int, o: np.ndarray, omega: f
     return rows / sums if np.all(np.isfinite(rows)) and np.all(sums > 0) else None
 
 
-@dataclass(frozen=True)
-class BottleneckResult:
-    gamma2_star: float
-    vtheta1_star: float
-    gap: float          # I(S; X_q) - I(Yo_q; S), >= 0 by data processing
-    feasible: bool
-
-
-def bottleneck_pair_search(inst: MirrorGameInstance, asg: TwinAssignment,
-                           u: UncertaintyModel, vtheta_target: float,
-                           q: int = 0, n_grid: int = 64) -> BottleneckResult:
-    """Largest utility floor gamma2 on an n_grid grid over [0, H(X_q)] such that
-    Pr{I(X_q;Yo_q) >= gamma2} meets the target. The utility does not depend on
-    the perturbed posterior, so that chance is 1: I(X_q;Yo_q) floored to the grid."""
-    _check_consistent(inst, asg)
-    p_sx, o, p_x = inst.joints[q].table, asg.original[q].rows, inst.p_x[q]
-    i_xy = _utility(p_x, o)
-    gap = float(prob._mi(p_sx) - prob._mi(_s_yo(p_sx, o)))
-    grid = np.linspace(0.0, float(-prob._plogp(p_x).sum()), n_grid)
-    met = grid[grid <= i_xy + NULL_TOL]
-    if vtheta_target > 1.0 or not met.size:
-        return BottleneckResult(0.0, 0.0, gap, feasible=False)
-    return BottleneckResult(float(met[-1]), 1.0, gap, feasible=True)
+def bottleneck_pair_search(inst: MirrorGameInstance, o: np.ndarray) -> float:
+    """The relaxed utility floor of Bob 0's original rows o (X, Yo): the
+    largest point of a 64-point grid over [0, H(X_0)] at or below
+    I(X_0; Yo_0) + NULL_TOL. The utility does not depend on the perturbed
+    posterior, so its chance of meeting any grid floor is 0 or 1."""
+    p_x = inst.p_x[0]
+    grid = np.linspace(0.0, float(-prob._plogp(p_x).sum()), 64)
+    return float(grid[grid <= _utility(p_x, o) + NULL_TOL][-1])
 
 
 def _sum_channel(inst: MirrorGameInstance, q: int, o: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -620,15 +589,16 @@ def _sum_channel(inst: MirrorGameInstance, q: int, o: np.ndarray, v: np.ndarray)
     return chan
 
 
-def superposed_exposure(inst: MirrorGameInstance, asg: TwinAssignment, q: int) -> float:
-    """I(X_q; {Yo_q' + Yv_q'}_{q' != q}): the exposure when every other Bob's
-    pair is observed as a superposed sum rather than a separate tuple, the
-    physical-layer reading of the total signal. Here the virtual twin really
-    can mask the original, so the value falls as virtual power grows."""
-    _check_consistent(inst, asg)
-    return float(_cross_mi(inst._x_rows[q],
-                           [_sum_channel(inst, p, asg.original[p].rows, asg.virtual[p].rows)
-                            for p in range(inst.q_count) if p != q], h_head=inst.h_x[q]))
+def superposed_exposure(inst: MirrorGameInstance, q: int, orig, virt) -> np.ndarray:
+    """I(X_q; {Yo_q' + Yv_q'}_{q' != q}) from each Bob's original rows
+    orig[p] (..., X, Yo) and virtual rows virt[p] (..., X, Yv), one value
+    per leading index: the exposure when every other Bob's pair is observed
+    as a superposed sum rather than a separate tuple, the physical-layer
+    reading of the total signal. Here the virtual twin really can mask the
+    original, so the value falls as virtual power grows."""
+    return _cross_mi(inst._x_rows[q],
+                     [_sum_channel(inst, p, orig[p], virt[p])
+                      for p in range(inst.q_count) if p != q], h_head=inst.h_x[q])
 
 
 def reference_binary_instance(q_count: int = 2, source_p: float = 0.5,

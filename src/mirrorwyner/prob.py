@@ -134,16 +134,6 @@ class PrivacyMapping:
         return self.rows.shape[1]
 
     @classmethod
-    def identity(cls, n: int) -> "PrivacyMapping":
-        return cls(np.eye(n))
-
-    @classmethod
-    def constant(cls, n_in: int, n_out: int, y: int = 0) -> "PrivacyMapping":
-        rows = np.zeros((n_in, n_out))
-        rows[:, y] = 1.0
-        return cls(rows)
-
-    @classmethod
     def bsc(cls, flip: float) -> "PrivacyMapping":
         return cls(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
 

@@ -228,6 +228,10 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
 
     The search holds each Bob's rows as plain arrays; mappings are validated
     only on entry (`random_assignment`) and at return.
+
+    `u` is not read: only the leakage feels the uncertainty, and the
+    search tests its deterministic value. The parameter stays because
+    `bench/child.py` and the acceptance suite pass it positionally.
     """
     if budget < 1:
         raise ValidationError("greedy_solve: budget must be >= 1")
@@ -241,8 +245,7 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     vals = mirror.condition_values(inst, asg)
     gamma2_eff = inst.gamma2
     if relaxed:
-        bn = mirror.bottleneck_pair_search(inst, asg, u, vtheta_target=0.9)
-        gamma2_eff = min(inst.gamma2, bn.gamma2_star)
+        gamma2_eff = min(inst.gamma2, mirror.bottleneck_pair_search(inst, orig[0]))
     constraints = mirror.ConstraintSet.build(
         inst, gamma2=gamma2_eff, eps=eps if relaxed else None,
         null_mode="floored" if relaxed else "strict")

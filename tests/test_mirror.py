@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorwyner import cli, mirror, prob, solvers
-from mirrorwyner.errors import NumericUnderflowError, ValidationError
+from mirrorwyner.errors import ValidationError
 from mirrorwyner.mirror import (MirrorGameInstance, TwinAssignment,
                                 UncertaintyModel)
-from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf, PrivacyMapping
+from mirrorwyner.prob import JointPmf2, JointPmf3, PrivacyMapping
 
 from conftest import cmi_loops, kl_or_inf, wide_instance
 
@@ -39,6 +39,15 @@ def random_assignment(inst, seed):
         virt.append(PrivacyMapping(rng.dirichlet(np.ones(inst.virtual_alphabet),
                                                  size=n_x)))
     return TwinAssignment(tuple(orig), tuple(virt))
+
+
+def assignment_rows(asg):
+    """Each Bob's original rows and virtual rows of an assignment."""
+    return [m.rows for m in asg.original], [m.rows for m in asg.virtual]
+
+
+IDENTITY = PrivacyMapping(np.eye(2))
+CONSTANT = PrivacyMapping(np.array([[1.0, 0.0], [1.0, 0.0]]))   # every x to y = 0
 
 
 def full_joint(inst, asg):
@@ -142,9 +151,7 @@ class TestConditionValues:
 
     def test_identity_constant_endpoints(self):
         inst = mirror.reference_binary_instance()
-        ident = PrivacyMapping.identity(2)
-        const = PrivacyMapping.constant(2, 2)
-        asg = TwinAssignment((ident, ident), (const, const))
+        asg = TwinAssignment((IDENTITY, IDENTITY), (CONSTANT, CONSTANT))
         vals = mirror.condition_values(inst, asg)
         h_x = prob.entropy(inst.x_marginal(0))
         # identity original: utility = H(X); constant twin: no power, nulled
@@ -173,7 +180,7 @@ class TestConditionValues:
                 asg = random_assignment(inst, seed + 9)
                 vals = mirror.condition_values(inst, asg)
                 for q in range(q_count):
-                    sup = mirror.superposed_exposure(inst, asg, q)
+                    sup = mirror.superposed_exposure(inst, q, *assignment_rows(asg))
                     assert sup <= vals[q, 2] + 1e-10
 
     @pytest.mark.parametrize("q_count,n_v", [(2, 2), (3, 2), (3, 3)])
@@ -182,7 +189,7 @@ class TestConditionValues:
         asg = random_assignment(inst, 200 + n_v)
         table = full_joint(inst, asg)
         for q in range(q_count):
-            assert mirror.superposed_exposure(inst, asg, q) == pytest.approx(
+            assert mirror.superposed_exposure(inst, q, *assignment_rows(asg)) == pytest.approx(
                 superposed_mi(inst, table, q), abs=1e-10)
 
 
@@ -483,7 +490,7 @@ class TestUncertainty:
         inst = random_instance(1)
         asg = random_assignment(inst, 2)
         rng = np.random.default_rng(0)
-        draw = mirror.sample_leakage(inst, asg, 0, 0.0, rng)
+        draw = mirror.sample_leakage(inst, 0, asg.original[0].rows, 0.0, rng)
         exact = mirror.condition_values(inst, asg)[0, 1]
         assert draw == pytest.approx(exact, abs=1e-10)
 
@@ -501,8 +508,9 @@ class TestUncertainty:
         asg = random_assignment(inst, 6)
         q = inst.q_count - 1
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-        batched = mirror.sample_leakage(inst, asg, q, mag, rng_a, n=64)
-        single = np.concatenate([mirror.sample_leakage(inst, asg, q, mag, rng_b)
+        o = asg.original[q].rows
+        batched = mirror.sample_leakage(inst, q, o, mag, rng_a, n=64)
+        single = np.concatenate([mirror.sample_leakage(inst, q, o, mag, rng_b)
                                  for _ in range(64)])
         assert batched.shape == (64,)
         assert np.array_equal(batched, single)
@@ -520,7 +528,8 @@ class TestUncertainty:
         inst = mirror.reference_binary_instance()
         asg = random_assignment(inst, 2)
         with pytest.raises(ValidationError):
-            mirror.sample_leakage(inst, asg, 0, mag, np.random.default_rng(0), n)
+            mirror.sample_leakage(inst, 0, asg.original[0].rows, mag,
+                                  np.random.default_rng(0), n)
 
 
 class TestRelaxationChain:
@@ -547,12 +556,11 @@ class TestRelaxationChain:
         inst = mirror.reference_binary_instance()
         ccp = mirror.chance_relax(mirror.assemble_p1(inst), UncertaintyModel(0.0))
         floored = mirror.epsilon_floor(ccp, (0.01, 0.01, 0.01))
-        ident = PrivacyMapping.identity(2)
         ticks = np.linspace(0, 1, 9)
         for a in ticks:
             for b in ticks:
                 v = PrivacyMapping(np.array([[a, 1 - a], [b, 1 - b]]))
-                asg = TwinAssignment((ident, ident), (v, v))
+                asg = TwinAssignment((IDENTITY, IDENTITY), (v, v))
                 vals = mirror.condition_values(inst, asg)
                 for q in range(2):
                     for i in (4, 5):
@@ -668,49 +676,49 @@ class TestConstraintSet:
 class TestBoltzmann:
     def test_omega_zero_gives_prior(self):
         inst = random_instance(5)
-        p_x = inst.x_marginal(0)
-        s_given_x = PrivacyMapping(inst._s_given_x[0])
+        p_x, s_given_x = inst.p_x[0], inst._s_given_x[0]
         post = mirror.boltzmann_posterior(p_x, s_given_x, s_given_x, 0.0)
-        np.testing.assert_allclose(post.rows, np.tile(p_x.probs, (2, 1)), atol=1e-12)
+        np.testing.assert_allclose(post, np.tile(p_x, (2, 1)), atol=1e-12)
 
     def test_matches_direct_formula(self):
         inst = random_instance(6)
-        p_x = inst.x_marginal(0)
-        s_given_x = PrivacyMapping(inst._s_given_x[0])
+        p_x, s_given_x = inst.p_x[0], inst._s_given_x[0]
         rng = np.random.default_rng(1)
-        s_given_y = PrivacyMapping(rng.dirichlet(np.ones(2), size=3))
+        s_given_y = rng.dirichlet(np.ones(2), size=3)
         omega = 2.5
         post = mirror.boltzmann_posterior(p_x, s_given_x, s_given_y, omega)
         for y in range(3):
-            w = np.array([p_x.probs[x] * np.exp(-omega * kl_or_inf(
-                s_given_y.rows[y], s_given_x.rows[x])) for x in range(2)])
-            np.testing.assert_allclose(post.rows[y], w / w.sum(), atol=1e-12)
+            w = np.array([p_x[x] * np.exp(-omega * kl_or_inf(s_given_y[y], s_given_x[x]))
+                          for x in range(2)])
+            np.testing.assert_allclose(post[y], w / w.sum(), atol=1e-12)
 
-    def test_underflow_raises(self):
-        p_x = Pmf(np.array([0.5, 0.5]))
-        s_given_x = PrivacyMapping(np.array([[0.9, 0.1], [0.8, 0.2]]))
-        s_given_y = PrivacyMapping(np.array([[0.1, 0.9]]))
-        with pytest.raises(NumericUnderflowError):
-            mirror.boltzmann_posterior(p_x, s_given_x, s_given_y, 1e7)
+    def test_underflow_returns_none(self):
+        p_x = np.array([0.5, 0.5])
+        s_given_x = np.array([[0.9, 0.1], [0.8, 0.2]])
+        s_given_y = np.array([[0.1, 0.9]])
+        assert mirror.boltzmann_posterior(p_x, s_given_x, s_given_y, 1e7) is None
 
 
 class TestBottleneck:
     def test_identity_reaches_entropy(self):
         inst = mirror.reference_binary_instance()
-        ident = PrivacyMapping.identity(2)
-        const = PrivacyMapping.constant(2, 2)
-        asg = TwinAssignment((ident, ident), (const, const))
-        res = mirror.bottleneck_pair_search(inst, asg, UncertaintyModel(0.5), 0.9)
-        assert res.feasible
-        assert res.gamma2_star == pytest.approx(prob.entropy(inst.x_marginal(0)), abs=1e-9)
-        assert res.gap >= -1e-12  # information-bottleneck ordering
+        floor = mirror.bottleneck_pair_search(inst, IDENTITY.rows)
+        assert floor == pytest.approx(prob.entropy(inst.x_marginal(0)), abs=1e-9)
 
     def test_constant_mapping_gives_zero(self):
         inst = mirror.reference_binary_instance()
-        const = PrivacyMapping.constant(2, 2)
-        asg = TwinAssignment((const, const), (const, const))
-        res = mirror.bottleneck_pair_search(inst, asg, UncertaintyModel(0.5), 0.9)
-        assert res.gamma2_star == pytest.approx(0.0, abs=1e-12)
+        assert mirror.bottleneck_pair_search(inst, CONSTANT.rows) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_floor_is_largest_grid_point_below_utility(self, seed):
+        inst = random_instance(seed, n_x=3)
+        o = np.random.default_rng(seed).dirichlet(np.ones(3), size=3)
+        utility = prob.mutual_information(JointPmf2(inst.p_x[0][:, None] * o))
+        step = prob.entropy(inst.x_marginal(0)) / 63
+        floor = mirror.bottleneck_pair_search(inst, o)
+        assert floor <= utility + mirror.NULL_TOL
+        assert floor + step > utility + mirror.NULL_TOL
+        assert floor / step == pytest.approx(round(floor / step), abs=1e-9)
 
 
 class TestInstance:
