@@ -359,15 +359,14 @@ def run_lohe(c, seed):
 
 
 def run_stackelberg(c, seed):
-    if c["laws"] is not None:
-        inst = nonstationary.StackelbergInstance(
-            leader_laws=c["laws"], payoffs=c["payoffs"], leader_drift=c["drift"])
-    else:
+    laws, payoffs = c["laws"], c["payoffs"]
+    if laws is None:
         rng = np.random.default_rng(seed)
         n_f, n_u, n_laws = c["n_follower"], c["n_leader_state"], c["n_laws"]
         laws = tuple(rng.dirichlet(np.ones(n_u), size=n_f) for _ in range(n_laws))
-        inst = nonstationary.StackelbergInstance(
-            leader_laws=laws, payoffs=rng.normal(size=(n_f, n_u)))
+        payoffs = rng.normal(size=(n_f, n_u))
+    inst = nonstationary.StackelbergInstance(leader_laws=laws, payoffs=payoffs,
+                                             leader_drift=c["drift"])
     rows = []
     for stage in c["stages"]:
         li, a, v = nonstationary.stackelberg_solve(inst, stage=stage)
@@ -419,6 +418,8 @@ def run_divergence(c, seed):
     acc = tuple(range(n_z - 1)) if c["accessible"] is None else c["accessible"]
     inacc = (n_z - 1,) if c["inaccessible"] is None else c["inaccessible"]
     g2 = float(np.log2(model.joint.shape[3])) if c["g2"] is None else c["g2"]
+    if c["g1"] > g2:
+        raise ValidationError(f"g1: need g1 <= g2 = {g2!r}, got {c['g1']!r}")
     rep_d = dv.cmi_decomposition_report(model)
     rows = [("per_z", z, v) for z, v in enumerate(rep_d.per_z)]
     rows.append(("total", "", rep_d.total))

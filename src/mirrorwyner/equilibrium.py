@@ -71,6 +71,9 @@ def payoff(g: KCutGame, p: StrategyProfile, i: int) -> float:
     return float(g.weights[i, mask].sum())
 
 
+MAX_ROUNDS = 1000   # sweep cap of best_response_dynamics
+
+
 @dataclass(frozen=True)
 class BestResponseResult:
     profile: StrategyProfile
@@ -78,14 +81,13 @@ class BestResponseResult:
     converged: bool
 
 
-def best_response_dynamics(g: KCutGame, init: StrategyProfile,
-                           max_rounds: int = 1000) -> BestResponseResult:
+def best_response_dynamics(g: KCutGame, init: StrategyProfile) -> BestResponseResult:
     """Sequential sweeps; a player moves only to a strictly better color
     (lowest-index winner among the strictly-better options); stops when a
-    full sweep changes nothing."""
+    full sweep changes nothing, or after MAX_ROUNDS sweeps."""
     init.check(g)
     profile = init
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         changed = False
         for i in range(g.n):
             base = payoff(g, profile, i)
@@ -101,7 +103,7 @@ def best_response_dynamics(g: KCutGame, init: StrategyProfile,
                 changed = True
         if not changed:
             return BestResponseResult(profile, rounds, converged=True)
-    return BestResponseResult(profile, max_rounds, converged=False)
+    return BestResponseResult(profile, MAX_ROUNDS, converged=False)
 
 
 def verify_nash(g: KCutGame, p: StrategyProfile):

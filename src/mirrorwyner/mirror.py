@@ -21,18 +21,8 @@ from . import prob
 from .errors import ValidationError
 from .prob import JointPmf2, Pmf, PrivacyMapping
 
-# conditions (v)-(vii) use this as "numerically zero" in strict mode
+# conditions (v)-(vii) use this as "numerically zero" without eps floors
 NULL_TOL = 1e-9
-
-CONDITION_NAMES = (
-    "utility",        # (i)   I(X_q; Yo_q)
-    "leakage",        # (ii)  I(Yo_q; S)
-    "exposure",       # (iii) I(X_q; {Ytot_q'}), q' != q
-    "virtual_power",  # (iv)  E{||Yv_q||^2}
-    "twin_vs_other_original",  # (v)  I({Yv_q'}; Yo_q)
-    "twin_vs_other_source",    # (vi) I({Yv_q'}; X_q)
-    "twin_nulled",    # (vii) I({Yv_q}; Yo_q)
-)
 
 
 @dataclass(frozen=True)
@@ -402,40 +392,33 @@ class ConstraintSet:
 
     Without eps floors, (v) and (vi) must exceed NULL_TOL and (vii) stay at
     most NULL_TOL. With floors (eps1, eps2, eps3), (v) and (vi) must exceed
-    eps1 and eps2, and (vii) is at least eps3 in "floored" null mode or stays
-    at most NULL_TOL in "strict" null mode.
+    eps1 and eps2, and (vii) must be at least eps3.
     """
 
     lo: np.ndarray   # (Q, 7) lower bounds
     hi: np.ndarray   # (Q, 7) upper bounds
 
     @classmethod
-    def build(cls, inst: MirrorGameInstance, gamma2: float = None, eps=None,
-              null_mode: str = "strict") -> "ConstraintSet":
+    def build(cls, inst: MirrorGameInstance, gamma2: float = None, eps=None
+              ) -> "ConstraintSet":
         """Bounds from the instance thresholds, the utility floor (the
         instance's gamma2 by default) and the eps floors, if any: three
         positive reals."""
-        if null_mode not in ("strict", "floored"):
-            raise ValidationError("null_mode must be 'strict' or 'floored'")
-        if eps is None and null_mode == "floored":
-            raise ValidationError("null_mode 'floored' needs eps floors")
         if eps is not None:
             eps = np.asarray(eps, dtype=float)
             if eps.shape != (3,) or not np.all(eps > 0):
                 raise ValidationError(f"eps: need three positive floors, got {eps.tolist()}")
-        e1, e2, e3 = (NULL_TOL, NULL_TOL, None) if eps is None else eps
         lo = np.full((inst.q_count, 7), -np.inf)
         hi = np.full((inst.q_count, 7), np.inf)
         lo[:, 0] = inst.gamma2 if gamma2 is None else gamma2
         hi[:, 1] = inst.gamma0
         hi[:, 2] = inst.gamma3
         hi[:, 3] = inst.gamma1
-        lo[:, 4] = e1
-        lo[:, 5] = e2
-        if null_mode == "floored":
-            lo[:, 6] = e3
-        else:
+        if eps is None:
+            lo[:, 4:6] = NULL_TOL
             hi[:, 6] = NULL_TOL
+        else:
+            lo[:, 4:7] = eps   # (vii) flips from I = 0 to I >= eps3
         return cls(lo, hi)
 
     def violations(self, vals: np.ndarray) -> np.ndarray:
@@ -453,11 +436,16 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """The base problem: minimize the mean exposure (iii) subject to the
-    conditions, all bounds taken from the instance thresholds."""
+    """One step of the relaxation chain: minimize the mean exposure (iii)
+    subject to the conditions' bounds. In the base problem P1 every bound
+    comes from the instance thresholds."""
 
     instance: MirrorGameInstance
     constraints: ConstraintSet
+
+    def constraint_holds(self, vals: np.ndarray, q: int, i: int) -> bool:
+        """Constraint i for Bob q on precomputed (Q, 7) values."""
+        return bool(self.constraints.holds(vals[q, i], q, i))
 
 
 def assemble_p1(inst: MirrorGameInstance) -> OptimizationProblem:
@@ -499,38 +487,23 @@ def sample_leakage(inst: MirrorGameInstance, q: int, o: np.ndarray, magnitude: f
     return prob._mi(np.swapaxes(p_y[:, None] * post, -1, -2))
 
 
-@dataclass(frozen=True)
-class ChanceConstrainedProblem:
-    """Chance-constrained form: every constraint becomes Pr{holds under the
-    uncertainty} >= theta_i, and the objective is to push the theta vector up.
-
-    Only the leakage constraint actually feels the uncertainty (it is the one
-    whose posterior is perturbed); the others evaluate deterministically.
-    """
-
-    instance: MirrorGameInstance
-    uncertainty: UncertaintyModel
-    constraints: ConstraintSet
-
-    def constraint_holds(self, vals: np.ndarray, q: int, i: int) -> bool:
-        """Deterministic part of constraint i for Bob q on precomputed values."""
-        return bool(self.constraints.holds(vals[q, i], q, i))
+def chance_relax(p1: OptimizationProblem, u: UncertaintyModel) -> OptimizationProblem:
+    """The chance-constrained form of p1: each constraint must hold with
+    probability at least theta_i under the uncertainty u. Only the leakage
+    (ii) feels the uncertainty, through the perturbed posterior, and
+    `sample_leakage` estimates that chance; every other condition is
+    deterministic, so its chance is 0 or 1 and its bound is unchanged. The
+    form is p1 itself, and `u` is not read, as in `solvers.greedy_solve`."""
+    return p1
 
 
-def chance_relax(p1: OptimizationProblem, u: UncertaintyModel) -> ChanceConstrainedProblem:
-    return ChanceConstrainedProblem(p1.instance, u, p1.constraints)
-
-
-def epsilon_floor(ccp: ChanceConstrainedProblem, eps, null_mode: str = "floored"
-                  ) -> ChanceConstrainedProblem:
+def epsilon_floor(p: OptimizationProblem, eps) -> OptimizationProblem:
     """Replace the strict/equality constraints (v)-(vii) with eps floors.
 
     (v) and (vi) tighten monotonically (I > eps implies I > 0). For (vii) the
-    relaxed form flips the equality into I >= eps3; the strict band is kept
-    available via null_mode="strict" since the two readings contradict.
+    relaxed form flips the equality I = 0 into I >= eps3.
     """
-    return replace(ccp, constraints=ConstraintSet.build(ccp.instance, eps=eps,
-                                                        null_mode=null_mode))
+    return replace(p, constraints=ConstraintSet.build(p.instance, eps=eps))
 
 
 def boltzmann_posterior(p_x: np.ndarray, s_given_x: np.ndarray, s_given_y: np.ndarray,
@@ -601,14 +574,13 @@ def superposed_exposure(inst: MirrorGameInstance, q: int, orig, virt) -> np.ndar
                       for p in range(inst.q_count) if p != q], h_head=inst.h_x[q])
 
 
-def reference_binary_instance(q_count: int = 2, source_p: float = 0.5,
-                              channel_flip: float = 0.15,
-                              gamma0: float = 0.3, gamma1: float = 1.0,
+def reference_binary_instance(q_count: int = 2, gamma0: float = 0.3, gamma1: float = 1.0,
                               gamma2: float = 0.1, gamma3: float = 1.5,
                               virtual_alphabet: int = 2) -> MirrorGameInstance:
-    """Small Bernoulli-source instance used by the batch experiments."""
-    p_s = Pmf.bernoulli(source_p)
-    bsc = PrivacyMapping.bsc(channel_flip)
+    """Small instance used by the batch experiments: a uniform binary S seen
+    by every Bob through a binary symmetric channel of flip 0.15."""
+    p_s = Pmf.bernoulli(0.5)
+    bsc = PrivacyMapping.bsc(0.15)
     joint = JointPmf2(p_s.probs[:, None] * bsc.rows)
     return MirrorGameInstance(
         joints=tuple(joint for _ in range(q_count)),

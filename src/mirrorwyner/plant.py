@@ -55,10 +55,9 @@ def controllability_rank(a1, a2):
     n = a1.shape[0]
     if a1.shape != (n, n) or a2.shape[0] != n:
         raise ValidationError("controllability_rank: dimension mismatch")
-    blocks, cur = [], a2
-    for _ in range(n):
-        blocks.append(cur)
-        cur = a1 @ cur
+    blocks = [a2]
+    for _ in range(n - 1):
+        blocks.append(a1 @ blocks[-1])
     rank = _svd_rank(np.hstack(blocks))
     return rank, rank == n
 

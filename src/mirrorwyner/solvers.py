@@ -57,17 +57,13 @@ class GreedyPass:
 
 @dataclass
 class SolveTrace:
-    iterates: list = field(default_factory=list)   # Iterate (GreedyPass in a GreedyTrace)
+    iterates: list = field(default_factory=list)   # Iterate, or GreedyPass from greedy_solve
     converged: bool = False
     feasible: Optional[bool] = None
 
     @property
     def iterations(self) -> int:
         return len(self.iterates)
-
-
-class GreedyTrace(SolveTrace):
-    """Trace of `greedy_solve`, one GreedyPass record per outer pass."""
 
 
 @dataclass
@@ -191,7 +187,10 @@ def trust_region_solve(f: ObjectiveFn, x0, cfg: TrustRegionConfig = None):
 # ---------------------------------------------------------------------------
 
 DEFAULT_EPS = (0.01, 0.01, 0.01)
-DEFAULT_LAMBDA = 10.0
+OMEGA = 1.0      # inverse temperature of the Boltzmann refresh
+LAMBDA = 10.0    # merit weight of the constraint violations
+PROPOSALS = 6    # virtual-row candidates per Bob and pass
+PATIENCE = 3     # improvement-free passes before the search stops
 
 
 def _random_rows(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,9 +213,7 @@ def random_assignment(inst: mirror.MirrorGameInstance,
 
 
 def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
-                 relaxed: bool, budget: int, seed: int,
-                 omega: float = 1.0, eps=DEFAULT_EPS, lam: float = DEFAULT_LAMBDA,
-                 proposals: int = 6, patience: int = 3):
+                 relaxed: bool, budget: int, seed: int, eps=DEFAULT_EPS):
     """Per-Bob coordinate ascent: re-derive the original mapping through the
     Boltzmann-posterior self-consistent update, then adjust the virtual
     mapping toward feasibility; accept a step only when the merit improves.
@@ -224,7 +221,8 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     With relaxed=True the feasibility tests use the eps floors (including the
     flipped null condition) and the bottleneck pair search shortcut for the
     utility floor. Stops on feasibility with no further improvement, on a run
-    of improvement-free passes, or at the budget.
+    of PATIENCE improvement-free passes, or at the budget. The trace holds
+    one GreedyPass per outer pass.
 
     The search holds each Bob's rows as plain arrays; mappings are validated
     only on entry (`random_assignment`) and at return.
@@ -235,25 +233,22 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     """
     if budget < 1:
         raise ValidationError("greedy_solve: budget must be >= 1")
-    if not omega >= 0:
-        raise ValidationError(f"greedy_solve: omega must be non-negative, got {omega!r}")
     rng = np.random.default_rng(seed)
     asg = random_assignment(inst, rng)
     orig, virt = rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
-    trace = GreedyTrace()
+    trace = SolveTrace()
 
     vals = mirror.condition_values(inst, asg)
     gamma2_eff = inst.gamma2
     if relaxed:
         gamma2_eff = min(inst.gamma2, mirror.bottleneck_pair_search(inst, orig[0]))
-    constraints = mirror.ConstraintSet.build(
-        inst, gamma2=gamma2_eff, eps=eps if relaxed else None,
-        null_mode="floored" if relaxed else "strict")
+    constraints = mirror.ConstraintSet.build(inst, gamma2=gamma2_eff,
+                                             eps=eps if relaxed else None)
 
     def merits(vals: np.ndarray) -> np.ndarray:
         """Minimization merit of each (..., Q, 7) value table: mean exposure
         plus weighted constraint violations."""
-        return vals[..., 2].mean(-1) + lam * constraints.violations(vals).sum((-2, -1))
+        return vals[..., 2].mean(-1) + LAMBDA * constraints.violations(vals).sum((-2, -1))
 
     def feasible(vals: np.ndarray) -> bool:
         return bool(constraints.holds(vals).all())
@@ -265,11 +260,11 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
         improved = False
         for q in range(inst.q_count):
             # Boltzmann self-consistent refresh of the original rows, if any
-            refresh = mirror.boltzmann_original(inst, q, orig[q], omega)
+            refresh = mirror.boltzmann_original(inst, q, orig[q], OMEGA)
             originals = [c for c in (refresh, _nudge_rows(orig[q], 0.1, rng)) if c is not None]
             virtuals = [_random_rows(virt[q].shape[0], inst.virtual_alphabet, rng)
                         if j % 2 == 0 else _nudge_rows(virt[q], 0.15, rng)
-                        for j in range(proposals)]
+                        for j in range(PROPOSALS)]
             # Every trial of one kind replaces the same slot, so scoring the
             # whole stack against the rows before it equals trying the
             # candidates one by one; the virtual stack sees the accepted
@@ -290,7 +285,7 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
             trace.converged = True
             break
         stall = 0 if improved else stall + 1
-        if stall >= patience:
+        if stall >= PATIENCE:
             break
     trace.feasible = feasible(vals)
     return mirror.TwinAssignment(*(tuple(map(PrivacyMapping, r)) for r in rows)), trace

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mirrorwyner import cli, mirror, solvers
+from mirrorwyner import nonstationary as ns
 from mirrorwyner.cli import main
 from mirrorwyner.errors import ValidationError
 
@@ -153,6 +154,11 @@ class TestExitCodes:
         ("lohe", {"alpha": -float("inf")}, "alpha"),
         # an out-of-range value fails under its key, not the class it builds
         ("nash", {"k": 1}, "k"),
+        # g1 is checked against g2, given or derived (log2 2 = 1 here)
+        ("divergence", {"g1": 2, "g2": 1}, "g1"),
+        ("divergence", {"g1": 1.5}, "g1"),
+        # a drawn game's laws are 6x4, so a 1x1 drift is the wrong shape
+        ("stackelberg", {"drift": [[1]]}, "StackelbergInstance"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -284,6 +290,40 @@ class TestExitCodes:
         assert rc == 0
         # closed loop 0.5 + 1.0 * 0.1 * 1.0: both ranks full, radius 0.6
         assert data.decode().split("\n")[1] == "0,1,1,1,1,1,0.6,1"
+
+    def test_plant_krylov_stops_at_the_last_block(self, tmp_path):
+        # n = 1 takes no A1 product: A1 A2 = 1e600 would overflow, and the
+        # rank test never reads it
+        cfg = tmp_path / "plant.json"
+        cfg.write_text(json.dumps({"a1": [[1e300]], "a2": [[1e300]], "a3": [[1]],
+                                   "a4": [[1]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, data = run_to_file(tmp_path, ["plant", "--config", str(cfg)])
+        assert rc == 0
+        assert data.decode().split("\n")[1] == "0,1,1,1,1,1,2e+300,0"
+
+    def test_stackelberg_drift_reaches_the_drawn_game(self, tmp_path):
+        drift = np.zeros((6, 4))
+        drift[:, 0], drift[:, 3] = -0.2, 0.2
+        stages = [0, 1, 4]
+        cfg = tmp_path / "drift.json"
+        cfg.write_text(json.dumps({"drift": drift.tolist(), "stages": stages}))
+        rc, data = run_to_file(tmp_path, ["stackelberg", "--config", str(cfg), "--seed", "0"])
+        assert rc == 0
+        # the game drawn as the CLI draws it, at seed 0, with the drift
+        rng = np.random.default_rng(0)
+        laws = tuple(rng.dirichlet(np.ones(4), size=6) for _ in range(8))
+        inst = ns.StackelbergInstance(leader_laws=laws, payoffs=rng.normal(size=(6, 4)),
+                                      leader_drift=drift)
+        want = [(stage, *ns.stackelberg_solve(inst, stage)) for stage in stages]
+        got = [line.split(",")[1:] for line in data.decode().split("\n")[1:-1]]
+        assert [(int(s), int(li), int(a)) for s, li, a, _ in got] == [w[:3] for w in want]
+        np.testing.assert_allclose([float(r[3]) for r in got], [w[3] for w in want],
+                                   rtol=1e-11)
+        # and the drift moves the answer away from the undrifted game's
+        undrifted = ns.StackelbergInstance(leader_laws=laws, payoffs=inst.payoffs)
+        assert ns.stackelberg_solve(undrifted, 4)[:2] != want[2][1:3]
 
     # the step overflows on purpose; numpy's warnings about it are not the report
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -541,14 +541,19 @@ class TestRelaxationChain:
 
     def test_floored_mode_flips_null_condition(self):
         inst = mirror.reference_binary_instance()
-        ccp = mirror.chance_relax(mirror.assemble_p1(inst), UncertaintyModel(0.0))
-        floored = mirror.epsilon_floor(ccp, (0.01, 0.01, 0.01))
-        strict = mirror.epsilon_floor(ccp, (0.01, 0.01, 0.01), null_mode="strict")
+        strict = mirror.chance_relax(mirror.assemble_p1(inst), UncertaintyModel(0.0))
+        floored = mirror.epsilon_floor(strict, (0.01, 0.01, 0.01))
         vals = np.zeros((2, 7))
         vals[:, 6] = 0.05  # clearly non-null twin correlation
         vals[:, 0] = 1.0
         assert floored.constraint_holds(vals, 0, 6)
         assert not strict.constraint_holds(vals, 0, 6)
+
+    def test_chance_relax_keeps_the_problem(self):
+        # only the leakage feels the uncertainty, and sample_leakage
+        # estimates its chance; the form's bounds are P1's
+        p1 = mirror.assemble_p1(mirror.reference_binary_instance())
+        assert mirror.chance_relax(p1, UncertaintyModel(0.5)) is p1
 
     def test_floor_soundness_conditions_v_vi(self):
         # eps-floored pass implies strict pass for (v) and (vi): the floor
@@ -588,11 +593,12 @@ class TestConstraintSet:
     """The one bounds table against the seven comparisons and the merit's
     violation formula, both written out literally."""
 
-    # strict, floored, and eps floors with the strict null mode
-    MODES = ((None, "strict"), (CS_EPS, "floored"), (CS_EPS, "strict"))
+    # (eps floors, the reading of (vii)): no floors and (vii) at most
+    # NULL_TOL, or the floors and (vii) at least eps3
+    MODES = ((None, "strict"), (CS_EPS, "floored"))
 
     @staticmethod
-    def literal_passes(inst, vals, g2, eps, null_mode):
+    def literal_passes(inst, vals, g2, eps, reading):
         tol = mirror.NULL_TOL
         e1, e2, e3 = (tol, tol, None) if eps is None else eps
         passed = np.zeros_like(vals, dtype=bool)
@@ -602,14 +608,14 @@ class TestConstraintSet:
         passed[:, 3] = vals[:, 3] <= inst.gamma1 + tol
         passed[:, 4] = vals[:, 4] > e1
         passed[:, 5] = vals[:, 5] > e2
-        if null_mode == "floored":
+        if reading == "floored":
             passed[:, 6] = vals[:, 6] >= e3
         else:
             passed[:, 6] = vals[:, 6] <= tol
         return passed
 
     @staticmethod
-    def literal_violations(inst, vals, g2, eps, null_mode):
+    def literal_violations(inst, vals, g2, eps, reading):
         tol = mirror.NULL_TOL
         e1, e2, e3 = (tol, tol, None) if eps is None else eps
         v = np.zeros_like(vals)
@@ -619,22 +625,22 @@ class TestConstraintSet:
         v[:, 3] = np.maximum(0.0, vals[:, 3] - inst.gamma1)
         v[:, 4] = np.maximum(0.0, e1 - vals[:, 4])
         v[:, 5] = np.maximum(0.0, e2 - vals[:, 5])
-        if null_mode == "floored":
+        if reading == "floored":
             v[:, 6] = np.maximum(0.0, e3 - vals[:, 6])
         else:
             v[:, 6] = np.maximum(0.0, vals[:, 6] - tol)
         return v
 
-    def check(self, vals, eps, null_mode, gamma2):
+    def check(self, vals, eps, reading, gamma2):
         inst = CS_INST
         g2 = inst.gamma2 if gamma2 is None else gamma2
-        cs = mirror.ConstraintSet.build(inst, gamma2=gamma2, eps=eps, null_mode=null_mode)
-        expected = self.literal_passes(inst, vals, g2, eps, null_mode)
+        cs = mirror.ConstraintSet.build(inst, gamma2=gamma2, eps=eps)
+        expected = self.literal_passes(inst, vals, g2, eps, reading)
         np.testing.assert_array_equal(cs.holds(vals), expected)
         for q in range(2):
             for i in range(7):
                 assert bool(cs.holds(vals[q, i], q, i)) == expected[q, i]
-        v = self.literal_violations(inst, vals, g2, eps, null_mode)
+        v = self.literal_violations(inst, vals, g2, eps, reading)
         assert np.array_equal(cs.violations(vals), v)
         assert cs.violations(vals).sum() == v.sum()
 
@@ -656,21 +662,15 @@ class TestConstraintSet:
                     min_size=14, max_size=14),
            st.sampled_from(MODES))
     def test_relaxation_chain_carries_the_set(self, cells, mode):
-        eps, null_mode = mode
+        eps, reading = mode
         vals = np.array(cells).reshape(2, 7)
         ccp = mirror.chance_relax(mirror.assemble_p1(CS_INST), UncertaintyModel(0.0))
         if eps is not None:
-            ccp = mirror.epsilon_floor(ccp, eps, null_mode=null_mode)
-        expected = self.literal_passes(CS_INST, vals, CS_INST.gamma2, eps, null_mode)
+            ccp = mirror.epsilon_floor(ccp, eps)
+        expected = self.literal_passes(CS_INST, vals, CS_INST.gamma2, eps, reading)
         for q in range(2):
             for i in range(7):
                 assert ccp.constraint_holds(vals, q, i) == expected[q, i]
-
-    def test_floored_needs_floors(self):
-        with pytest.raises(ValidationError):
-            mirror.ConstraintSet.build(CS_INST, null_mode="floored")
-        with pytest.raises(ValidationError):
-            mirror.ConstraintSet.build(CS_INST, eps=CS_EPS, null_mode="banded")
 
 
 class TestBoltzmann:

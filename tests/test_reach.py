@@ -1,7 +1,8 @@
-"""Every function, class and method under src/mirrorwyner is named somewhere
-outside its own definition: elsewhere in src/, in scripts/, in the
-acceptance suite or in the benchmark tracer's FUNCTIONS. A definition that
-only its own unit tests name reaches no run, and this check lists it.
+"""Every function, class, method and module-level name under src/mirrorwyner
+is named somewhere outside its own definition: elsewhere in src/, in
+scripts/, in the acceptance suite or in the benchmark tracer's FUNCTIONS. A
+definition that only its own unit tests name reaches no run, and this check
+lists it.
 
 The check is static and by name alone (a word-boundary match, comments and
 docstrings included), so it stays fast and needs no run of the program."""
@@ -35,16 +36,28 @@ def tracer_names():
     raise AssertionError("bench/tracer.py defines no FUNCTIONS")
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree, prefix=""):
     """(qualified name, name, first line, last line) of every function,
-    class and method in `tree`, nested ones included, dunders left out."""
+    class and method in `tree`, nested ones included, and of every name a
+    module-level statement assigns; dunders left out."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
+            if not _dunder(node.name):
                 yield prefix + node.name, node.name, node.lineno, node.end_lineno
             yield from definitions(node, f"{prefix}{node.name}.")
-        else:
-            yield from definitions(node, prefix)
+            continue
+        if not prefix and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                            and not _dunder(name.id)):
+                        yield name.id, name.id, node.lineno, node.end_lineno
+        yield from definitions(node, prefix)
 
 
 def unreached(sources, others):
@@ -72,7 +85,11 @@ def test_every_definition_is_named_outside_itself():
 
 def test_a_name_used_only_inside_its_own_definition_is_flagged():
     sources = {"a": "def walk(n):\n    return walk(n - 1) if n else 0\n\n\n"
-                    "class Box:\n    def open(self):\n        return self\n",
-               "b": "from a import Box\n\n\ndef __dunder__():\n    pass\n"}
-    assert unreached(sources, []) == ["a.walk", "a.Box.open"]
-    assert unreached(sources, ["Box().open()", "walk"]) == []
+                    "class Box:\n    size = 3\n\n    def open(self):\n        return self\n\n\n"
+                    "LIMIT, _ROWS = 3, (LIMIT,)\n",
+               "b": "from a import Box\n\n__all__ = ['Box']\n\n\ndef __dunder__():\n"
+                    "    width = 2\n    return width\n"}
+    # a class attribute or a local is not module-level; LIMIT's own line
+    # does not count as naming it
+    assert unreached(sources, []) == ["a.walk", "a.Box.open", "a.LIMIT", "a._ROWS"]
+    assert unreached(sources, ["Box().open()", "walk", "LIMIT", "_ROWS"]) == []

@@ -113,8 +113,7 @@ class TestTrustRegion:
             TrustRegionConfig(theta1=1.5)
 
 
-def full_kernel_greedy(inst, relaxed, budget, seed, omega=1.0, eps=solvers.DEFAULT_EPS,
-                       lam=solvers.DEFAULT_LAMBDA, proposals=6, patience=3):
+def full_kernel_greedy(inst, relaxed, budget, seed, eps=solvers.DEFAULT_EPS):
     """The greedy search with every trial rescoring all Q x 7 conditions and
     each candidate's merit taken on its own: the reference for the
     slot-aware scoring of `solvers.greedy_solve`. Returns the pass records,
@@ -126,23 +125,22 @@ def full_kernel_greedy(inst, relaxed, budget, seed, omega=1.0, eps=solvers.DEFAU
     gamma2_eff = inst.gamma2
     if relaxed:
         gamma2_eff = min(inst.gamma2, mirror.bottleneck_pair_search(inst, orig[0]))
-    constraints = mirror.ConstraintSet.build(
-        inst, gamma2=gamma2_eff, eps=eps if relaxed else None,
-        null_mode="floored" if relaxed else "strict")
+    constraints = mirror.ConstraintSet.build(inst, gamma2=gamma2_eff,
+                                             eps=eps if relaxed else None)
 
     def merit(vals):
-        return float(vals[:, 2].mean() + lam * constraints.violations(vals).sum())
+        return float(vals[:, 2].mean() + solvers.LAMBDA * constraints.violations(vals).sum())
 
     current, stall, passes, converged = merit(vals), 0, [], False
     for _ in range(budget):
         improved = False
         for q in range(inst.q_count):
-            refresh = mirror.boltzmann_original(inst, q, orig[q], omega)
+            refresh = mirror.boltzmann_original(inst, q, orig[q], solvers.OMEGA)
             originals = [c for c in (refresh, solvers._nudge_rows(orig[q], 0.1, rng))
                          if c is not None]
             virtuals = [solvers._random_rows(virt[q].shape[0], inst.virtual_alphabet, rng)
                         if j % 2 == 0 else solvers._nudge_rows(virt[q], 0.15, rng)
-                        for j in range(proposals)]
+                        for j in range(solvers.PROPOSALS)]
             for kind, cands in enumerate((originals, virtuals)):
                 for cand in cands:
                     trial = [list(r) for r in rows]
@@ -158,7 +156,7 @@ def full_kernel_greedy(inst, relaxed, budget, seed, omega=1.0, eps=solvers.DEFAU
             converged = True
             break
         stall = 0 if improved else stall + 1
-        if stall >= patience:
+        if stall >= solvers.PATIENCE:
             break
     return passes, converged, rows
 
@@ -191,18 +189,18 @@ class TestGreedy:
         merits = [it.merit for it in trace.iterates]
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
 
-    def test_underflowing_boltzmann_candidate_is_skipped(self):
+    def test_underflowing_boltzmann_candidate_is_skipped(self, monkeypatch):
         inst = mirror.reference_binary_instance()
         u = UncertaintyModel(0.5, seed=0)
         omega = 1e7
+        monkeypatch.setattr(solvers, "OMEGA", omega)
         # the solve's start (same seed) already has no Boltzmann candidate
         asg0 = solvers.random_assignment(inst, np.random.default_rng(2))
         j3 = mirror.prob.markov_compose(inst.joints[0], asg0.original[0])
         sy = j3.margin_ac().table
         post = (sy / sy.sum(axis=0)).T
         assert mirror.boltzmann_posterior(inst.p_x[0], inst._s_given_x[0], post, omega) is None
-        asg, trace = solvers.greedy_solve(inst, u, relaxed=True, budget=10, seed=2,
-                                          omega=omega)
+        asg, trace = solvers.greedy_solve(inst, u, relaxed=True, budget=10, seed=2)
         assert len(asg.original) == inst.q_count
         assert 1 <= trace.iterations <= 10
         assert all(isinstance(it, solvers.GreedyPass) for it in trace.iterates)
@@ -225,13 +223,6 @@ class TestGreedy:
             solvers.greedy_solve(inst, UncertaintyModel(0.0), relaxed=True,
                                  budget=0, seed=0)
 
-    def test_negative_omega_rejected(self):
-        inst = mirror.reference_binary_instance()
-        for omega in (-1.0, float("nan")):
-            with pytest.raises(ValidationError):
-                solvers.greedy_solve(inst, UncertaintyModel(0.0), relaxed=True,
-                                     budget=3, seed=0, omega=omega)
-
     def test_zero_weight_boltzmann_row_gives_no_candidate(self):
         # x = 1 never occurs with s = 0, so every posterior P(S | y) that x = 0
         # reaches is infinitely far from P(S | x = 1): the refreshed row of
@@ -242,10 +233,10 @@ class TestGreedy:
         start = solvers.random_assignment(inst, np.random.default_rng(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for omega in (1.0, 50.0, 1e3):
-                asg, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=True,
-                                                  budget=10, seed=0, omega=omega)
-                assert 1 <= trace.iterations <= 10
+            asg, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=True,
+                                              budget=10, seed=0)
+            assert 1 <= trace.iterations <= 10
+            for omega in (solvers.OMEGA, 50.0, 1e3):
                 for m in start.original + asg.original:
                     assert mirror.boltzmann_original(inst, 0, m.rows, omega) is None
 
