@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -154,22 +155,52 @@ def _fmt(v) -> str:
 _SPECS = {float: "%.12g", int: "%d", str: "%s"}
 
 
-def _write(out_path, header, rows):
-    """Write the CSV text. A row whose cells are all exact floats, ints and
-    strs is one `%` format, cached per tuple of cell types; any other row, or
-    a line that reads "nan" (a NaN cell, or a string holding it), goes
-    through `_fmt` cell by cell, which rejects the NaN."""
-    formats, lines = {}, [header]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = (",".join(map(_SPECS.get, kinds))
-                                    if all(k in _SPECS for k in kinds) else False)
-        line = fmt % tuple(row) if fmt else None
-        if line is None or "nan" in line:
-            line = ",".join(map(_fmt, row))
-        lines.append(line)
+# a row's cell types, one C-level call per row
+_types = functools.partial(map, type)
+
+
+def _runs(rows, types):
+    """(cell types, row count) of each run of `rows` whose cells share one
+    tuple of types, given `types`, the type of every cell in row order. A
+    table of one width and one tuple of types is found on `types` alone,
+    without a tuple per row."""
+    if rows:
+        first = types[:len(rows[0])]
+        if set(map(len, rows)) == {len(first)} and types == first * len(rows):
+            return [(tuple(first), len(rows))]
+    return [(kinds, len(list(run)))
+            for kinds, run in itertools.groupby(map(tuple, map(_types, rows)))]
+
+
+def _lines(rows, lead=()):
+    """The CSV lines of `rows`, each after the cells `lead`. A run of rows
+    whose cells share one tuple of exact float, int and str types is one `%`
+    format, searched for "nan" once. Any other row, and every row of a run
+    whose text reads "nan" (a NaN cell, or a string holding it), goes through
+    `_fmt` cell by cell, which rejects the NaN."""
+    cells = tuple(itertools.chain.from_iterable(rows))
+    lines, row, cell = [], 0, 0
+    for kinds, n in _runs(rows, list(map(type, cells))):
+        block, run_cells = rows[row:row + n], cells[cell:cell + n * len(kinds)]
+        row, cell = row + n, cell + n * len(kinds)
+        if all(k in _SPECS for k in kinds):
+            fmt = ",".join(lead + tuple(map(_SPECS.get, kinds)))
+            text = "\n".join([fmt] * n) % run_cells
+            if "nan" not in text:
+                lines.append(text)
+                continue
+        lines.extend(",".join(lead + tuple(map(_fmt, r))) for r in block)
+    return lines
+
+
+def _write(out_path, header, rows, numbered=False):
+    """Write the CSV text: `header`, then a line per row of `rows`. When
+    `numbered`, `rows` holds one list of rows per repetition, and each line
+    starts with its repetition's index."""
+    tables = [((str(rep),), table) for rep, table in enumerate(rows)] if numbered else [((), rows)]
+    lines = [header]
+    for lead, table in tables:
+        lines += _lines(table, lead)
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -317,14 +348,16 @@ def run_mfg(c, seed):
                       "sweeps": len(sol.residuals),
                       "final_residual": float(sol.residuals[-1])}),
           file=sys.stderr)
+    # each grid point's cell repeats on every time row, so it is formatted once
     rows = list(zip(np.repeat(np.arange(grid.n_t), grid.n_x).tolist(),
-                    np.tile(grid.xs, grid.n_t).tolist(),
+                    list(map(_fmt, grid.xs.tolist())) * grid.n_t,
                     sol.value.ravel().tolist(), sol.density.ravel().tolist()))
     return "k,x,J,P_df", rows, 0
 
 
-# Most cells a lohe run may hold in its Hamiltonians (q d^2) or its
-# trajectory ((steps + 1) q d); a config past it fails before allocating.
+# Most cells a lohe run may hold in its Hamiltonians (q d^2), its coupling
+# matrix (q^2) or its trajectory ((steps + 1) q d); a config past it fails
+# before allocating.
 LOHE_CELL_CAP = 2 ** 24
 
 
@@ -342,6 +375,7 @@ def run_lohe(c, seed):
     q, d, steps, stride = c["q"], c["d"], c["steps"], c["stride"]
     _cap_cells("the Hamiltonians", {"q": q, "d": d * d})
     _cap_cells("the trajectory", {"steps": steps + 1, "q": q, "d": d})
+    _cap_cells("the coupling matrix", {"q": q * q})
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -520,12 +554,12 @@ def _run(args) -> int:
         raise ValidationError(f"seed: need an integer >= 0, got {args.seed}")
     runner, table = SUBCOMMANDS[args.subcommand]
     values = _parse(table, cfg)
-    all_rows, header, status = [], None, 0
+    reps, header, status = [], None, 0
     for rep in range(args.repetitions):
         header, rows, code = runner(values, args.seed + rep)
         status = max(status, code)
-        all_rows.extend((rep,) + tuple(r) for r in rows)
-    _write(args.out, "rep," + header, all_rows)
+        reps.append(rows)
+    _write(args.out, "rep," + header, reps, numbered=True)
     return status
 
 

@@ -242,10 +242,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cfg,field", [({"d": 16384}, "d"),
                                            ({"steps": 6234786069185}, "steps"),
-                                           ({"q": 2 ** 23, "d": 2}, "q")])
+                                           ({"q": 2 ** 23, "d": 2}, "q"),
+                                           ({"q": 2 ** 20, "d": 1, "steps": 1,
+                                             "stride": 1}, "q")])
     def test_lohe_size_cap_allocates_nothing(self, tmp_path, capsys, cfg, field):
-        # d = 16384 would take 8 GiB of Hamiltonians and the steps 726 TiB of
-        # trajectory; each config fails under its largest factor's key first
+        # d = 16384 would take 8 GiB of Hamiltonians, the steps 726 TiB of
+        # trajectory and q = 2**20 an 8 TiB coupling matrix; each config fails
+        # under its largest factor's key first
         path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
         path.write_text(json.dumps(cfg))
         cli._parser()   # built once per process, outside the measurement
@@ -393,6 +396,83 @@ class TestWriter:
                 cli._write(str(out), "h", [(0, 1, 2.5, "x"), row])
             assert str(exc.value) == "output: NaN cell with no tag"
             assert not out.exists()
+
+
+class TestBlockWriter:
+    """`_write` formats each run of rows with one tuple of exact cell types as
+    one block; its text is still `_fmt` of every cell, one line per row."""
+
+    @staticmethod
+    def expected(rows):
+        return "".join(f"{','.join(map(cli._fmt, row))}\n" for row in [("h",)] + list(rows))
+
+    cells = {float: st.one_of(st.floats(allow_nan=False),
+                              st.sampled_from([-0.0, np.inf, -np.inf, 5e-324])),
+             int: st.one_of(st.integers(), st.just(2 ** 70), st.just(-2 ** 70)),
+             str: st.one_of(st.text(max_size=6),
+                            st.sampled_from(["nan", "banana", "NaN", "", "a,b"]))}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_long_runs_match_fmt_per_cell(self, data):
+        # runs of up to 40 rows of one type tuple, the tuple switching between runs
+        rows = []
+        for kinds in data.draw(st.lists(st.lists(st.sampled_from([float, int, str]),
+                                                 max_size=5), max_size=5)):
+            n = data.draw(st.integers(0, 40))
+            rows += [tuple(data.draw(self.cells[k]) for k in kinds) for _ in range(n)]
+        assert TestWriter.written(rows) == self.expected(rows)
+
+    def test_types_switching_mid_table(self):
+        rows = ([(k, 0.5 * k, "ok") for k in range(30)] + [(30, 15, "ok")]
+                + [(k, 0.5 * k, "ok") for k in range(31, 60)] + [[60, np.float64(30.0), "ok"]]
+                + [(k,) for k in range(61, 70)] + [(70, True, "ok"), (), (), (71, -0.0, 2 ** 70)])
+        assert TestWriter.written(rows) == self.expected(rows)
+        # one cell type throughout and as many cells as rows of the first width,
+        # but rows of three widths
+        assert TestWriter.written([(1, 2), (3,), (4, 5, 6)]) == "h\n1,2\n3\n4,5,6\n"
+
+    def test_special_cells_in_block_columns(self):
+        rows = [(k, -0.0, np.inf, -np.inf, 2 ** 70, "x") for k in range(50)]
+        text = TestWriter.written(rows)
+        assert text == self.expected(rows)
+        assert text.split("\n")[1] == "0,-0,inf,-inf,1180591620717411303424,x"
+
+    @pytest.mark.parametrize("word", ["nan", "banana", "NaN"])
+    def test_nan_text_inside_block(self, word):
+        rows = [(k, k / 7, "ok") for k in range(40)]
+        rows[17] = (17, 17 / 7, word)
+        assert TestWriter.written(rows) == self.expected(rows)
+
+    @pytest.mark.parametrize("at", [0, 25, 49])
+    def test_nan_float_mid_block_raises_and_writes_nothing(self, tmp_path, at):
+        out = tmp_path / "o.csv"
+        rows = [(k, k / 3, "nan" if k == 10 else "ok") for k in range(50)]
+        rows[at] = (at, float("nan"), "ok")
+        with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
+            cli._write(str(out), "h", rows)
+        with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
+            cli._write(str(out), "h", [rows[:at], rows[at:]], numbered=True)
+        assert not out.exists()
+
+    def test_numbered_rows_lead_with_their_repetition(self):
+        reps = [[(0.5, "a"), (1.5, "b")], [], [(2 ** 70, np.float64(0.25)), ()]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write(None, "rep,h", reps, numbered=True)
+        assert out.getvalue().split("\n")[:-1] == [
+            "rep,h", "0,0.5,a", "0,1.5,b", "2,1180591620717411303424,0.25", "2"]
+
+    def test_mfg_repetitions_repeat_rep_zero(self, tmp_path):
+        rc, data = run_to_file(tmp_path, ["mfg", "--repetitions", "3"])
+        header, *lines = data.decode().split("\n")[:-1]
+        assert rc == 0 and header == "rep,k,x,J,P_df"
+        n = len(lines) // 3
+        assert n == 101 * 100 and len(lines) == 3 * n
+        rep0 = [line.split(",", 1) for line in lines[:n]]
+        assert {lead for lead, _ in rep0} == {"0"}
+        for rep in (1, 2):
+            assert lines[rep * n:(rep + 1) * n] == [f"{rep},{rest}" for _, rest in rep0]
 
 
 class TestFailureStderr:

@@ -2,12 +2,17 @@
 the coupled value/density solver against the heat kernel, and the bilevel
 game against brute force."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
+from mirrorwyner import cli
 from mirrorwyner import nonstationary as ns
 from mirrorwyner.errors import (ConfigurationError, DegenerateIntegralError,
                                 NumericError, ValidationError)
@@ -130,6 +135,55 @@ class TestLohe:
         assert traj.shape == (501, q, d)
         np.testing.assert_allclose(traj, self.einsum_integrate(sys, 1e-2, 500),
                                    rtol=0, atol=1e-12)
+
+    @staticmethod
+    def reference_integrate(sys, dt, steps):
+        """`lohe_integrate` as it stood before its numpy calls were trimmed, in
+        the same operation order: a real coupling matrix cast to complex in
+        every product, `.sum` reductions, and a fresh normalized state per
+        step. The integrator must match it bit for bit."""
+        scale = 1 / (1j * sys.hbar)
+        if sys.coupling == "aligning":
+            hc = sys.hamiltonians * scale
+            ab = sys.beta * (sys.alpha / sys.hbar)
+
+            def rhs(p):
+                bp = ab @ p
+                return ((hc @ p[:, :, None])[:, :, 0] + bp
+                        - (p.conj() * bp).sum(1, keepdims=True) * p)
+        else:
+            diag = sys.alpha * sys.beta.sum(axis=1)[:, None, None] * np.eye(sys.states.shape[1])
+            hc = (sys.hamiltonians + diag) * scale
+            cb = sys.beta * (sys.alpha * scale)
+
+            def rhs(p):
+                return (hc @ p[:, :, None])[:, :, 0] - ((p.conj() @ p.T) * cb) @ p
+        h2, h6 = dt / 2, dt / 6
+        psi = sys.states.copy()
+        traj = np.zeros((steps + 1,) + psi.shape, dtype=complex)
+        traj[0] = psi
+        for step in range(1, steps + 1):
+            k1 = rhs(psi)
+            k2 = rhs(psi + h2 * k1)
+            k3 = rhs(psi + h2 * k2)
+            k4 = rhs(psi + dt * k3)
+            psi = psi + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            psi = psi / np.sqrt((psi * psi.conj()).real.sum(1, keepdims=True))
+            traj[step] = psi
+        return traj
+
+    @pytest.mark.parametrize("coupling", ["aligning", "printed"])
+    @pytest.mark.parametrize("common", [True, False])
+    def test_trajectory_bit_identical_to_reference(self, coupling, common):
+        # the benchmark's lohe shape, q = 4 and d = 2, over 500 steps of 0.01,
+        # built as `cli.run_lohe` builds it, and one general system
+        systems = [self.make_system(q=4, d=2, alpha=1.0, seed=seed, coupling=coupling,
+                                    common=common) for seed in range(3)]
+        if not common:
+            systems.append(self.general_system(4, 2, coupling, seed=5))
+        for sys in systems:
+            assert np.array_equal(ns.lohe_integrate(sys, 1e-2, 500),
+                                  self.reference_integrate(sys, 1e-2, 500))
 
     def test_sync_order_bounds(self):
         psi = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -412,6 +466,49 @@ class TestMfgSweeps:
         for drift in (1.01 * limit, -1.01 * limit, np.inf, np.nan):
             with pytest.raises(ConfigurationError):
                 ns._forward_density(grid, drift, [])
+
+
+class TestGradient:
+    """`_gradient` is `np.gradient(f, dx)` bit for bit, edges included."""
+
+    cells = st.one_of(st.floats(allow_nan=False), st.sampled_from([np.inf, -np.inf, -0.0]))
+    spacings = st.one_of(st.floats(min_value=1e-300, max_value=1e300),
+                         st.sampled_from([10.0 ** e for e in range(-300, 301, 20)]))
+
+    @staticmethod
+    def assert_bit_equal(got, expect):
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(cells, min_size=3, max_size=40), spacings)
+    def test_1d_matches_np_gradient(self, f, dx):
+        f = np.array(f)
+        with np.errstate(all="ignore"):
+            self.assert_bit_equal(ns._gradient(f, dx), np.gradient(f, dx))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(3, 25)),
+                      elements=cells), spacings)
+    def test_axis_1_matches_np_gradient(self, f, dx):
+        # `_drift` differentiates the value field along x, axis 1 of (n_t - 1, n_x)
+        with np.errstate(all="ignore"):
+            self.assert_bit_equal(ns._gradient(f, dx), np.gradient(f, dx, axis=1))
+
+    @pytest.mark.parametrize("path", [None, "mfg_gaussian.json"])
+    def test_mfg_residuals_unchanged(self, path):
+        # the default payload and the shipped config, against the from-scratch
+        # loop that differentiates with np.gradient
+        cfg = {}
+        if path is not None:
+            with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", path)) as fh:
+                cfg = json.load(fh)
+        c = cli._parse(cli.SUBCOMMANDS["mfg"][1], cfg)
+        kw = dict(tol=c["tol"], max_sweeps=c["max_sweeps"], damping=c["damping"])
+        got, ref = ns.mfg_solve(c["grid"], **kw), iterated_mfg(c["grid"], **kw)
+        assert got.residuals == ref.residuals and len(got.residuals) > 1
+        assert np.array_equal(got.value, ref.value)
+        assert np.array_equal(got.density, ref.density)
 
 
 class TestMeanValueReduce:
