@@ -260,19 +260,27 @@ def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.nda
     candidates, with the table and its logs written into the scratch arrays
     of `work` (a fresh dict if None), which a caller may keep across calls."""
     # at most one stacked operand needs no np.broadcast_shapes, which costs
-    # more than a whole Q=2 table
-    leads = [c.shape[:-2] for c in (rows, *tails)]
-    stacked = [d for d in leads if d]
-    lead = stacked[0] if len(stacked) == 1 else np.broadcast_shapes(*leads)
+    # more than a whole Q=2 table; one tail (every exposure term of a Q=2
+    # slot call) needs none of the general bookkeeping either
+    if len(tails) == 1:
+        i_last, last = 0, tails[0]
+        lead = (np.broadcast_shapes(rows.shape[:-2], last.shape[:-2])
+                if rows.ndim > 2 and last.ndim > 2 else rows.shape[:-2] or last.shape[:-2])
+        n_cols = last.shape[-1]
+    else:
+        leads = [c.shape[:-2] for c in (rows, *tails)]
+        stacked = [d for d in leads if d]
+        lead = stacked[0] if len(stacked) == 1 else np.broadcast_shapes(*leads)
+        n_cols = math.prod(t.shape[-1] for t in tails)
+        i_last = max(range(len(tails)), key=lambda j: (tails[j].ndim, j))
+        last = tails[i_last]
     n_lead, n_h, n_s = math.prod(lead), rows.shape[-2] - 1, rows.shape[-1]
-    n_cols = math.prod(t.shape[-1] for t in tails)
     per_table = max(n_s, n_h) * n_cols
     cells = n_lead * per_table
     if cells > EXPOSURE_CELL_CAP:
         raise ValidationError(f"exposure: a {cells}-cell table exceeds the cap of "
                               f"{EXPOSURE_CELL_CAP} cells")
-    i_last = max(range(len(tails)), key=lambda j: (tails[j].ndim, j))
-    left, last = rows, tails[i_last]
+    left = rows
     for j, blk in enumerate(tails):
         if j != i_last:
             left = left[..., :, None, :] * np.swapaxes(blk, -1, -2)[..., None, :, :]
@@ -292,7 +300,7 @@ def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.nda
             ent[a:b] = _xlnx_blocks(table, n_h + 1, _scratch(work, "logs", table.shape))
         ent = ent.reshape(lead + (n_h + 1,))
     if h_head is None:
-        h_head = -_xlnx_blocks(rows[..., :-1, :].sum(axis=-1)[..., None, :], 1)[..., 0]
+        h_head = _head_entropy(rows)
     # each candidate's block sums reduce as one row of their own, so a
     # candidate gets the same bits stacked or alone
     return (ent[..., None, :] @ _block_weights(n_h))[..., 0, 0] + h_head / _LN2
@@ -304,8 +312,35 @@ _SLOT_READS = (((0, 1, 4, 6), (2,)),
                ((3, 6), (2, 4, 5)))
 
 
+def _held(held: dict, key, make, *args):
+    """make(*args), or the value that held[key] keeps from an earlier call on
+    the very same unstacked arrays. An entry keeps a reference to its
+    arguments, so their identity stands for their contents; it is replaced
+    when they are other objects. Stacked rows (a candidate axis) are new on
+    every call and are not held."""
+    if held is None or any(a.ndim > 2 for a in args):
+        return make(*args)
+    entry = held.get(key)
+    if entry is None or any(a is not b for a, b in zip(entry[0], args)):
+        entry = held[key] = (args, make(*args))
+    return entry[1]
+
+
+def _head_entropy(rows: np.ndarray):
+    """H(H) in nats of a `_head_rows` head, as `_cross_mi` computes it when
+    no `h_head` is given."""
+    return -_xlnx_blocks(rows[..., :-1, :].sum(axis=-1)[..., None, :], 1)[..., 0]
+
+
+def _original_head(p_s: np.ndarray, x_given_s: np.ndarray, o: np.ndarray):
+    """Condition (v)'s head from original rows o (..., X, Yo): the
+    `_head_rows` of P(Yo | s) and H(Yo) in nats."""
+    rows = _head_rows(p_s, x_given_s @ o)
+    return rows, _head_entropy(rows)
+
+
 def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
-            work: dict = None) -> np.ndarray:
+            work: dict = None, held: dict = None) -> np.ndarray:
     """Conditions (i)-(vii) from each Bob's original rows orig[q] (..., X_q, Yo)
     and virtual rows virt[q] (..., X_q, Yv), as a (..., Q, 7) array over the
     broadcast leading candidate axes. A term that no stacked rows reach keeps
@@ -316,9 +351,16 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
     that slot are computed; the others are taken from base.
 
     `work` is passed on to `_cross_mi`, so a caller that evaluates many
-    stacks (one greedy solve) keeps one set of scratch arrays for them all."""
+    stacks (one greedy solve) keeps one set of scratch arrays for them all.
+    `held` (a dict, or None) keeps what the unstacked rows give between
+    calls: each Bob's twin and pair channels, and condition (v)'s head rows
+    with H(Yo_q). An entry is reused only while its rows are the same
+    objects (see `_held`), and it holds the arrays the call would compute,
+    so the values are the same with or without it."""
     p_s, x_given_s, q_count = inst.p_s, inst._x_given_s, inst.q_count
-    lead = np.broadcast_shapes(*(a.shape[:-2] for a in (*orig, *virt)))
+    leads = [a.shape[:-2] for a in (*orig, *virt)]
+    stacked = [d for d in leads if d]
+    lead = stacked[0] if len(stacked) == 1 else np.broadcast_shapes(*leads)
     if slot is None:
         reads = [range(7)] * q_count
         vals = np.zeros(lead + (q_count, 7))
@@ -334,9 +376,9 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
     for p in range(q_count):
         wanted = {i for q in range(q_count) if q != p for i in reads[q]}
         if 2 in wanted:
-            pairs[p] = _pair_channel(x_given_s[p], orig[p], virt[p])
+            pairs[p] = _held(held, ("pair", p), _pair_channel, x_given_s[p], orig[p], virt[p])
         if 4 in wanted or 5 in wanted:
-            twins[p] = x_given_s[p] @ virt[p]
+            twins[p] = _held(held, ("twin", p), np.matmul, x_given_s[p], virt[p])
     for q in range(q_count):
         todo = reads[q]
         p_x = inst.p_x[q]
@@ -351,8 +393,8 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
         if 3 in todo:   # (iv) virtual power
             vals[..., q, 3] = _virtual_power(p_x, v, inst.symbol_values[q])
         if 4 in todo:   # (v) other Bobs' twins vs this Bob's original message
-            vals[..., q, 4] = _cross_mi(_head_rows(p_s, x_given_s[q] @ o),
-                                        twins[:q] + twins[q + 1:], work)
+            rows, h_head = _held(held, ("head", q), _original_head, p_s, x_given_s[q], o)
+            vals[..., q, 4] = _cross_mi(rows, twins[:q] + twins[q + 1:], work, h_head)
         if 5 in todo:   # (vi) other Bobs' twins vs this Bob's source
             vals[..., q, 5] = _cross_mi(inst._x_rows[q], twins[:q] + twins[q + 1:], work,
                                         inst.h_x[q])

@@ -198,7 +198,7 @@ def _random_rows(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _nudge_rows(rows: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    rows = np.clip(rows + scale * rng.normal(size=rows.shape), 1e-9, None)
+    rows = np.maximum(rows + scale * rng.normal(size=rows.shape), 1e-9)
     return rows / rows.sum(axis=1, keepdims=True)
 
 
@@ -225,7 +225,13 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     one GreedyPass per outer pass.
 
     The search holds each Bob's rows as plain arrays; mappings are validated
-    only on entry (`random_assignment`) and at return.
+    only on entry (`random_assignment`) and at return. A solve also holds,
+    until it returns, what it would otherwise recompute from unchanged rows:
+    each Bob's last Boltzmann refresh (None included), recomputed only when
+    an accepted original step has replaced the rows it came from, and the
+    kernel's `work` scratch arrays and `held` channels (see
+    `mirror._kernel`), which are keyed by the identity of their rows. Every
+    value is the one a fresh computation gives, so the search path is too.
 
     `u` is not read: only the leakage feels the uncertainty, and the
     search tests its deterministic value. The parameter stays because
@@ -234,6 +240,7 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     if budget < 1:
         raise ValidationError("greedy_solve: budget must be >= 1")
     rng = np.random.default_rng(seed)
+    q_count = inst.q_count
     asg = random_assignment(inst, rng)
     orig, virt = rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
     trace = SolveTrace()
@@ -248,19 +255,26 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     def merits(vals: np.ndarray) -> np.ndarray:
         """Minimization merit of each (..., Q, 7) value table: mean exposure
         plus weighted constraint violations."""
-        return vals[..., 2].mean(-1) + LAMBDA * constraints.violations(vals).sum((-2, -1))
+        return vals[..., 2].sum(-1) / q_count + LAMBDA * constraints.violations(vals).sum((-2, -1))
 
     def feasible(vals: np.ndarray) -> bool:
         return bool(constraints.holds(vals).all())
 
     current = float(merits(vals))
     work = {}   # the exposure kernel's scratch arrays, kept for this solve only
+    held = {}   # what the kernel derives from unchanged rows, kept for this solve only
+    # per Bob, the original rows last refreshed and their refresh (None
+    # included): the refresh draws nothing, so it is recomputed only after
+    # an original step is accepted
+    refreshed = [(None, None)] * q_count
     stall = 0
     for _ in range(budget):
         improved = False
-        for q in range(inst.q_count):
+        for q in range(q_count):
             # Boltzmann self-consistent refresh of the original rows, if any
-            refresh = mirror.boltzmann_original(inst, q, orig[q], OMEGA)
+            if refreshed[q][0] is not orig[q]:
+                refreshed[q] = (orig[q], mirror.boltzmann_original(inst, q, orig[q], OMEGA))
+            refresh = refreshed[q][1]
             originals = [c for c in (refresh, _nudge_rows(orig[q], 0.1, rng)) if c is not None]
             virtuals = [_random_rows(virt[q].shape[0], inst.virtual_alphabet, rng)
                         if j % 2 == 0 else _nudge_rows(virt[q], 0.15, rng)
@@ -273,8 +287,9 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                 if not cands:
                     continue
                 trial = [list(r) for r in rows]
-                trial[kind][q] = np.stack(cands)
-                stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind), work=work)
+                trial[kind][q] = np.array(cands)
+                stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind),
+                                         work=work, held=held)
                 for j, trial_merit in enumerate(merits(stacked).tolist()):
                     if trial_merit < current - 1e-9:
                         rows[kind][q] = cands[j]

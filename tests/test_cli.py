@@ -553,6 +553,33 @@ def test_example_config_runs(tmp_path, name):
     assert data.decode().split("\n", 1)[0] == HEADERS[cmd]
 
 
+# The `run` rows of configs/convergence_small.json at --seed 0: per variant,
+# the outer passes of seeds 0-24, then their converged and feasible flags.
+# Every speed-up of the greedy solver must keep the search path, so these
+# stay as they are.
+CONVERGENCE_SMALL_RUNS = {
+    "relaxed": ([3, 4, 11, 8, 9, 8, 8, 13, 3, 4, 10, 10, 7, 4, 5, 7, 9, 4, 18, 8, 7, 10, 3, 7, 5],
+                "1111110111111111011011111", "1111110111111111011011111"),
+    "unrelaxed": ([13, 7, 8, 11, 12, 9, 9, 18, 13, 11, 30, 18, 11, 16, 18, 10, 16, 7, 14, 6,
+                   17, 7, 16, 8, 9], "0" * 25, "0" * 25),
+}
+
+
+def test_convergence_small_search_path_pinned(tmp_path):
+    rc, data = run_to_file(tmp_path, ["convergence-cdf", "--seed", "0", "--config",
+                                      os.path.join(CONFIGS, "convergence_small.json")])
+    assert rc == 0
+    runs = [line.split(",") for line in data.decode().splitlines() if ",run," in line]
+    for variant, (passes, converged, feasible) in CONVERGENCE_SMALL_RUNS.items():
+        got = [r for r in runs if r[2] == variant]
+        assert [int(r[3]) for r in got] == list(range(25))
+        assert [int(r[4]) for r in got] == passes
+        assert "".join(r[5] for r in got) == converged
+        assert "".join(r[6] for r in got) == feasible
+        assert {r[7] for r in got} == {"ok"}
+    assert len(runs) == 50
+
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 

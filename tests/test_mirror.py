@@ -244,6 +244,32 @@ class TestTrialValues:
                 assert np.array_equal(
                     mirror._kernel(inst, *trial, base=base, slot=(q, kind)), full)
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+    def test_held_values_never_go_stale(self, name):
+        # a scripted walk of slot calls on one `held` dict, three sweeps over
+        # every Bob's two slots: two steps in three accept a candidate, so
+        # the rows change under the held values, and every third rejects all
+        inst = KERNEL_INSTANCES[name]()
+        rng = np.random.default_rng(11)
+        asg = solvers.random_assignment(inst, rng)
+        rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
+        base = mirror._kernel(inst, *rows)
+        held = {}
+        for step in range(6 * inst.q_count):
+            q, kind = step // 2 % inst.q_count, step % 2
+            n_x, n_y = rows[kind][q].shape
+            trial = [list(r) for r in rows]
+            trial[kind][q] = cands = rng.dirichlet(np.ones(n_y), size=(3, n_x))
+            got = mirror._kernel(inst, *trial, base=base, slot=(q, kind), held=held)
+            assert np.array_equal(got, mirror._kernel(inst, *trial, base=base, slot=(q, kind)))
+            if step % 3 != 2:
+                j = step % 3
+                rows[kind][q], base = cands[j], got[j]
+        assert held
+        # the walk's values are the rows' own, up to the last bits in which a
+        # stacked call may differ from an unstacked one at Q >= 3
+        np.testing.assert_allclose(base, mirror._kernel(inst, *rows), rtol=0, atol=1e-12)
+
     def test_exposure_size_guard_allocates_nothing(self):
         # Q=6 with |Yo| = |Yv| = 5: condition (iii) would need 25^5 product
         # columns per head symbol, about 49M cells, above the cap
@@ -320,7 +346,8 @@ def bob_channels(inst, q, rng, lead=(), n_out=None, zeros=False):
 
 LEAD_PLACEMENTS = {"head": ((5,), (), ()), "tails": ((), (5,), ()), "both": ((5,), (), (5,)),
                    "neither": ((), (), ()), "2d": ((3, 1), (1, 4), (4,)),
-                   "one_tail": ((), (5,))}
+                   "one_tail": ((), (5,)), "one_tail_head": ((5,), ()),
+                   "one_tail_2d": ((3, 1), (4,))}
 
 
 def lead_placement(where):

@@ -257,6 +257,50 @@ class TestGreedy:
                 assert all(np.array_equal(m.rows, r) for m, r in zip(got, want))
 
     @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("name", ["reference", "q3", "no_refresh"])
+    def test_refresh_once_per_original_rows(self, monkeypatch, name, relaxed):
+        # The refresh draws nothing, so a solve computes it once per Bob and
+        # then once more after each accepted original step. The kernel sees
+        # each Bob's current original rows unstacked, so the changes it sees
+        # are a lower bound on the accepted original steps.
+        if name == "no_refresh":   # every refresh is None
+            j = JointPmf2(np.array([[0.5, 0.0], [0.25, 0.25]]))
+            inst = mirror.MirrorGameInstance(joints=(j, j), gamma0=0.3, gamma1=1.0,
+                                             gamma2=0.1, gamma3=1.5)
+        else:
+            inst = mirror.reference_binary_instance(q_count=3 if name == "q3" else 2)
+        calls, refreshes, current, changes = [], [], {}, []
+        refresh, kernel = mirror.boltzmann_original, mirror._kernel
+
+        def counted(inst, q, o, omega):
+            calls.append(q)
+            refreshes.append(refresh(inst, q, o, omega))
+            return refreshes[-1]
+
+        def spy(inst, orig, virt, **kw):
+            for p, o in enumerate(orig):
+                if o.ndim == 2 and current.setdefault(p, o) is not o:
+                    current[p] = o
+                    changes.append(p)
+            return kernel(inst, orig, virt, **kw)
+
+        monkeypatch.setattr(mirror, "boltzmann_original", counted)
+        monkeypatch.setattr(mirror, "_kernel", spy)
+        bob_steps = 0
+        for seed in range(4):
+            calls.clear()
+            changes.clear()
+            current.clear()
+            _, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=relaxed,
+                                            budget=30, seed=seed)
+            bob_steps += inst.q_count * trace.iterations
+            assert sorted(calls[:inst.q_count]) == list(range(inst.q_count))
+            assert len(calls) <= inst.q_count + len(changes)
+        # without the reuse there would be one refresh per Bob step
+        assert len(refreshes) < bob_steps
+        assert all(r is None for r in refreshes) == (name == "no_refresh")
+
+    @pytest.mark.parametrize("relaxed", [True, False])
     def test_wide_search_path_within_rounding(self, relaxed):
         # At Q >= 3 a stacked exposure call folds the candidate's tail last,
         # an unstacked one the last Bob's, so values may differ in the last
