@@ -242,7 +242,35 @@ def _xlnx_blocks(table: np.ndarray, n_blocks: int, logs: np.ndarray = None) -> n
     return (table.reshape(lead + (1, -1)) @ logs.reshape(lead + (-1, 1)))[..., 0, 0]
 
 
-def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.ndarray:
+def _exposure_plan(rows: np.ndarray, tails):
+    """The stack that `_cross_mi` builds: its broadcast leading shape, the
+    index of the tail that goes last, and how many candidates' tables make
+    one block (the stack is computed in blocks when it has more). Raises
+    ValidationError when the whole stack is above EXPOSURE_CELL_CAP."""
+    # at most one stacked operand needs no np.broadcast_shapes, which costs
+    # more than a whole Q=2 table; one tail (every exposure term of a Q=2
+    # slot call) needs none of the general bookkeeping either
+    if len(tails) == 1:
+        i_last, last = 0, tails[0]
+        lead = (np.broadcast_shapes(rows.shape[:-2], last.shape[:-2])
+                if rows.ndim > 2 and last.ndim > 2 else rows.shape[:-2] or last.shape[:-2])
+        n_cols = last.shape[-1]
+    else:
+        leads = [c.shape[:-2] for c in (rows, *tails)]
+        stacked = [d for d in leads if d]
+        lead = stacked[0] if len(stacked) == 1 else np.broadcast_shapes(*leads)
+        n_cols = math.prod(t.shape[-1] for t in tails)
+        i_last = max(range(len(tails)), key=lambda j: (tails[j].ndim, j))
+    per_table = max(rows.shape[-1], rows.shape[-2] - 1) * n_cols
+    cells = math.prod(lead) * per_table
+    if cells > EXPOSURE_CELL_CAP:
+        raise ValidationError(f"exposure: a {cells}-cell table exceeds the cap of "
+                              f"{EXPOSURE_CELL_CAP} cells")
+    return lead, i_last, max(1, EXPOSURE_BLOCK_CELLS // per_table)
+
+
+def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None,
+              keep: np.ndarray = None) -> np.ndarray:
     """I(H; T_1, ..., T_k) in bits for variables conditionally independent
     given S, from the head's `_head_rows` (..., |H| + 1, |S|) and the tails'
     per-S channels P(T_j | s) (..., |S|, n_j); one value per broadcast
@@ -258,47 +286,38 @@ def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.nda
 
     A stack of more than EXPOSURE_BLOCK_CELLS cells is computed in blocks of
     candidates, with the table and its logs written into the scratch arrays
-    of `work` (a fresh dict if None), which a caller may keep across calls."""
-    # at most one stacked operand needs no np.broadcast_shapes, which costs
-    # more than a whole Q=2 table; one tail (every exposure term of a Q=2
-    # slot call) needs none of the general bookkeeping either
-    if len(tails) == 1:
-        i_last, last = 0, tails[0]
-        lead = (np.broadcast_shapes(rows.shape[:-2], last.shape[:-2])
-                if rows.ndim > 2 and last.ndim > 2 else rows.shape[:-2] or last.shape[:-2])
-        n_cols = last.shape[-1]
-    else:
-        leads = [c.shape[:-2] for c in (rows, *tails)]
-        stacked = [d for d in leads if d]
-        lead = stacked[0] if len(stacked) == 1 else np.broadcast_shapes(*leads)
-        n_cols = math.prod(t.shape[-1] for t in tails)
-        i_last = max(range(len(tails)), key=lambda j: (tails[j].ndim, j))
-        last = tails[i_last]
+    of `work` (a fresh dict if None), which a caller may keep across calls.
+    On that blocked path only, `keep` (flat indices into the leading axes,
+    ascending) names the candidates to compute: the others' tables are never
+    built, and the result is the kept candidates' values alone, in `keep`
+    order, for a head with no candidate axis. The cap still counts the whole
+    stack, before anything is built."""
+    lead, i_last, block = _exposure_plan(rows, tails)
+    last = tails[i_last]
     n_lead, n_h, n_s = math.prod(lead), rows.shape[-2] - 1, rows.shape[-1]
-    per_table = max(n_s, n_h) * n_cols
-    cells = n_lead * per_table
-    if cells > EXPOSURE_CELL_CAP:
-        raise ValidationError(f"exposure: a {cells}-cell table exceeds the cap of "
-                              f"{EXPOSURE_CELL_CAP} cells")
     left = rows
     for j, blk in enumerate(tails):
         if j != i_last:
             left = left[..., :, None, :] * np.swapaxes(blk, -1, -2)[..., None, :, :]
             left = left.reshape(left.shape[:-3] + (-1, n_s))
-    block = max(1, EXPOSURE_BLOCK_CELLS // per_table)
     if block >= n_lead:
         ent = _xlnx_blocks(left @ last, n_h + 1)
     else:
         work = {} if work is None else work
-        left, last = (np.broadcast_to(c, lead + c.shape[-2:]).reshape((n_lead,) + c.shape[-2:])
-                      for c in (left, last))
-        ent = np.empty((n_lead, n_h + 1))
-        for a in range(0, n_lead, block):
-            b = min(a + block, n_lead)
-            table = np.matmul(left[a:b], last[a:b], out=_scratch(
+        # an operand without leading axes is shared by every candidate and
+        # broadcasts in the matmul, so it is neither copied nor indexed
+        left, last = (c if c.ndim == 2 else np.broadcast_to(c, lead + c.shape[-2:]).reshape(
+            (n_lead,) + c.shape[-2:]) for c in (left, last))
+        n_out = n_lead if keep is None else keep.size
+        ent = np.empty((n_out, n_h + 1))
+        for a in range(0, n_out, block):
+            b = min(a + block, n_out)
+            pick = slice(a, b) if keep is None else keep[a:b]
+            table = np.matmul(*(c if c.ndim == 2 else c[pick] for c in (left, last)), out=_scratch(
                 work, "table", (b - a, left.shape[-2], last.shape[-1])))
             ent[a:b] = _xlnx_blocks(table, n_h + 1, _scratch(work, "logs", table.shape))
-        ent = ent.reshape(lead + (n_h + 1,))
+        if keep is None:
+            ent = ent.reshape(lead + (n_h + 1,))
     if h_head is None:
         h_head = _head_entropy(rows)
     # each candidate's block sums reduce as one row of their own, so a
@@ -340,7 +359,7 @@ def _original_head(p_s: np.ndarray, x_given_s: np.ndarray, o: np.ndarray):
 
 
 def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
-            work: dict = None, held: dict = None) -> np.ndarray:
+            work: dict = None, held: dict = None, reject=None) -> np.ndarray:
     """Conditions (i)-(vii) from each Bob's original rows orig[q] (..., X_q, Yo)
     and virtual rows virt[q] (..., X_q, Yv), as a (..., Q, 7) array over the
     broadcast leading candidate axes. A term that no stacked rows reach keeps
@@ -356,7 +375,31 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
     calls: each Bob's twin and pair channels, and condition (v)'s head rows
     with H(Yo_q). An entry is reused only while its rows are the same
     objects (see `_held`), and it holds the arrays the call would compute,
-    so the values are the same with or without it."""
+    so the values are the same with or without it.
+
+    `reject` (slot calls only) lets a caller skip the other Bobs' exposure
+    tables of candidates it will reject anyway. By the chain rule, Bob q's
+    (iii) is at least B_q = I(X_q; the pairs of the Bobs outside {q, c}),
+    which has no candidate axis and is held like the channels. At Q >= 3
+    (at Q = 2 no Bob is outside {q, c} and B_q is 0), where Bob q's stack
+    goes through `_cross_mi`'s blocked path (a property of the shapes; the
+    cap is checked on the whole stack first), its (iii) first holds
+    B_q - 1e-6, after every other entry is computed. reject(values) then
+    flags, over the candidate axes, the candidates that these lower values
+    already reject; only the others get exact (iii). So the (iii) entries of
+    a flagged candidate hold the lowered bounds and not the values, and
+    `reject` must be monotone: a flag must stand for any larger (iii) entry.
+
+    The 1e-6 bits cover rounding, so that the lowered bound is below the
+    computed value and not only the true one. A computed (iii) sums x ln x
+    over row blocks of L cells, L the product columns; by the standard
+    summation bound its error is below L u (ln(|H| L) + ln L) / ln 2 bits
+    (u = 2**-53), and the other roundings (the table cells, the logs, H(X_q))
+    add terms of order u (Q + |S|) ln L. A blocked stack holds at least two
+    candidates, so under the cap L <= 2**23 and |H| L <= 2**23: each of
+    the value and the bound is off by less than 4.3e-8 bits, and the value
+    falls below the bound by less than 8.6e-8. On the Q=4 benchmark instance
+    (L = 15,625) that is 1e-10."""
     p_s, x_given_s, q_count = inst.p_s, inst._x_given_s, inst.q_count
     leads = [a.shape[:-2] for a in (*orig, *virt)]
     stacked = [d for d in leads if d]
@@ -379,6 +422,7 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
             pairs[p] = _held(held, ("pair", p), _pair_channel, x_given_s[p], orig[p], virt[p])
         if 4 in wanted or 5 in wanted:
             twins[p] = _held(held, ("twin", p), np.matmul, x_given_s[p], virt[p])
+    deferred = []   # Bobs whose (iii) waits for the bound test below
     for q in range(q_count):
         todo = reads[q]
         p_x = inst.p_x[q]
@@ -388,8 +432,13 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
         if 1 in todo:   # (ii) leakage
             vals[..., q, 1] = prob._mi(_s_yo(inst.joints[q].table, o))
         if 2 in todo:   # (iii) exposure of X_q to everything the other Bobs receive
-            vals[..., q, 2] = _cross_mi(inst._x_rows[q], pairs[:q] + pairs[q + 1:], work,
-                                        inst.h_x[q])
+            tails = pairs[:q] + pairs[q + 1:]
+            # the plan checks the cap on the whole stack, before any pruning
+            if reject is not None and q_count > 2 and math.prod(lead) > _exposure_plan(
+                    inst._x_rows[q], tails)[2]:
+                deferred.append(q)
+            else:
+                vals[..., q, 2] = _cross_mi(inst._x_rows[q], tails, work, inst.h_x[q])
         if 3 in todo:   # (iv) virtual power
             vals[..., q, 3] = _virtual_power(p_x, v, inst.symbol_values[q])
         if 4 in todo:   # (v) other Bobs' twins vs this Bob's original message
@@ -400,6 +449,20 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
                                         inst.h_x[q])
         if 6 in todo:   # (vii) own twin vs own original message
             vals[..., q, 6] = prob._mi(np.einsum("x,...xo,...xv->...ov", p_x, o, v))
+    if deferred:
+        # chain rule: I(X_q; all other pairs) >= I(X_q; the pairs outside
+        # Bob c's), which has no candidate axis and is held between calls;
+        # less 1e-6 bits, it is below the computed value too (see docstring)
+        flat = vals.reshape((-1,) + base.shape)
+        for q in deferred:
+            rest = [pairs[p] for p in range(q_count) if p not in (q, c)]
+            flat[:, q, 2] = _held(held, ("bound", q, c), lambda *t: _cross_mi(
+                inst._x_rows[q], t, None, inst.h_x[q]), *rest) - 1e-6
+        keep = np.flatnonzero(~reject(vals))
+        if keep.size:
+            for q in deferred:
+                flat[keep, q, 2] = _cross_mi(inst._x_rows[q], pairs[:q] + pairs[q + 1:], work,
+                                             inst.h_x[q], keep)
     return vals
 
 

@@ -232,6 +232,11 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     kernel's `work` scratch arrays and `held` channels (see
     `mirror._kernel`), which are keyed by the identity of their rows. Every
     value is the one a fresh computation gives, so the search path is too.
+    The one exception changes no decision: each stacked call passes the
+    accept test as the kernel's `reject`, so a candidate that already fails
+    it at lower bounds of the other Bobs' exposures (iii) gets no exposure
+    tables, and its (iii) entries hold those bounds and not the values. It
+    fails the test at them in the walk as well.
 
     `u` is not read: only the leakage feels the uncertainty, and the
     search tests its deterministic value. The parameter stays because
@@ -259,6 +264,14 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
 
     def feasible(vals: np.ndarray) -> bool:
         return bool(constraints.holds(vals).all())
+
+    def hopeless(vals: np.ndarray) -> np.ndarray:
+        """The candidates that the walk below rejects at these values, as
+        `mirror._kernel`'s `reject`. The kernel may pass lower bounds of the
+        exposures (iii); that is sound because `merits` never falls as an
+        (iii) entry grows (every operation in it is monotone, in floating
+        point too) and `current` only falls during the walk."""
+        return merits(vals) >= current - 1e-9
 
     current = float(merits(vals))
     work = {}   # the exposure kernel's scratch arrays, kept for this solve only
@@ -289,7 +302,7 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                 trial = [list(r) for r in rows]
                 trial[kind][q] = np.array(cands)
                 stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind),
-                                         work=work, held=held)
+                                         work=work, held=held, reject=hopeless)
                 for j, trial_merit in enumerate(merits(stacked).tolist()):
                     if trial_merit < current - 1e-9:
                         rows[kind][q] = cands[j]

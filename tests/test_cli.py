@@ -23,7 +23,7 @@ from mirrorwyner import nonstationary as ns
 from mirrorwyner.cli import main
 from mirrorwyner.errors import ValidationError
 
-from conftest import cli_env
+from conftest import bench_module, cli_env
 
 
 REF_INSTANCE = mirror.reference_binary_instance().to_jsonable()
@@ -580,7 +580,35 @@ def test_convergence_small_search_path_pinned(tmp_path):
     assert len(runs) == 50
 
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# `convergence-cdf` on the benchmark's Q=4 instance (`wide_instance` at
+# generator seed 0), 4 seeds at budget 2: every solve runs both passes and
+# ends infeasible
+CONVERGENCE_WIDE_CSV = """rep,record,variant,value,col_a,col_b,col_c,tag
+0,run,relaxed,0,2,0,0,ok
+0,run,relaxed,1,2,0,0,ok
+0,run,relaxed,2,2,0,0,ok
+0,run,relaxed,3,2,0,0,ok
+0,run,unrelaxed,0,2,0,0,ok
+0,run,unrelaxed,1,2,0,0,ok
+0,run,unrelaxed,2,2,0,0,ok
+0,run,unrelaxed,3,2,0,0,ok
+0,cdf,,2,1,1,,
+0,summary,ks_dominates,,0,1,1,
+0,summary,completed,,4,4,8,
+"""
+
+
+def test_convergence_wide_output_pinned(tmp_path):
+    cfg = {"n_seeds": 4, "budget": 2, "mode": "two",
+           "instance": bench_module("workloads").wide_instance(np.random.default_rng(0))}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    rc, data = run_to_file(tmp_path, ["convergence-cdf", "--seed", "0", "--config", str(path)])
+    assert rc == 0
+    assert data.decode() == CONVERGENCE_WIDE_CSV
+
+
+README =os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_readme_lists_every_config_key():

@@ -449,6 +449,105 @@ class TestBlockedExposure:
         assert not work
 
 
+def slot_stack(inst, q, kind, k, rng):
+    """Start rows of every Bob and a trial with k candidates in Bob q's
+    `kind` slot, and the start's (Q, 7) values."""
+    rows = assignment_rows(solvers.random_assignment(inst, rng))
+    trial = [list(r) for r in rows]
+    n_x, n_y = rows[kind][q].shape
+    trial[kind][q] = rng.dirichlet(np.ones(n_y), size=(k, n_x))
+    return trial, mirror._kernel(inst, *rows)
+
+
+class TestExposureBound:
+    """The chain-rule bound that lets a slot call skip the other Bobs'
+    exposure tables of candidates the caller rejects anyway."""
+
+    def test_cap_counts_the_whole_stack_before_pruning(self, monkeypatch):
+        # a wide virtual slot: each other Bob's (iii) is a stack of 6 tables
+        # of 5 x 15,625 cells; with the cap below it the call fails as it
+        # does without pruning, though every candidate would be pruned
+        inst = wide_instance(0)
+        trial, base = slot_stack(inst, 1, 1, 6, np.random.default_rng(1))
+        monkeypatch.setattr(mirror, "EXPOSURE_CELL_CAP", 6 * 5 * 15625 - 1)
+        scratch = []
+        monkeypatch.setattr(mirror, "_scratch", lambda *a: scratch.append(a))
+        errors = []
+        for reject in (None, lambda v: np.ones(v.shape[:-2], bool)):
+            work = {}
+            with pytest.raises(ValidationError) as err:
+                mirror._kernel(inst, *trial, base=base, slot=(1, 1), work=work, held={},
+                               reject=reject)
+            errors.append(str(err.value))
+            assert not work
+        assert errors[0] == errors[1] == (f"exposure: a {6 * 5 * 15625}-cell table "
+                                          f"exceeds the cap of {6 * 5 * 15625 - 1} cells")
+        assert not scratch
+
+    def test_rejecting_every_candidate_builds_no_exposure_table(self):
+        inst = wide_instance(0)
+        trial, base = slot_stack(inst, 2, 1, 6, np.random.default_rng(2))
+        work = {}
+        got = mirror._kernel(inst, *trial, base=base, slot=(2, 1), work=work, held={},
+                             reject=lambda v: np.ones(v.shape[:-2], bool))
+        exact = mirror._kernel(inst, *trial, base=base, slot=(2, 1))
+        assert not work
+        others = [0, 1, 3]
+        assert np.all(got[:, others, 2] < exact[:, others, 2])
+        got[:, others, 2] = exact[:, others, 2]
+        assert np.array_equal(got, exact)
+
+    @settings(max_examples=30, deadline=None)
+    @given(q_count=st.integers(3, 4), n_s=st.integers(2, 5), n_x=st.integers(2, 5),
+           n_v=st.integers(2, 5), kind=st.integers(0, 1), k=st.integers(2, 5),
+           seed=st.integers(0, 2**16), uninformed=st.lists(st.booleans(), min_size=5,
+                                                           max_size=5),
+           zero_cells=st.booleans())
+    def test_bound_is_below_the_computed_value(self, q_count, n_s, n_x, n_v, kind, k, seed,
+                                               uninformed, zero_cells):
+        # Q=4 with alphabets of 5 is the wide instance's size; every stack
+        # goes through the blocked path
+        inst = random_instance(seed, q_count=q_count, n_s=n_s, n_x=n_x, n_v=n_v)
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(q_count))
+        rows = [[rng.dirichlet(np.ones(n), size=n_x) for _ in range(q_count)]
+                for n in (n_x, n_v)]
+        # uninformed candidates have equal rows; uninformed[0] also gives
+        # Bob c's other slot equal rows, and then an uninformed candidate's
+        # pair channel is the same for every s
+        if uninformed[0]:
+            rows[1 - kind][c][:] = rows[1 - kind][c][0]
+        n_y = rows[kind][c].shape[1]
+        cands = rng.dirichlet(np.ones(n_y), size=(k, n_x))
+        for j in range(k):
+            if uninformed[j]:
+                cands[j] = cands[j, 0]
+        if zero_cells:
+            cands[::2, :, 0] = 0.0
+            cands /= cands.sum(axis=-1, keepdims=True)
+        trial = [list(r) for r in rows]
+        trial[kind][c] = cands
+        base = mirror._kernel(inst, *rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mirror, "EXPOSURE_BLOCK_CELLS", 1)
+            exact = mirror._kernel(inst, *trial, base=base, slot=(c, kind))
+            held = {}
+            kept = mirror._kernel(inst, *trial, base=base, slot=(c, kind), held=held,
+                                  reject=lambda v: np.zeros(v.shape[:-2], bool))
+            pruned = mirror._kernel(inst, *trial, base=base, slot=(c, kind), held=held,
+                                    reject=lambda v: np.ones(v.shape[:-2], bool))
+        assert np.array_equal(kept, exact)
+        others = [q for q in range(q_count) if q != c]
+        bound = pruned[:, others, 2] + 1e-6
+        # the computed value may fall below the computed bound only by
+        # rounding, a small fraction of the 1e-6 margin
+        assert np.all(exact[:, others, 2] >= bound - 1e-9)
+        both = np.array(uninformed[:k]) & uninformed[0]
+        np.testing.assert_allclose(exact[both][:, others, 2], bound[both], rtol=0, atol=1e-12)
+        pruned[:, others, 2] = exact[:, others, 2]
+        assert np.array_equal(pruned, exact)
+
+
 class TestFactoredExposure:
     """The factored evaluation of `_cross_mi` against the ratio form of the
     same MI on the explicit joint table."""

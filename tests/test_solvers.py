@@ -317,6 +317,53 @@ class TestGreedy:
             for got, want in zip((asg.original, asg.virtual), rows):
                 assert all(np.array_equal(m.rows, r) for m, r in zip(got, want))
 
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("name", ["wide", "q3_small_blocks"])
+    def test_pruned_search_path_matches_full_kernel(self, monkeypatch, name, relaxed):
+        # Candidates whose exposure bound already fails the accept test get
+        # no exposure tables; the search still takes the full kernel's steps.
+        # The Q=3 instance runs every stack through the blocked path, over
+        # enough passes to reuse held bounds after accepted steps.
+        if name == "wide":
+            budget, cases = 1, [(wide_instance(seed % 3), seed) for seed in range(6, 16)]
+        else:
+            monkeypatch.setattr(mirror, "EXPOSURE_BLOCK_CELLS", 1)
+            inst = mirror.reference_binary_instance(q_count=3, virtual_alphabet=3)
+            budget, cases = 4, [(inst, seed) for seed in range(4)]
+        counts = {"offered": 0, "built": 0}
+        kernel, cross_mi = mirror._kernel, mirror._cross_mi
+
+        def kernel_spy(inst, orig, virt, **kw):
+            if kw.get("slot") is not None:
+                c, kind = kw["slot"]
+                counts["offered"] += len((orig, virt)[kind][c]) * (inst.q_count - 1)
+            return kernel(inst, orig, virt, **kw)
+
+        def cross_mi_spy(rows, tails, work=None, h_head=None, keep=None):
+            # condition (iii): X_q's head against the other Bobs' pair
+            # channels, a candidate axis on one of them
+            stacked = [t for t in tails if t.ndim > 2]
+            if (stacked and any(rows is r for r in inst._x_rows)
+                    and stacked[0].shape[-1] == inst.x_marginal(0).alphabet_size
+                    * inst.virtual_alphabet):
+                counts["built"] += len(stacked[0]) if keep is None else keep.size
+            return cross_mi(rows, tails, work, h_head, keep)
+
+        monkeypatch.setattr(mirror, "_kernel", kernel_spy)
+        monkeypatch.setattr(mirror, "_cross_mi", cross_mi_spy)
+        for inst, seed in cases:
+            asg, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=relaxed,
+                                              budget=budget, seed=seed)
+            passes, converged, rows = full_kernel_greedy(inst, relaxed, budget, seed)
+            assert [it.accepted for it in trace.iterates] == [p[2] for p in passes]
+            np.testing.assert_allclose([(it.objective, it.merit) for it in trace.iterates],
+                                       [p[:2] for p in passes], rtol=0, atol=1e-12)
+            assert trace.converged == converged
+            for got, want in zip((asg.original, asg.virtual), rows):
+                assert all(np.array_equal(m.rows, r) for m, r in zip(got, want))
+        # without the pruning every candidate would build Q - 1 tables
+        assert 0 < counts["built"] < counts["offered"]
+
     @pytest.mark.parametrize("q_count,budget", [(2, 1), (2, 20), (3, 8)])
     def test_mappings_validated_only_at_the_edges(self, monkeypatch, q_count, budget):
         # 2Q in random_assignment and 2Q at return, whatever the budget
