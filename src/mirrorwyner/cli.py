@@ -132,14 +132,6 @@ def _object(table, build):
 
 
 def _fmt(v) -> str:
-    # exact Python floats and ints first: most cells are one or the other
-    kind = type(v)
-    if kind is float:
-        if v != v:
-            raise ValidationError("output: NaN cell with no tag")
-        return f"{v:.12g}"
-    if kind is int:
-        return str(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer, np.bool_)):
@@ -204,9 +196,12 @@ def _write(out_path, header, rows, numbered=False):
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"out: unwritable ({exc})")
 
 
 # ---------------------------------------------------------------------------

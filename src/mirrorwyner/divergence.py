@@ -44,6 +44,8 @@ class AccessMask:
         inacc = tuple(sorted(int(i) for i in self.inaccessible))
         object.__setattr__(self, "accessible", acc)
         object.__setattr__(self, "inaccessible", inacc)
+        if len(set(acc)) < len(acc) or len(set(inacc)) < len(inacc):
+            raise ValidationError("AccessMask: an index repeats within one set")
         if set(acc) & set(inacc):
             raise ValidationError("AccessMask: index sets must be disjoint")
         if not acc:

@@ -227,10 +227,10 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     The search holds each Bob's rows as plain arrays; mappings are validated
     only on entry (`random_assignment`) and at return. A solve also holds,
     until it returns, what it would otherwise recompute from unchanged rows:
-    each Bob's last Boltzmann refresh (None included), recomputed only when
-    an accepted original step has replaced the rows it came from, and the
-    kernel's `work` scratch arrays and `held` channels (see
-    `mirror._kernel`), which are keyed by the identity of their rows. Every
+    the kernel's `work` scratch arrays, and in one `held` cache keyed by the
+    identity of their rows (see `mirror._held`) the kernel's channels and
+    each Bob's last Boltzmann refresh (None included), which is recomputed
+    only when an accepted original step has replaced its rows. Every
     value is the one a fresh computation gives, so the search path is too.
     The one exception changes no decision: each stacked call passes the
     accept test as the kernel's `reject`, so a candidate that already fails
@@ -275,19 +275,15 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
 
     current = float(merits(vals))
     work = {}   # the exposure kernel's scratch arrays, kept for this solve only
-    held = {}   # what the kernel derives from unchanged rows, kept for this solve only
-    # per Bob, the original rows last refreshed and their refresh (None
-    # included): the refresh draws nothing, so it is recomputed only after
-    # an original step is accepted
-    refreshed = [(None, None)] * q_count
+    held = {}   # what the solve derives from unchanged rows, kept for this solve only
     stall = 0
     for _ in range(budget):
         improved = False
         for q in range(q_count):
-            # Boltzmann self-consistent refresh of the original rows, if any
-            if refreshed[q][0] is not orig[q]:
-                refreshed[q] = (orig[q], mirror.boltzmann_original(inst, q, orig[q], OMEGA))
-            refresh = refreshed[q][1]
+            # Boltzmann self-consistent refresh of the original rows, if any;
+            # it draws nothing, so it is held until an original step is accepted
+            refresh = mirror._held(held, ("refresh", q),
+                                   lambda o: mirror.boltzmann_original(inst, q, o, OMEGA), orig[q])
             originals = [c for c in (refresh, _nudge_rows(orig[q], 0.1, rng)) if c is not None]
             virtuals = [_random_rows(virt[q].shape[0], inst.virtual_alphabet, rng)
                         if j % 2 == 0 else _nudge_rows(virt[q], 0.15, rng)

@@ -98,6 +98,14 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
         assert err["field"] == "MfgGrid"
 
+    def test_unwritable_out_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.csv"
+        assert main(["plant", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0])["field"] == "out"
+        assert not out.parent.exists()
+
     def test_bad_repetitions(self, capsys):
         assert main(["plant", "--repetitions", "0"]) == 3
 
@@ -157,6 +165,11 @@ class TestExitCodes:
         # g1 is checked against g2, given or derived (log2 2 = 1 here)
         ("divergence", {"g1": 2, "g2": 1}, "g1"),
         ("divergence", {"g1": 1.5}, "g1"),
+        # a repeated slice index would count its slice twice
+        ("divergence", {"accessible": [0, 0, 1, 2], "inaccessible": [3], "g2": 1.0},
+         "AccessMask"),
+        ("divergence", {"accessible": [0, 1, 2], "inaccessible": [3, 3], "g2": 1.0},
+         "AccessMask"),
         # a drawn game's laws are 6x4, so a 1x1 drift is the wrong shape
         ("stackelberg", {"drift": [[1]]}, "StackelbergInstance"),
     ])

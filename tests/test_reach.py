@@ -1,8 +1,7 @@
 """Every function, class, method and module-level name under src/mirrorwyner
-is named somewhere outside its own definition: elsewhere in src/, in
-scripts/, in the acceptance suite or in the benchmark tracer's FUNCTIONS. A
-definition that only its own unit tests name reaches no run, and this check
-lists it.
+is named somewhere outside its own definition: elsewhere in src/, in the
+acceptance suite or in the benchmark tracer's FUNCTIONS. A definition
+that only its own unit tests name reaches no run, and this check lists it.
 
 The check is static and by name alone (a word-boundary match, comments and
 docstrings included), so it stays fast and needs no run of the program."""
@@ -78,8 +77,7 @@ def unreached(sources, others):
 
 def test_every_definition_is_named_outside_itself():
     sources = {os.path.basename(p)[:-3]: _read(p) for p in _py_files("src", "mirrorwyner")}
-    others = [_read(p) for p in _py_files("scripts")]
-    others += [_read(os.path.join(ROOT, "tests", "test_acceptance.py")), tracer_names()]
+    others = [_read(os.path.join(ROOT, "tests", "test_acceptance.py")), tracer_names()]
     assert unreached(sources, others) == []
 
 
