@@ -165,13 +165,13 @@ class TestExitCodes:
         # g1 is checked against g2, given or derived (log2 2 = 1 here)
         ("divergence", {"g1": 2, "g2": 1}, "g1"),
         ("divergence", {"g1": 1.5}, "g1"),
+        # a drawn game's laws are 6x4, so a 1x1 drift is the wrong shape
+        ("stackelberg", {"drift": [[1]]}, "StackelbergInstance"),
         # a repeated slice index would count its slice twice
         ("divergence", {"accessible": [0, 0, 1, 2], "inaccessible": [3], "g2": 1.0},
          "AccessMask"),
         ("divergence", {"accessible": [0, 1, 2], "inaccessible": [3, 3], "g2": 1.0},
          "AccessMask"),
-        # a drawn game's laws are 6x4, so a 1x1 drift is the wrong shape
-        ("stackelberg", {"drift": [[1]]}, "StackelbergInstance"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
