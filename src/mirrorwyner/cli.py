@@ -209,7 +209,9 @@ def _write(out_path, header, rows, numbered=False):
 # ---------------------------------------------------------------------------
 
 def run_convergence_cdf(c, seed):
-    seeds = c["seeds"] or _seeds("seeds", range(seed, seed + c["n_seeds"]))
+    seeds = c["seeds"] or _seeds("seeds", range(seed, seed + (c["n_seeds"] or 40)))
+    if c["n_seeds"] not in (None, len(seeds)):
+        raise ValidationError(f"n_seeds: {c['n_seeds']} differs from the {len(seeds)} seeds given")
     eps = c["eps"]
     variants = [("relaxed", dict(relaxed=True, eps=eps)),
                 ("unrelaxed", dict(relaxed=False, eps=eps))]
@@ -498,7 +500,7 @@ SUBCOMMANDS = {
         "instance": _INSTANCE, "b_magnitudes": (_list(_UNIT), [0.6, 0.7]),
         "n_samples": (_int(1), 64), "grid_points": (_int(2), 5), "resolution": (_int(0), 16)}),
     "convergence-cdf": (run_convergence_cdf, {
-        "instance": _INSTANCE, "n_seeds": (_int(1), 40), "budget": (_int(1), 60),
+        "instance": _INSTANCE, "n_seeds": (_int(1), None), "budget": (_int(1), 60),
         "b_magnitude": (_UNIT, 0.5), "seeds": (_seeds, None),
         "eps": (_list(_number), solvers.DEFAULT_EPS),  # ConstraintSet.build checks the floors
         "mode": (_choice("two", "three"), "two")}),

@@ -176,7 +176,7 @@ def _conditional(joint: np.ndarray) -> np.ndarray:
 def _s_yo(p_sx: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Joint P(S, Yo) of original rows o (..., X, Yo) applied to P(S, X),
     as (..., |S|, |Yo|), summed over X as in `prob.markov_compose`."""
-    return (p_sx[:, :, None] * o[..., None, :, :]).sum(axis=-2)
+    return np.add.reduce(p_sx[:, :, None] * o[..., None, :, :], -2)
 
 
 def _pair_channel(x_given_s: np.ndarray, o: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ def _head_rows(p_s: np.ndarray, head: np.ndarray) -> np.ndarray:
     rows P(s, h) for each h, then one more row equal to P(s), as
     (..., |H| + 1, |S|)."""
     rows = np.empty(head.shape[:-2] + (head.shape[-1] + 1, p_s.size))
-    np.multiply(np.swapaxes(head, -1, -2), p_s, out=rows[..., :-1, :])
+    np.multiply(head.swapaxes(-1, -2), p_s, out=rows[..., :-1, :])
     rows[..., -1, :] = p_s
     return rows
 
@@ -232,7 +232,7 @@ def _xlnx_blocks(table: np.ndarray, n_blocks: int, logs: np.ndarray = None) -> n
     tables (..., n_blocks m, n), as (..., n_blocks): one log pass into `logs`
     (a fresh array if None) and one batched row-dot. Zero cells are masked
     only when the table's smallest cell is not positive."""
-    if table.size and table.min() > 0:
+    if table.size and np.minimum.reduce(table, None) > 0:
         logs = np.log(table, out=logs)
     else:
         logs = np.empty_like(table) if logs is None else logs
@@ -331,24 +331,42 @@ _SLOT_READS = (((0, 1, 4, 6), (2,)),
                ((3, 6), (2, 4, 5)))
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_plan(q_count: int, slot) -> tuple:
+    """A `_kernel` call's entries per Bob for this slot (or None), and per Bob
+    whether another Bob reads its pair channel (iii) or its twin channel (v, vi)."""
+    reads = ((range(7),) * q_count if slot is None else
+             tuple(_SLOT_READS[slot[1]][q != slot[0]] for q in range(q_count)))
+    wanted = [{i for q in range(q_count) if q != p for i in reads[q]} for p in range(q_count)]
+    return reads, tuple(2 in w for w in wanted), tuple(not w.isdisjoint((4, 5)) for w in wanted)
+
+
 def _held(held: dict, key, make, *args):
     """make(*args), or the value that held[key] keeps from an earlier call on
     the very same unstacked arrays. An entry keeps a reference to its
     arguments, so their identity stands for their contents; it is replaced
     when they are other objects. Stacked rows (a candidate axis) are new on
     every call and are not held."""
-    if held is None or any(a.ndim > 2 for a in args):
+    if held is None:
         return make(*args)
+    for a in args:
+        if a.ndim > 2:
+            return make(*args)
     entry = held.get(key)
-    if entry is None or any(a is not b for a, b in zip(entry[0], args)):
-        entry = held[key] = (args, make(*args))
+    if entry is not None:
+        for a, b in zip(entry[0], args):
+            if a is not b:
+                break
+        else:
+            return entry[1]
+    entry = held[key] = (args, make(*args))
     return entry[1]
 
 
 def _head_entropy(rows: np.ndarray):
     """H(H) in nats of a `_head_rows` head, as `_cross_mi` computes it when
     no `h_head` is given."""
-    return -_xlnx_blocks(rows[..., :-1, :].sum(axis=-1)[..., None, :], 1)[..., 0]
+    return -_xlnx_blocks(np.add.reduce(rows[..., :-1, :], -1)[..., None, :], 1)[..., 0]
 
 
 def _original_head(p_s: np.ndarray, x_given_s: np.ndarray, o: np.ndarray):
@@ -401,30 +419,22 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
     falls below the bound by less than 8.6e-8. On the Q=4 benchmark instance
     (L = 15,625) that is 1e-10."""
     p_s, x_given_s, q_count = inst.p_s, inst._x_given_s, inst.q_count
-    leads = [a.shape[:-2] for a in (*orig, *virt)]
-    stacked = [d for d in leads if d]
-    lead = stacked[0] if len(stacked) == 1 else np.broadcast_shapes(*leads)
+    stacked = [a.shape[:-2] for a in (*orig, *virt) if a.ndim > 2]
+    lead = np.broadcast_shapes(*stacked) if len(stacked) > 1 else stacked[0] if stacked else ()
+    reads, pair_bobs, twin_bobs = _slot_plan(q_count, slot)
     if slot is None:
-        reads = [range(7)] * q_count
         vals = np.zeros(lead + (q_count, 7))
     else:
-        c, kind = slot
-        own, other = _SLOT_READS[kind]
-        reads = [own if q == c else other for q in range(q_count)]
         vals = np.empty(lead + base.shape)
         vals[...] = base
     # Bob p's (Yo, Yv) channel feeds the other Bobs' (iii), its Yv channel
     # their (v) and (vi); only the channels some other Bob reads are built
-    pairs, twins = [None] * q_count, [None] * q_count
-    for p in range(q_count):
-        wanted = {i for q in range(q_count) if q != p for i in reads[q]}
-        if 2 in wanted:
-            pairs[p] = _held(held, ("pair", p), _pair_channel, x_given_s[p], orig[p], virt[p])
-        if 4 in wanted or 5 in wanted:
-            twins[p] = _held(held, ("twin", p), np.matmul, x_given_s[p], virt[p])
+    pairs = [_held(held, ("pair", p), _pair_channel, x_given_s[p], orig[p], virt[p])
+             if need else None for p, need in enumerate(pair_bobs)]
+    twins = [_held(held, ("twin", p), np.matmul, x_given_s[p], virt[p])
+             if need else None for p, need in enumerate(twin_bobs)]
     deferred = []   # Bobs whose (iii) waits for the bound test below
-    for q in range(q_count):
-        todo = reads[q]
+    for q, todo in enumerate(reads):
         p_x = inst.p_x[q]
         o, v = orig[q], virt[q]
         if 0 in todo:   # (i) utility
@@ -453,7 +463,7 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
         # chain rule: I(X_q; all other pairs) >= I(X_q; the pairs outside
         # Bob c's), which has no candidate axis and is held between calls;
         # less 1e-6 bits, it is below the computed value too (see docstring)
-        flat = vals.reshape((-1,) + base.shape)
+        flat, c = vals.reshape((-1,) + base.shape), slot[0]
         for q in deferred:
             rest = [pairs[p] for p in range(q_count) if p not in (q, c)]
             flat[:, q, 2] = _held(held, ("bound", q, c), lambda *t: _cross_mi(
@@ -480,7 +490,7 @@ def _utility(p_x: np.ndarray, o: np.ndarray):
 
 def _virtual_power(p_x: np.ndarray, v: np.ndarray, symbol_values: np.ndarray):
     """E{||Yv||^2} for virtual rows v (..., X, Yv) driven by P(X) = p_x."""
-    return np.sum((p_x @ v) * symbol_values ** 2, axis=-1)
+    return np.add.reduce((p_x @ v) * symbol_values ** 2, -1)
 
 
 # The pass test meets the instance thresholds of (i)-(iv) within NULL_TOL and
@@ -528,7 +538,10 @@ class ConstraintSet:
 
     def violations(self, vals: np.ndarray) -> np.ndarray:
         """How far each value lies outside its bound, (Q, 7); zero inside."""
-        return np.maximum(0.0, self.lo - vals) + np.maximum(0.0, vals - self.hi)
+        # the sum of both sides, bit for bit: the open side's difference is -inf
+        # (or NaN, as in the sum); np.maximum returns its second argument on a
+        # tie, so 0.0 goes last and -0.0 on a zero bound gives +0.0 as the sum does
+        return np.maximum(np.maximum(self.lo - vals, vals - self.hi), 0.0)
 
     def holds(self, vals, q=slice(None), i=slice(None)) -> np.ndarray:
         """Pass flags of `vals` against the bounds at [q, i], all (Q, 7) by
@@ -573,7 +586,7 @@ def _s_given_yo(p_sx: np.ndarray, o: np.ndarray):
     """P(Yo) and the posterior P(S | Yo) of original rows o (X, Yo) applied
     to P(S, X), as a (|Yo|, |S|) matrix whose rows for unobserved symbols are zero."""
     sy = _s_yo(p_sx, o)
-    p_y = sy.sum(axis=0)
+    p_y = np.add.reduce(sy, 0)
     return p_y, np.where(p_y[None, :] > 0, sy / np.where(p_y > 0, p_y, 1.0), 0.0).T
 
 
@@ -620,8 +633,8 @@ def boltzmann_posterior(p_x: np.ndarray, s_given_x: np.ndarray, s_given_y: np.nd
     omega > 0; at omega = 0 it leaves a NaN row."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = p_x[None, :] * np.exp(-omega * prob._kl_matrix(s_given_y, s_given_x))
-    sums = w.sum(axis=1, keepdims=True)
-    return None if np.any(sums <= 0) else w / sums
+    sums = np.add.reduce(w, 1, keepdims=True)
+    return None if (sums <= 0).any() else w / sums
 
 
 def boltzmann_original(inst: MirrorGameInstance, q: int, o: np.ndarray, omega: float):
@@ -632,15 +645,15 @@ def boltzmann_original(inst: MirrorGameInstance, q: int, o: np.ndarray, omega: f
     p_y, post = _s_given_yo(inst.joints[q].table, o)
     p_x = inst.p_x[q][:, None]
     x_given_y = boltzmann_posterior(inst.p_x[q], inst._s_given_x[q], post, omega) \
-        if np.all(p_y > 0) else None
+        if (p_y > 0).all() else None
     if x_given_y is None:
         return None
     with np.errstate(over="ignore"):
         rows = np.where(p_x > 0, (x_given_y * p_y[:, None]).T / np.where(p_x > 0, p_x, 1.0),
                         1.0 / o.shape[1])
-    rows = np.clip(rows, 0.0, None)
-    sums = rows.sum(axis=1, keepdims=True)
-    return rows / sums if np.all(np.isfinite(rows)) and np.all(sums > 0) else None
+    rows = np.maximum(rows, 0.0)
+    sums = np.add.reduce(rows, 1, keepdims=True)
+    return rows / sums if np.isfinite(rows).all() and (sums > 0).all() else None
 
 
 def bottleneck_pair_search(inst: MirrorGameInstance, o: np.ndarray) -> float:

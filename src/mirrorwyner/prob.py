@@ -150,7 +150,7 @@ def _kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # a cell with p > 0 = q gives p * log2(inf) = +inf, and so an infinite sum
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log2(p / q), 0.0)
-    return terms.sum(axis=-1)
+    return np.add.reduce(terms, -1)
 
 
 def _mi(table: np.ndarray) -> np.ndarray:
@@ -160,14 +160,14 @@ def _mi(table: np.ndarray) -> np.ndarray:
     # One buffer goes from the product of the marginals to the terms, since
     # fresh large temporaries cost more than the arithmetic; a zero cell keeps
     # its finite marginal product and adds 0 * prod = 0.
-    terms = table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
+    terms = np.add.reduce(table, -1)[..., :, None] * np.add.reduce(table, -2)[..., None, :]
     # a table with no zero (and no NaN) cell needs no mask: the same per-cell
     # operations, without building and reading one
-    nz = True if table.size and table.min() > 0 else table > 0
+    nz = True if table.size and np.minimum.reduce(table, None) > 0 else table > 0
     np.divide(table, terms, out=terms, where=nz)
     np.log2(terms, out=terms, where=nz)
     terms *= table
-    return terms.sum(axis=(-2, -1))
+    return np.add.reduce(terms, (-2, -1))
 
 
 def mutual_information(j: JointPmf2) -> float:

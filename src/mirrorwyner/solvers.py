@@ -194,12 +194,17 @@ PATIENCE = 3     # improvement-free passes before the search stops
 
 
 def _random_rows(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.dirichlet(np.ones(n_out), size=n_in)
+    """`rng.dirichlet(np.ones(n_out), size=n_in)`, with the same draws and
+    bits: a unit gamma draw is a standard exponential, and dirichlet scales
+    each row by the reciprocal of its sum taken left to right. So the sum is
+    sequential (`cumsum`); `np.add.reduce` sums pairwise from 8 columns on."""
+    e = rng.standard_exponential((n_in, n_out))
+    return e * (1.0 / e.cumsum(1)[:, -1:])
 
 
 def _nudge_rows(rows: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
     rows = np.maximum(rows + scale * rng.normal(size=rows.shape), 1e-9)
-    return rows / rows.sum(axis=1, keepdims=True)
+    return rows / np.add.reduce(rows, 1, keepdims=True)
 
 
 def random_assignment(inst: mirror.MirrorGameInstance,
@@ -260,7 +265,8 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     def merits(vals: np.ndarray) -> np.ndarray:
         """Minimization merit of each (..., Q, 7) value table: mean exposure
         plus weighted constraint violations."""
-        return vals[..., 2].sum(-1) / q_count + LAMBDA * constraints.violations(vals).sum((-2, -1))
+        return (np.add.reduce(vals[..., 2], -1) / q_count
+                + LAMBDA * np.add.reduce(constraints.violations(vals), (-2, -1)))
 
     def feasible(vals: np.ndarray) -> bool:
         return bool(constraints.holds(vals).all())
@@ -304,8 +310,9 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
                         rows[kind][q] = cands[j]
                         vals, current = stacked[j], trial_merit
                         improved = True
-        trace.iterates.append(GreedyPass(float(vals[:, 2].mean()), current, improved))
-        if feasible(vals) and not improved:
+        trace.iterates.append(GreedyPass(float(np.add.reduce(vals[:, 2]) / q_count), current,
+                                         improved))
+        if not improved and feasible(vals):
             trace.converged = True
             break
         stall = 0 if improved else stall + 1

@@ -172,6 +172,8 @@ class TestExitCodes:
          "AccessMask"),
         ("divergence", {"accessible": [0, 1, 2], "inaccessible": [3, 3], "g2": 1.0},
          "AccessMask"),
+        # n_seeds is derived from seeds, so a given one must agree with them
+        ("convergence-cdf", {"seeds": [1, 2], "n_seeds": 5}, "n_seeds"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -784,6 +786,18 @@ class TestModuleOracles:
                 assert rows[at + 1] == ["0", "summary", "completed_tight", "",
                                         str(len(tight_runs)), "", "", ""]
         assert counts["two"] == []
+
+    def test_convergence_cdf_n_seeds_agrees_with_seeds(self, tmp_path):
+        outs = []
+        for cfg in ({"seeds": [4, 2], "budget": 3}, {"seeds": [4, 2], "n_seeds": 2, "budget": 3}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            rc, data = run_to_file(tmp_path, ["convergence-cdf", "--config", str(path)])
+            assert rc in (0, 1)
+            outs.append(data)
+        assert outs[0] == outs[1]
+        runs = [l.split(",")[2:4] for l in outs[0].decode().split("\n") if ",run," in l]
+        assert sorted(runs) == [[v, s] for v in ("relaxed", "unrelaxed") for s in ("2", "4")]
 
     def test_convergence_cdf_degenerate_budget(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -704,6 +704,9 @@ CS_INST = MirrorGameInstance(
     gamma1=[1.0, 2.0], gamma2=0.1, gamma3=1.5)
 CS_EPS = (0.01, 0.02, 0.03)
 CS_GAMMA2_EFF = 0.07   # a utility floor below the instance's, as the relaxed solver uses
+CS_ZERO_INST = MirrorGameInstance(
+    joints=mirror.reference_binary_instance().joints, gamma0=0.0, gamma1=0.0, gamma2=0.0,
+    gamma3=0.0)
 
 
 def constraint_edges():
@@ -799,7 +802,37 @@ class TestConstraintSet:
                 assert ccp.constraint_holds(vals, q, i) == expected[q, i]
 
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("gamma2", (None, CS_GAMMA2_EFF, 0.0))
+    def test_violations_equal_the_two_sided_sum_bitwise(self, mode, gamma2):
+        # violations takes the larger side once; the merit was written as the
+        # sum of both sides, and the two agree bit for bit, sign of zero and
+        # NaN included, because every entry has exactly one finite bound.
+        # Zero thresholds put -0.0 values on a +0.0 bound too.
+        for inst in (CS_INST, CS_ZERO_INST):
+            cs = mirror.ConstraintSet.build(inst, gamma2=gamma2, eps=mode[0])
+            cells = constraint_edges() + [0.0, -0.0, 5e-324, -5e-324, 2.5, -1.0, np.nan,
+                                          np.inf, -np.inf]
+            bounds = np.where(np.isfinite(cs.lo), cs.lo, cs.hi)
+            vals = np.concatenate([np.broadcast_to(np.array(cells)[:, None, None],
+                                                   (len(cells), 2, 7)), bounds[None]])
+            with np.errstate(invalid="ignore"):
+                two_sided = np.maximum(0.0, cs.lo - vals) + np.maximum(0.0, vals - cs.hi)
+                got = cs.violations(vals)
+            assert got.tobytes() == two_sided.tobytes()
+            # on the bound, a zero bound met by either sign of zero
+            for v in (bounds, np.where(bounds == 0.0, -0.0, bounds)):
+                assert cs.violations(v).tobytes() == np.zeros((2, 7)).tobytes()
+
+
 class TestBoltzmann:
+    def test_clip_at_zero_is_maximum_bitwise(self):
+        # boltzmann_original clips its refreshed rows with np.maximum(rows, 0.0),
+        # which np.clip(rows, 0.0, None) calls too, on every edge value
+        rows = np.array([[0.0, -0.0, 5e-324, -5e-324, 0.3],
+                         [np.nan, np.inf, -np.inf, -2.0, 1.0]])
+        assert np.maximum(rows, 0.0).tobytes() == np.clip(rows, 0.0, None).tobytes()
+
     def test_omega_zero_gives_prior(self):
         inst = random_instance(5)
         p_x, s_given_x = inst.p_x[0], inst._s_given_x[0]

@@ -113,6 +113,19 @@ class TestTrustRegion:
             TrustRegionConfig(theta1=1.5)
 
 
+@pytest.mark.parametrize("n_out", [2, 3, 5, 8, 9, 16])
+def test_random_rows_are_the_dirichlet_draws(n_out):
+    # the row sum must be sequential: numpy's pairwise sum departs from the
+    # dirichlet rows at 8, 9 and 16 columns
+    for seed in range(10):
+        for n_in in (1, 3, 5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = solvers._random_rows(n_in, n_out, ours)
+            want = theirs.dirichlet(np.ones(n_out), size=n_in)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def full_kernel_greedy(inst, relaxed, budget, seed, eps=solvers.DEFAULT_EPS):
     """The greedy search with every trial rescoring all Q x 7 conditions and
     each candidate's merit taken on its own: the reference for the
