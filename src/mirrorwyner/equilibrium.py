@@ -96,7 +96,7 @@ def best_response_dynamics(g: KCutGame, init: StrategyProfile) -> BestResponseRe
                 if c == profile.colors[i]:
                     continue
                 v = payoff(g, profile.with_color(i, c), i)
-                if v > best_v + 0.0:
+                if v > best_v:
                     best_c, best_v = c, v
             if best_c != profile.colors[i]:
                 profile = profile.with_color(i, best_c)

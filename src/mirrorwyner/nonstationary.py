@@ -326,7 +326,8 @@ def _forward_density(grid: MfgGrid, drift, residuals: list) -> np.ndarray:
     dx, dt = grid.dx, grid.dt
     courant = abs(drift) * dt / dx
     if not courant <= 1:
-        raise ConfigurationError(f"explicit scheme unstable: |drift|*dt/dx = {courant:.3g} > 1")
+        raise ConfigurationError(
+            f"MfgGrid: explicit scheme unstable: |drift|*dt/dx = {courant:.3g} > 1")
     diffusion, upwind = grid.sigma**2, slice(None, -1) if drift >= 0 else slice(1, None)
     density = np.zeros((grid.n_t, grid.n_x))
     density[0] = grid.initial_density
@@ -360,7 +361,8 @@ def mfg_solve(grid: MfgGrid, tol: float = 1e-6, max_sweeps: int = 50,
         raise ValidationError("mfg_solve: max_sweeps must be >= 1")
     cfl = grid.sigma**2 * grid.dt / grid.dx**2
     if cfl > 0.5:
-        raise ConfigurationError(f"explicit scheme unstable: sigma^2*dt/dx^2 = {cfl:.3g} > 0.5")
+        raise ConfigurationError(
+            f"MfgGrid: explicit scheme unstable: sigma^2*dt/dx^2 = {cfl:.3g} > 0.5")
     value, residuals = _backward_value(grid), []
     if np.isnan(value).any():   # an overflow, e.g. inf - inf in a gradient
         raise NumericError("mfg_solve: the value field overflowed to NaN", partial=residuals)

@@ -9,8 +9,6 @@ that compares solver convergence samples.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,85 +188,35 @@ def markov_compose(p_sx: JointPmf2, mapping: PrivacyMapping) -> JointPmf3:
 KS_EXACT_MAX_N = 10000   # larger samples go straight to the asymptotic p-value
 
 
-def _ks_paths_outside(m: int, n: int, g: int, h: int) -> float:
-    """The number of lattice paths from (0, 0) to (m, n), in unit steps up or
-    right, that reach m*y <= n*x - h*g somewhere, with g = gcd(m, n). After
-    Hodges (1958), "The significance probability of the Smirnov two-sample
-    test". The count is a float; OverflowError or FloatingPointError (under
-    np.errstate) means it does not fit one."""
-    if m < n:
-        m, n = n, m
-    mg, ng = m // g, n // g
-    # only the x where the boundary crosses a row of the lattice matter;
-    # h <= lcm(m, n) = mg * n keeps lxj >= 1
-    lxj = n + (mg - h) // mg
-    xj = [(h + mg * j + ng - 1) // ng for j in range(lxj)]
-    # b[j]: the paths to (xj[j], j) that have not touched the boundary before
-    b = np.zeros(lxj)
-    b[0] = 1
-    for j in range(1, lxj):
-        bj = np.float64(math.comb(xj[j] + j, j))
-        for i in range(j):
-            bj -= np.float64(math.comb(xj[j] - xj[i] + j - i, j - i)) * b[i]
-        b[j] = bj
-    # each times the ways on from (xj[j], j) to (m, n)
-    count = 0
-    for j in range(lxj):
-        count += b[j] * np.float64(math.comb(m - xj[j] + n - j, n - j))
-    return count
-
-
-def _ks_exact_pvalue(n1: int, n2: int, g: int, h: int):
-    """P(D+ >= h / lcm(n1, n2)) under the null, or None if it overflows."""
-    try:
-        with np.errstate(invalid="raise", over="raise"):
-            if n1 == n2:
-                # binom(2n, n - h) / binom(2n, n), one ratio per factor
-                j = np.arange(h)
-                return np.prod((n1 - j) / (n1 + j + 1.0))
-            # every path count is at most this one, so it overflows first
-            total = np.float64(math.comb(n1 + n2, n1))
-            paths = _ks_paths_outside(n1, n2, g, h)
-    except (FloatingPointError, OverflowError):
-        return None
-    p = paths / total
-    return p if 0 <= p <= 1 else None
-
-
 def ks_one_sided(a, b, alternative: str):
     """One-sided two-sample Kolmogorov-Smirnov test: (statistic, p-value).
 
     "greater" takes the largest rise of a's ECDF above b's, "less" the
-    largest fall below it. Both samples must be non-empty. Up to
-    KS_EXACT_MAX_N per sample the statistic is rounded to h / lcm(n1, n2) and
-    the p-value is exact: a closed form for equal sizes, a lattice-path count
-    otherwise. Larger samples, or a count that overflows a float (with a
-    RuntimeWarning), take Hodges' asymptotic formula (his Eqn 5.3). This is
+    largest fall below it. The samples must be non-empty and of one size n.
+    Up to n = KS_EXACT_MAX_N the statistic is rounded to h / n and the
+    p-value is exact, the closed form binom(2n, n - h) / binom(2n, n). Larger
+    samples take Hodges' asymptotic formula (his Eqn 5.3). This is
     `scipy.stats.ks_2samp(a, b, alternative)` with method="auto".
     """
     if alternative not in ("greater", "less"):
         raise ValidationError(f"alternative: need 'greater' or 'less', got {alternative!r}")
     a, b = np.sort(a), np.sort(b)
-    n1, n2 = a.shape[0], b.shape[0]
-    if min(n1, n2) == 0:
-        raise ValidationError("ks_one_sided: both samples must be non-empty")
+    n = a.shape[0]
+    if n == 0 or b.shape[0] != n:
+        raise ValidationError(f"ks_one_sided: need two non-empty samples of one size, "
+                              f"got {n} and {b.shape[0]}")
     pooled = np.concatenate([a, b])
-    diffs = (np.searchsorted(a, pooled, side="right") / n1
-             - np.searchsorted(b, pooled, side="right") / n2)
+    diffs = (np.searchsorted(a, pooled, side="right") / n
+             - np.searchsorted(b, pooled, side="right") / n)
     d = diffs.max() if alternative == "greater" else np.clip(-diffs.min(), 0, 1)
-    if max(n1, n2) <= KS_EXACT_MAX_N:
-        g = math.gcd(n1, n2)
-        lcm = n1 // g * n2
-        h = round(float(d) * lcm)
-        d = h / lcm
+    if n <= KS_EXACT_MAX_N:
+        h = round(float(d) * n)
         if h == 0:
-            return d, 1.0
-        p = _ks_exact_pvalue(n1, n2, g, h)
-        if p is not None:
-            return d, float(p)
-        warnings.warn("ks_one_sided: Exact calculation unsuccessful. "
-                      "Switching to the asymptotic formula.", RuntimeWarning, stacklevel=2)
-    m, n = sorted([float(n1), float(n2)], reverse=True)
-    z = np.sqrt(m * n / (m + n)) * d
-    p = np.exp(-2 * z**2 - 2 * z * (m + 2*n) / np.sqrt(m*n*(m+n)) / 3.0)
+            return h / n, 1.0
+        # binom(2n, n - h) / binom(2n, n), one ratio per factor
+        j = np.arange(h)
+        return h / n, float(np.prod((n - j) / (n + j + 1.0)))
+    m = float(n)   # both sizes, in Hodges' formula for sizes m and n
+    z = np.sqrt(m * m / (m + m)) * d
+    p = np.exp(-2 * z**2 - 2 * z * (m + 2*m) / np.sqrt(m*m*(m+m)) / 3.0)
     return float(d), float(np.clip(p, 0, 1))

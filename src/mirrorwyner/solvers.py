@@ -299,8 +299,6 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
             # candidates one by one; the virtual stack sees the accepted
             # original. Only the conditions that read the slot are rescored.
             for kind, cands in enumerate((originals, virtuals)):
-                if not cands:
-                    continue
                 trial = [list(r) for r in rows]
                 trial[kind][q] = np.array(cands)
                 stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind),

@@ -357,6 +357,42 @@ class TestExitCodes:
             "message": "non-finite state at step 3"}
         assert not out.exists()
 
+    def test_failed_solve_exit_4(self, tmp_path, capsys, monkeypatch):
+        # one failed solve ends the whole run, as an arithmetic failure does
+        # in every subcommand
+        solve = solvers.greedy_solve
+
+        def flaky(inst, u, **kw):
+            if kw["relaxed"] and kw["seed"] == 3:
+                raise FloatingPointError("overflow")
+            return solve(inst, u, **kw)
+
+        monkeypatch.setattr(solvers, "greedy_solve", flaky)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps({"n_seeds": 8, "budget": 15}))
+        assert main(["convergence-cdf", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "FloatingPointError", "field": "convergence-cdf", "message": "overflow"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [
+        # sigma^2 dt / dx^2 = 0.01 * 1 / 0.01 = 1 > 0.5
+        {"x_min": -1, "x_max": 1, "n_x": 21, "n_t": 5, "dt": 1.0, "sigma": 0.1,
+         "initial_density": [1 / 2.1] * 21},
+        courant_grid(),
+    ], ids=["diffusion", "courant"])
+    def test_mfg_instability_names_grid(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "mfg.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        assert main(["mfg", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert (report["error"], report["field"]) == ("ConfigurationError", "MfgGrid")
+        assert "explicit scheme unstable" in report["message"]
+
     def test_top_level_array_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -808,6 +844,21 @@ class TestModuleOracles:
         assert lines
         assert all(l.split(",")[4] == "1" for l in lines)
 
+    @pytest.mark.parametrize("cfg", [
+        # every slice accessible, so there is no inaccessible slice to average
+        {"accessible": [0, 1, 2, 3], "inaccessible": []},
+        # the one inaccessible slice carries no mass
+        {"joint": np.stack([np.full((2, 2, 2), 0.125), np.zeros((2, 2, 2))], 2).tolist(),
+         "accessible": [0], "inaccessible": [1]},
+    ], ids=["no_inaccessible", "zero_mass_inaccessible"])
+    def test_divergence_equivocation_of_no_mass(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc, data = run_to_file(tmp_path, ["divergence", "--config", str(path)])
+        assert rc == 0
+        rows = {r.split(",")[1]: r.split(",")[3] for r in data.decode().strip().split("\n")[1:]}
+        assert (rows["equivocation"], rows["feasible"]) == ("0", "1")
+
     def test_lohe_sync_column(self, tmp_path):
         rc, data = run_to_file(tmp_path, ["lohe"])
         assert rc == 0
@@ -848,20 +899,6 @@ class TestKsDominatesRow:
     def test_equal_sizes(self, tmp_path):
         a, b, _, rc = self.check(tmp_path, {"n_seeds": 8, "budget": 15})
         assert (len(a), len(b), rc) == (8, 8, 0)
-
-    def test_failed_seed_gives_unequal_sizes(self, tmp_path, monkeypatch):
-        # one relaxed seed fails, so the p-value comes from the lattice-path count
-        solve = solvers.greedy_solve
-
-        def flaky(inst, u, **kw):
-            if kw["relaxed"] and kw["seed"] == 3:
-                raise FloatingPointError("overflow")
-            return solve(inst, u, **kw)
-
-        monkeypatch.setattr(solvers, "greedy_solve", flaky)
-        a, b, gap, _ = self.check(tmp_path, {"n_seeds": 8, "budget": 15})
-        assert (len(a), len(b)) == (7, 8)
-        assert gap > 0
 
     def test_slower_relaxed_runs_exit_1(self, tmp_path, monkeypatch):
         def solve(inst, u, budget, seed, relaxed, eps):

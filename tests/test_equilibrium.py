@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorwyner.equilibrium import (KCutGame, StrategyProfile,
+from mirrorwyner.equilibrium import (MAX_ROUNDS, KCutGame, StrategyProfile,
                                      best_response_dynamics, payoff,
                                      potential, verify_nash)
 from mirrorwyner.errors import ValidationError
@@ -105,6 +105,14 @@ class TestDynamics:
                     moved = True
             if not moved:
                 break
+
+    def test_cycle_stops_at_max_rounds(self):
+        # player 0 gains by joining player 1's color and player 1 by leaving
+        # player 0's, so every sweep moves someone
+        game = KCutGame(np.array([[0.0, 1.0], [-1.0, 0.0]]), 2)
+        res = best_response_dynamics(game, StrategyProfile((0, 0)))
+        assert (res.rounds, res.converged) == (MAX_ROUNDS, False)
+        assert verify_nash(game, res.profile) == (False, (0, 0, 1.0))
 
     def test_verify_nash_against_enumeration(self):
         game = random_game(11, n=4, k=2)
