@@ -165,41 +165,50 @@ def _runs(rows, types):
 
 
 def _lines(rows, lead=()):
-    """The CSV lines of `rows`, each after the cells `lead`. A run of rows
-    whose cells share one tuple of exact float, int and str types is one `%`
-    format, searched for "nan" once. Any other row, and every row of a run
-    whose text reads "nan" (a NaN cell, or a string holding it), goes through
-    `_fmt` cell by cell, which rejects the NaN."""
+    """The CSV text of the list `rows`, each line after the cells `lead`, as
+    pieces that end in a newline. A run of rows whose cells share one tuple
+    of exact float, int and str types is one `%` format, searched for "nan"
+    once. Any other row, and every row of a run whose text reads "nan" (a NaN
+    cell, or a string holding it), goes through `_fmt` cell by cell, which
+    rejects the NaN."""
     cells = tuple(itertools.chain.from_iterable(rows))
     lines, row, cell = [], 0, 0
     for kinds, n in _runs(rows, list(map(type, cells))):
         block, run_cells = rows[row:row + n], cells[cell:cell + n * len(kinds)]
         row, cell = row + n, cell + n * len(kinds)
         if all(k in _SPECS for k in kinds):
-            fmt = ",".join(lead + tuple(map(_SPECS.get, kinds)))
-            text = "\n".join([fmt] * n) % run_cells
+            fmt = ",".join(lead + tuple(map(_SPECS.get, kinds))) + "\n"
+            text = fmt * n % run_cells
             if "nan" not in text:
                 lines.append(text)
                 continue
-        lines.extend(",".join(lead + tuple(map(_fmt, r))) for r in block)
+        lines.extend(",".join(lead + tuple(map(_fmt, r))) + "\n" for r in block)
     return lines
 
 
+# Rows that `_write` formats at a time: the cells, their types and the row
+# tuples of one chunk are all that is held besides the text.
+CHUNK_ROWS = 1024
+
+
 def _write(out_path, header, rows, numbered=False):
-    """Write the CSV text: `header`, then a line per row of `rows`. When
-    `numbered`, `rows` holds one list of rows per repetition, and each line
-    starts with its repetition's index."""
-    tables = [((str(rep),), table) for rep, table in enumerate(rows)] if numbered else [((), rows)]
-    lines = [header]
+    """Write the CSV text: `header`, then a line per row of `rows`, any
+    iterable of rows, generators included. When `numbered`, `rows` holds one
+    such iterable per repetition, and each line starts with its repetition's
+    index. The rows are formatted CHUNK_ROWS at a time, all of them before
+    the output opens, so a NaN cell writes nothing."""
+    tables = (((str(rep),), table) for rep, table in enumerate(rows)) if numbered else [((), rows)]
+    pieces = [header + "\n"]
     for lead, table in tables:
-        lines += _lines(table, lead)
-    text = "\n".join(lines) + "\n"
+        table = iter(table)
+        while chunk := list(itertools.islice(table, CHUNK_ROWS)):
+            pieces += _lines(chunk, lead)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"out: unwritable ({exc})")
 
@@ -331,27 +340,37 @@ def run_mfg(c, seed):
                       "sweeps": len(sol.residuals),
                       "final_residual": float(sol.residuals[-1])}),
           file=sys.stderr)
-    # each grid point's cell repeats on every time row, so it is formatted once
-    rows = list(zip(np.repeat(np.arange(grid.n_t), grid.n_x).tolist(),
-                    list(map(_fmt, grid.xs.tolist())) * grid.n_t,
-                    sol.value.ravel().tolist(), sol.density.ravel().tolist()))
+    # each grid point's cell repeats on every time row, so it is formatted
+    # once; the rows come one time step at a time, as the writer reads them
+    xs_text = list(map(_fmt, grid.xs.tolist()))
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(k), xs_text, sol.value[k].tolist(), sol.density[k].tolist())
+        for k in range(grid.n_t))
     return "k,x,J,P_df", rows, 0
 
 
-# Most cells a lohe run may hold in its Hamiltonians (q d^2), its coupling
-# matrix (q^2) or its trajectory ((steps + 1) q d); a config past it fails
-# before allocating.
-LOHE_CELL_CAP = 2 ** 24
+# Most cells one array of a run may hold: a lohe run's Hamiltonians (q d^2),
+# coupling matrix (q^2) or trajectory ((steps + 1) q d), an mfg grid's value
+# and density fields (n_t n_x each). A config past it fails before allocating.
+CELL_CAP = 2 ** 24
 
 
 def _cap_cells(what, factors):
     """Fail under the key of the largest factor when the product of
-    `factors` (config key -> its factor) exceeds LOHE_CELL_CAP cells."""
+    `factors` (config key -> its factor) exceeds CELL_CAP cells."""
     cells = math.prod(factors.values())
-    if cells > LOHE_CELL_CAP:
+    if cells > CELL_CAP:
         key = max(factors, key=factors.get)
         raise ValidationError(f"{key}: {what} would hold {cells} cells, above the cap "
-                              f"of {LOHE_CELL_CAP}")
+                              f"of {CELL_CAP}")
+
+
+def _mfg_grid(n_t, n_x, **kw):
+    """The MfgGrid of a config's `grid` object, its fields capped first; a
+    count below 1 is left to the grid's own axis check."""
+    _cap_cells("the value and density fields",
+               {"grid: n_t": max(n_t, 0), "grid: n_x": max(n_x, 0)})
+    return nonstationary.MfgGrid(n_t=n_t, n_x=n_x, **kw)
 
 
 def run_lohe(c, seed):
@@ -491,7 +510,7 @@ SUBCOMMANDS = {
         "eps": (_list(_number), solvers.DEFAULT_EPS),  # ConstraintSet.build checks the floors
         "mode": (_choice("two", "three"), "two")}),
     "mfg": (run_mfg, {
-        "grid": (_object(GRID_KEYS, nonstationary.MfgGrid), _default_mfg_payload()),
+        "grid": (_object(GRID_KEYS, _mfg_grid), _default_mfg_payload()),
         "tol": (_positive, 1e-6), "max_sweeps": (_int(1), 50),
         "damping": (functools.partial(_positive, hi=1.0), 0.5)}),
     "lohe": (run_lohe, {

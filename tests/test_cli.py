@@ -908,3 +908,113 @@ class TestKsDominatesRow:
         monkeypatch.setattr(solvers, "greedy_solve", solve)
         *_, rc = self.check(tmp_path, {"n_seeds": 8, "budget": 15})
         assert rc == 1
+
+
+class TestChunkedWriter:
+    """`_write` reads any iterable of rows CHUNK_ROWS at a time; the text
+    does not depend on where the chunks fall."""
+
+    @staticmethod
+    def table(n, switch):
+        # one type tuple up to row `switch`, another after it
+        return ((k, k / 7, "ok") if k < switch else (k, k * 3, "ok") for k in range(n))
+
+    def test_generator_run_straddles_chunk_boundaries(self):
+        n, switch = 3 * cli.CHUNK_ROWS + 7, cli.CHUNK_ROWS + cli.CHUNK_ROWS // 2
+        text = TestWriter.written(self.table(n, switch))
+        assert text == TestBlockWriter.expected(list(self.table(n, switch)))
+        assert text.count("\n") == n + 1
+
+    @pytest.mark.parametrize("n", [0, 1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS,
+                                   cli.CHUNK_ROWS + 1, 2 * cli.CHUNK_ROWS])
+    def test_generator_and_list_give_one_text(self, n):
+        rows = list(self.table(n, n // 3))
+        assert TestWriter.written(iter(rows)) == TestWriter.written(rows)
+        assert TestWriter.written(tuple(rows)) == TestWriter.written(rows)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_text_is_independent_of_chunk_size(self, monkeypatch, chunk):
+        rows = ([(k, k / 3, "nan" if k == 4 else "ok") for k in range(10)]
+                + [(10, 5, "ok"), (11,), (), (12, np.float64(0.5), 2 ** 70)]
+                + [(k, -0.0, np.inf) for k in range(13, 20)])
+        expect = TestWriter.written(rows)
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        assert TestWriter.written(iter(rows)) == expect == TestBlockWriter.expected(rows)
+
+    def test_nan_in_last_chunk_writes_no_file_and_no_stdout(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        n = 3 * cli.CHUNK_ROWS + 7
+
+        def rows():
+            for k, row in enumerate(self.table(n, 0)):
+                yield (k, float("nan"), "ok") if k == n - 2 else row
+
+        for path in (str(out), None):
+            with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
+                cli._write(path, "h", rows())
+            with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
+                cli._write(path, "rep,h", iter([self.table(5, 2), rows()]), numbered=True)
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_numbered_generator_tables(self):
+        n = cli.CHUNK_ROWS + 3
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write(None, "rep,h", (self.table(n, rep * 100) for rep in range(3)),
+                       numbered=True)
+        lines = out.getvalue().split("\n")
+        assert lines[0] == "rep,h" and lines[-1] == "" and len(lines) == 3 * n + 2
+        for rep in range(3):
+            expect = TestBlockWriter.expected(list(self.table(n, rep * 100))).split("\n")[1:-1]
+            assert lines[1 + rep * n:1 + (rep + 1) * n] == [f"{rep},{e}" for e in expect]
+
+
+class TestMfgMemory:
+    def test_default_run_peak_below_one_mib(self, tmp_path):
+        # the rows come one time step at a time and are formatted a chunk at
+        # a time, so the run's peak is the CSV text, not a tuple per row
+        out = tmp_path / "o.csv"
+        cli._parser()
+        main(["mfg", "--out", str(out)])   # warm: first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            rc = main(["mfg", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(out.read_bytes().splitlines()) == 101 * 100 + 1
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("size,key", [({"n_t": 10 ** 15}, "n_t"),
+                                          ({"n_x": 10 ** 9}, "n_x")])
+    def test_grid_cap_allocates_nothing(self, tmp_path, capsys, size, key):
+        # n_t = 10**15 took a MemoryError from the grid's first n_t array
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps({"grid": {**cli._default_mfg_payload(), **size}}))
+        cli._parser()
+        tracemalloc.start()
+        try:
+            rc = main(["mfg", "--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        report = json.loads(capsys.readouterr().err.strip())
+        assert report["field"] == "grid"
+        assert report["message"].startswith(f"grid: {key}: the value and density fields")
+        assert "above the cap" in report["message"]
+        assert peak < 2 ** 20
+        assert not out.exists()
+
+    def test_grid_cap_is_inclusive(self):
+        # at the cap the grid's own checks run (here: the density length);
+        # counts below 1 are left to its axis check
+        kw = dict(x_min=0.0, x_max=1.0, dt=0.1, sigma=0.1, initial_density=[1.0])
+        with pytest.raises(ValidationError, match="initial density"):
+            cli._mfg_grid(n_t=cli.CELL_CAP // 16, n_x=16, **kw)
+        with pytest.raises(ValidationError, match="grid: n_t: .* above the cap"):
+            cli._mfg_grid(n_t=cli.CELL_CAP // 16 + 1, n_x=16, **kw)
+        with pytest.raises(ValidationError, match="bad axis parameters"):
+            cli._mfg_grid(n_t=-10 ** 15, n_x=-10 ** 15, **kw)

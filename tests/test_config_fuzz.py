@@ -22,6 +22,9 @@ SIZE_CAPS = {"n_seeds": 3, "budget": 4, "n_samples": 4, "grid_points": 4, "resol
              "max_sweeps": 5, "q": 4, "d": 3, "steps": 30, "stride": 5, "n_follower": 4,
              "n_leader_state": 4, "n_laws": 4, "n": 5, "k": 4, "n_x": 21, "n_t": 8,
              "virtual_alphabet": 4}
+# Size keys whose runs refuse a value past the cell cap before allocating, so
+# a fuzzed value may be that large: it exits 3 rather than with a MemoryError.
+OVER_CAP = {"n_t": (10 ** 15,)}
 SMALL = {"convergence-cdf": {"n_seeds": 2, "budget": 3},
          "mi-tradeoff": {"n_samples": 4, "resolution": 2},
          "secrecy-gap": {"n_samples": 4, "resolution": 2},
@@ -92,7 +95,7 @@ def value_for(key, current):
     if key in NESTED:
         return st.one_of(values, mutated(*NESTED[key]))
     if key in SIZE_CAPS:
-        return sized(SIZE_CAPS[key])
+        return st.one_of(sized(SIZE_CAPS[key]), *map(st.just, OVER_CAP.get(key, ())))
     if isinstance(current, list):
         return st.one_of(values, perturbed(current))
     return values
