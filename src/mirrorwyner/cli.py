@@ -25,13 +25,24 @@ from .mirror import UncertaintyModel
 from .prob import JointPmf2
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a key given twice fails rather than the last
+    value silently winning."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"config: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:   # JSON text is UTF-8
         raise ValidationError(f"config: malformed JSON ({exc})")
     except OSError as exc:
         raise ValidationError(f"config: unreadable ({exc})")
@@ -43,14 +54,21 @@ def _load_config(path):
 def _number(key, value, integral=False, lo=-np.inf, hi=np.inf):
     """A config value as an int (integral=True) or a finite float in [lo, hi].
     Anything else, bools, strings, NaN and infinities included, fails under
-    its config key."""
+    its config key, as does an int too large for a float where a float is
+    read."""
+    kind = "an integer" if integral else "a finite number"
+    error = ValidationError(f"{key}: need {kind} in [{lo}, {hi}], got {value!r}")
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or isinstance(value, float) and not math.isfinite(value)
             or not lo <= value <= hi
             or integral and isinstance(value, float) and not value.is_integer()):
-        kind = "an integer" if integral else "a finite number"
-        raise ValidationError(f"{key}: need {kind} in [{lo}, {hi}], got {value!r}")
-    return int(value) if integral else float(value)
+        raise error
+    if integral:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise error from None
 
 
 def _positive(key, value, hi=np.inf):
@@ -131,59 +149,39 @@ def _object(table, build):
     return read
 
 
+@functools.cache
+def _spec(kind):
+    """The `%` spec of a CSV cell of type `kind`, the one definition of a
+    cell's text: a str as it is, an int, bool or numpy integer or bool as an
+    integer, anything else as a float to 12 significant digits."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer, np.bool_)):
+        return "%d"
+    return "%.12g"
+
+
 def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer, np.bool_)):
-        return str(int(v))
-    v = float(v)
-    if v != v:
+    text = _spec(type(v)) % v
+    if text == "nan" and not isinstance(v, str):
         raise ValidationError("output: NaN cell with no tag")
-    return f"{v:.12g}"
+    return text
 
 
-# `%` specs that format an exact float, int or str cell as `_fmt` does,
-# a NaN float aside
-_SPECS = {float: "%.12g", int: "%d", str: "%s"}
-
-
-# a row's cell types, one C-level call per row
-_types = functools.partial(map, type)
-
-
-def _runs(rows, types):
-    """(cell types, row count) of each run of `rows` whose cells share one
-    tuple of types, given `types`, the type of every cell in row order. A
-    table of one width and one tuple of types is found on `types` alone,
-    without a tuple per row."""
-    if rows:
-        first = types[:len(rows[0])]
-        if set(map(len, rows)) == {len(first)} and types == first * len(rows):
-            return [(tuple(first), len(rows))]
-    return [(kinds, len(list(run)))
-            for kinds, run in itertools.groupby(map(tuple, map(_types, rows)))]
-
-
-def _lines(rows, lead=()):
-    """The CSV text of the list `rows`, each line after the cells `lead`, as
-    pieces that end in a newline. A run of rows whose cells share one tuple
-    of exact float, int and str types is one `%` format, searched for "nan"
-    once. Any other row, and every row of a run whose text reads "nan" (a NaN
-    cell, or a string holding it), goes through `_fmt` cell by cell, which
-    rejects the NaN."""
+def _lines(rows, lead):
+    """The CSV text of the list `rows`, each line after the cell `lead`. A
+    chunk whose rows all have the first row's width and cell types is one
+    `%` format, searched for "nan" once. Any other chunk, and one whose text
+    reads "nan" (a NaN cell, or a string holding it), goes through `_fmt`
+    cell by cell, which rejects the NaN."""
     cells = tuple(itertools.chain.from_iterable(rows))
-    lines, row, cell = [], 0, 0
-    for kinds, n in _runs(rows, list(map(type, cells))):
-        block, run_cells = rows[row:row + n], cells[cell:cell + n * len(kinds)]
-        row, cell = row + n, cell + n * len(kinds)
-        if all(k in _SPECS for k in kinds):
-            fmt = ",".join(lead + tuple(map(_SPECS.get, kinds))) + "\n"
-            text = fmt * n % run_cells
-            if "nan" not in text:
-                lines.append(text)
-                continue
-        lines.extend(",".join(lead + tuple(map(_fmt, r))) + "\n" for r in block)
-    return lines
+    kinds = list(map(type, cells))
+    first = kinds[:len(rows[0])]
+    if set(map(len, rows)) == {len(first)} and kinds == first * len(rows):
+        text = (",".join((lead, *map(_spec, first))) + "\n") * len(rows) % cells
+        if "nan" not in text:
+            return [text]
+    return [",".join((lead, *map(_fmt, r))) + "\n" for r in rows]
 
 
 # Rows that `_write` formats at a time: the cells, their types and the row
@@ -191,18 +189,17 @@ def _lines(rows, lead=()):
 CHUNK_ROWS = 1024
 
 
-def _write(out_path, header, rows, numbered=False):
-    """Write the CSV text: `header`, then a line per row of `rows`, any
-    iterable of rows, generators included. When `numbered`, `rows` holds one
-    such iterable per repetition, and each line starts with its repetition's
-    index. The rows are formatted CHUNK_ROWS at a time, all of them before
-    the output opens, so a NaN cell writes nothing."""
-    tables = (((str(rep),), table) for rep, table in enumerate(rows)) if numbered else [((), rows)]
+def _write(out_path, header, reps):
+    """Write the CSV text: `header`, then a line per row of each repetition
+    in `reps`, each an iterable of rows, generators included, and each line
+    led by its repetition's index. The rows are formatted CHUNK_ROWS at a
+    time, all of them before the output opens, so a NaN cell writes
+    nothing."""
     pieces = [header + "\n"]
-    for lead, table in tables:
+    for rep, table in enumerate(reps):
         table = iter(table)
         while chunk := list(itertools.islice(table, CHUNK_ROWS)):
-            pieces += _lines(chunk, lead)
+            pieces += _lines(chunk, str(rep))
     if out_path is None:
         sys.stdout.writelines(pieces)
         return
@@ -561,7 +558,7 @@ def _run(args) -> int:
         header, rows, code = runner(values, args.seed + rep)
         status = max(status, code)
         reps.append(rows)
-    _write(args.out, "rep," + header, reps, numbered=True)
+    _write(args.out, "rep," + header, reps)
     return status
 
 

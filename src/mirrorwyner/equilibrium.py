@@ -125,8 +125,10 @@ def verify_nash(g: KCutGame, p: StrategyProfile):
 
 
 def potential(g: KCutGame, p: StrategyProfile) -> float:
-    """Symmetrized same-color pair potential; strictly increases at every
-    improving switch when weights are symmetric."""
+    """Symmetrized same-color pair potential. With symmetric weights every
+    improving switch moves it by the mover's gain: up under "same_color"
+    payoffs, down under "cut" payoffs, where a player gains exactly the
+    same-color weight it leaves."""
     colors = np.asarray(p.colors)
     same = colors[:, None] == colors[None, :]
     np.fill_diagonal(same, False)

@@ -174,6 +174,13 @@ class TestExitCodes:
          "AccessMask"),
         # n_seeds is derived from seeds, so a given one must agree with them
         ("convergence-cdf", {"seeds": [1, 2], "n_seeds": 5}, "n_seeds"),
+        # an integer past the float range fails under its number key
+        ("lohe", {"alpha": 10 ** 400}, "alpha"),
+        ("divergence", {"g1": 10 ** 400}, "g1"),
+        ("divergence", {"g2": -10 ** 400}, "g2"),
+        ("mfg", {"damping": 10 ** 400}, "damping"),
+        ("mfg", {"tol": 10 ** 400}, "tol"),
+        ("convergence-cdf", {"eps": [10 ** 400]}, "eps"),
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -207,6 +214,10 @@ class TestExitCodes:
         ("mfg", {"grid": dict(courant_grid(), bogus=1)}, "grid: bogus"),
         ("mfg", {"grid": dict(courant_grid(), p_bar="x")}, "grid: p_bar"),
         ("mfg", {"grid": {k: v for k, v in courant_grid().items() if k != "dt"}}, "grid: dt"),
+        # an integer past the float range fails under its nested number key
+        ("convergence-cdf", {"instance": dict(REF_INSTANCE, gamma2=10 ** 400)},
+         "instance: gamma2"),
+        ("mfg", {"grid": dict(courant_grid(), x_max=10 ** 400)}, "grid: x_max"),
     ])
     def test_bad_structured_field_names_key(self, tmp_path, capsys, cmd, cfg, key):
         # the report's field is the top-level key; its message names the nested one
@@ -401,6 +412,31 @@ class TestExitCodes:
         assert err["error"] == "ValidationError"
         assert err["field"] == "config"
 
+    def test_non_utf8_config_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["plant", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0])["field"] == "config"
+
+    @pytest.mark.parametrize("cmd,text,key", [
+        ("plant", '{"n": 2, "n": 3}', "n"),
+        ("mfg", '{"grid": {"x_min": -1, "x_max": 1, "n_x": 11, "n_x": 12, "n_t": 5, '
+                '"dt": 0.001, "sigma": 0.1, "initial_density": [1, 1]}}', "n_x"),
+    ], ids=["top-level", "grid"])
+    def test_repeated_key_exit_3(self, tmp_path, capsys, cmd, text, key):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert report["field"] == "config"
+        assert report["message"] == f"config: repeated key {key!r}"
+        assert not out.exists()
+
 
 class TestWriter:
     """`_write`'s text is `_fmt` of every cell, one line per row, whichever
@@ -417,11 +453,39 @@ class TestWriter:
         st.text(max_size=8),
         st.sampled_from(["nan", "banana", "inf", "-inf", "NaN", "nan,inf", ""]))
 
+    specials = st.sampled_from([-0.0, np.inf, -np.inf, 5e-324])
+    oracle_cells = st.one_of(
+        st.text(max_size=8), st.sampled_from(["nan", "NaN", "inf", ""]),
+        st.integers(), st.sampled_from([2 ** 70, -2 ** 70]), st.booleans(),
+        st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint64]).flatmap(
+            lambda t: st.integers(np.iinfo(t).min, np.iinfo(t).max).map(t)),
+        st.booleans().map(np.bool_),
+        st.one_of(st.floats(allow_nan=False), specials),
+        st.one_of(st.floats(allow_nan=False), specials).map(np.float64),
+        st.one_of(st.floats(allow_nan=False, width=32), specials).map(np.float32),
+        st.sampled_from([float("nan"), np.float64("nan"), np.float32("nan")]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cells)
+    def test_fmt_matches_oracle(self, v):
+        if isinstance(v, str):
+            expect = v
+        elif isinstance(v, (int, np.integer, np.bool_)):
+            expect = str(int(v))
+        elif v != v:
+            with pytest.raises(ValidationError) as exc:
+                cli._fmt(v)
+            assert str(exc.value) == "output: NaN cell with no tag"
+            return
+        else:
+            expect = f"{float(v):.12g}"
+        assert cli._fmt(v) == expect
+
     @staticmethod
     def written(rows):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli._write(None, "h", rows)
+            cli._write(None, "h", [rows])
         return out.getvalue()
 
     @settings(max_examples=200, deadline=None)
@@ -429,33 +493,34 @@ class TestWriter:
     def test_matches_fmt_per_cell(self, rows):
         # each row twice, so rows of one cell-type tuple reuse its format
         rows = [tuple(r) for r in rows] + [list(r) for r in rows]
-        expect = ["h"] + [",".join(map(cli._fmt, row)) for row in rows]
+        expect = ["h"] + [",".join(["0", *map(cli._fmt, row)]) for row in rows]
         assert self.written(rows) == "\n".join(expect) + "\n"
 
     def test_exact_type_rows(self):
         rows = [(0, 3, -0.0, 2 ** 70, "nan"), (1, -4, 1 / 3, 5e-324, "ok"),
                 (2, 0, np.inf, -np.inf, "info")]
-        assert self.written(rows) == ("h\n0,3,-0,1180591620717411303424,nan\n"
-                                      "1,-4,0.333333333333,4.94065645841e-324,ok\n"
-                                      "2,0,inf,-inf,info\n")
+        assert self.written(rows) == ("h\n0,0,3,-0,1180591620717411303424,nan\n"
+                                      "0,1,-4,0.333333333333,4.94065645841e-324,ok\n"
+                                      "0,2,0,inf,-inf,info\n")
 
     @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan"), np.float32("nan")])
     def test_nan_cell_raises_and_writes_nothing(self, tmp_path, nan):
         out = tmp_path / "o.csv"
         for row in [(0, 1.5, nan), (0, "nan", nan), (nan,)]:
             with pytest.raises(ValidationError) as exc:
-                cli._write(str(out), "h", [(0, 1, 2.5, "x"), row])
+                cli._write(str(out), "h", [[(0, 1, 2.5, "x"), row]])
             assert str(exc.value) == "output: NaN cell with no tag"
             assert not out.exists()
 
 
 class TestBlockWriter:
-    """`_write` formats each run of rows with one tuple of exact cell types as
-    one block; its text is still `_fmt` of every cell, one line per row."""
+    """`_write` formats a chunk whose rows share one width and tuple of cell
+    types as one block; its text is still `_fmt` of every cell, one line per
+    row."""
 
     @staticmethod
     def expected(rows):
-        return "".join(f"{','.join(map(cli._fmt, row))}\n" for row in [("h",)] + list(rows))
+        return "h\n" + "".join(f"{','.join(['0', *map(cli._fmt, row)])}\n" for row in rows)
 
     cells = {float: st.one_of(st.floats(allow_nan=False),
                               st.sampled_from([-0.0, np.inf, -np.inf, 5e-324])),
@@ -481,13 +546,13 @@ class TestBlockWriter:
         assert TestWriter.written(rows) == self.expected(rows)
         # one cell type throughout and as many cells as rows of the first width,
         # but rows of three widths
-        assert TestWriter.written([(1, 2), (3,), (4, 5, 6)]) == "h\n1,2\n3\n4,5,6\n"
+        assert TestWriter.written([(1, 2), (3,), (4, 5, 6)]) == "h\n0,1,2\n0,3\n0,4,5,6\n"
 
     def test_special_cells_in_block_columns(self):
         rows = [(k, -0.0, np.inf, -np.inf, 2 ** 70, "x") for k in range(50)]
         text = TestWriter.written(rows)
         assert text == self.expected(rows)
-        assert text.split("\n")[1] == "0,-0,inf,-inf,1180591620717411303424,x"
+        assert text.split("\n")[1] == "0,0,-0,inf,-inf,1180591620717411303424,x"
 
     @pytest.mark.parametrize("word", ["nan", "banana", "NaN"])
     def test_nan_text_inside_block(self, word):
@@ -501,16 +566,16 @@ class TestBlockWriter:
         rows = [(k, k / 3, "nan" if k == 10 else "ok") for k in range(50)]
         rows[at] = (at, float("nan"), "ok")
         with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
-            cli._write(str(out), "h", rows)
+            cli._write(str(out), "h", [rows])
         with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
-            cli._write(str(out), "h", [rows[:at], rows[at:]], numbered=True)
+            cli._write(str(out), "h", [rows[:at], rows[at:]])
         assert not out.exists()
 
     def test_numbered_rows_lead_with_their_repetition(self):
         reps = [[(0.5, "a"), (1.5, "b")], [], [(2 ** 70, np.float64(0.25)), ()]]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli._write(None, "rep,h", reps, numbered=True)
+            cli._write(None, "rep,h", reps)
         assert out.getvalue().split("\n")[:-1] == [
             "rep,h", "0,0.5,a", "0,1.5,b", "2,1180591620717411303424,0.25", "2"]
 
@@ -951,9 +1016,9 @@ class TestChunkedWriter:
 
         for path in (str(out), None):
             with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
-                cli._write(path, "h", rows())
+                cli._write(path, "h", [rows()])
             with pytest.raises(ValidationError, match="output: NaN cell with no tag"):
-                cli._write(path, "rep,h", iter([self.table(5, 2), rows()]), numbered=True)
+                cli._write(path, "rep,h", iter([self.table(5, 2), rows()]))
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
@@ -961,12 +1026,11 @@ class TestChunkedWriter:
         n = cli.CHUNK_ROWS + 3
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli._write(None, "rep,h", (self.table(n, rep * 100) for rep in range(3)),
-                       numbered=True)
+            cli._write(None, "rep,h", (self.table(n, rep * 100) for rep in range(3)))
         lines = out.getvalue().split("\n")
         assert lines[0] == "rep,h" and lines[-1] == "" and len(lines) == 3 * n + 2
         for rep in range(3):
-            expect = TestBlockWriter.expected(list(self.table(n, rep * 100))).split("\n")[1:-1]
+            expect = [",".join(map(cli._fmt, row)) for row in self.table(n, rep * 100)]
             assert lines[1 + rep * n:1 + (rep + 1) * n] == [f"{rep},{e}" for e in expect]
 
 

@@ -106,6 +106,31 @@ class TestDynamics:
             if not moved:
                 break
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cut_potential_falls_along_path(self, seed):
+        # a cut-mode switch gains the mover exactly the same-color weight it
+        # leaves, so the potential falls by that gain
+        game = KCutGame(random_game(seed, n=7).weights, 3, "cut")
+        rng = np.random.default_rng(seed)
+        profile = StrategyProfile(tuple(rng.integers(0, 3, size=7)))
+        falls = 0
+        for _ in range(200):
+            moved = False
+            for i in range(game.n):
+                gains = [payoff(game, profile.with_color(i, c), i) - payoff(game, profile, i)
+                         for c in range(game.k)]
+                best = int(np.argmax(gains))
+                if gains[best] > 0:
+                    before = potential(game, profile)
+                    profile = profile.with_color(i, best)
+                    after = potential(game, profile)
+                    assert after < before
+                    assert before - after == pytest.approx(gains[best])
+                    falls, moved = falls + 1, True
+            if not moved:
+                break
+        assert falls > 0
+
     def test_cycle_stops_at_max_rounds(self):
         # player 0 gains by joining player 1's color and player 1 by leaving
         # player 0's, so every sweep moves someone

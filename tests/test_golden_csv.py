@@ -1,8 +1,10 @@
 """Byte identity of the CLI's CSV output: the sha256 of each subcommand's
-default CSV at `--seed 0`, and of `mfg --repetitions 2`. A change that moves
-any of them changes what a run writes, and must say why."""
+default CSV at `--seed 0`, of `mfg --repetitions 2`, and of configs whose
+tables the defaults do not reach. A change that moves any of them changes
+what a run writes, and must say why."""
 
 import hashlib
+import os
 
 import pytest
 
@@ -33,3 +35,38 @@ def test_default_csv_bytes(tmp_path, argv):
     out = tmp_path / "o.csv"
     main([*argv, "--seed", "0", "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# (subcommand, config, seed) -> sha256 of its CSV; a config is a JSON object
+# or the name of a file under configs/
+GOLDEN_CONFIGS = {
+    # mixed row types, padded cdf rows and the completed_tight row
+    ("convergence-cdf", '{"n_seeds": 5, "budget": 10, "mode": "three"}', 0):
+        "70dffef445c80fed5d6ed2c52930fb9e17f7645fd1082b56f7fab7e975aac2ad",
+    ("convergence-cdf", "convergence_small.json", 0):
+        "7d7ececa042a41c4fe8b5ff2dcbc9a9fa6bcd37b88687a45091f45c674efc3d2",
+    ("nash", '{"payoff_mode": "cut"}', 0):
+        "ee2365c8ab641a82259fb63f7ef5a1702dcba06a6af827fbd08794f88d502a20",
+    ("lohe", '{"coupling": "printed"}', 0):
+        "84eba1b7f82ea7cc3454be3f5873f192695621513c39f4ddca91197c0f1f7573",
+    ("mi-tradeoff", '{"resolution": 0, "b_magnitudes": [0, 1]}', 3):
+        "0b84236d78c20e28ddde632d5442f18c8ce86083ea5712bd9a13bc8d1d0c88d4",
+    # an infeasible band: no cmi_max or weight rows
+    ("divergence", '{"g1": 5.0, "g2": 6.0}', 0):
+        "0217229c3474ea6f5baabaefce1b9887fd2542194e62cf44dffe61b7048470ff",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CONFIGS), ids=lambda c: f"{c[0]} {c[1]} {c[2]}")
+def test_config_csv_bytes(tmp_path, case):
+    sub, cfg, seed = case
+    if cfg.startswith("{"):
+        path = tmp_path / "c.json"
+        path.write_text(cfg)
+    else:
+        path = os.path.join(CONFIGS, cfg)
+    out = tmp_path / "o.csv"
+    assert main([sub, "--config", str(path), "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CONFIGS[case]
