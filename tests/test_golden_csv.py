@@ -4,6 +4,7 @@ tables the defaults do not reach. A change that moves any of them changes
 what a run writes, and must say why."""
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -56,6 +57,24 @@ GOLDEN_CONFIGS = {
     # an infeasible band: no cmi_max or weight rows
     ("divergence", '{"g1": 5.0, "g2": 6.0}', 0):
         "0217229c3474ea6f5baabaefce1b9887fd2542194e62cf44dffe61b7048470ff",
+    # a drawn 20-law grid of 9x9 tables under a drift, three stages
+    ("stackelberg", json.dumps({
+        "n_laws": 20, "n_follower": 9, "n_leader_state": 9, "stages": [0, 1, 4],
+        "drift": [[round(0.01 * ((2 * i + 3 * j) % 7 - 3), 2) for j in range(9)]
+                  for i in range(9)]}), 0):
+        "419e3f4bc612e112c6fbd49a8e004cd3dc4c27958d002b8b21bb53bafe48ae2e",
+    # asymmetric weights in {0, 1, 2}, so colour switches tie
+    ("nash", json.dumps({
+        "weights": [[0 if i == j else (i + 2 * j) % 3 for j in range(7)] for i in range(7)],
+        "k": 3, "payoff_mode": "cut"}), 0):
+        "7767a716ee5315595f68f54d606532052411442e978e5c4039860b27c492193b",
+    # a joint in 64ths whose slice 2 has no mass, inaccessible with slice 3
+    ("divergence", json.dumps({
+        "joint": [[[[0.0 if z == 2 else
+                     (1 + (x + 2 * y * z + 3 * m + z) % 3 + 4 * (x == y == z == m == 0)) / 64
+                     for m in range(2)] for z in range(4)] for y in range(3)] for x in range(2)],
+        "accessible": [0, 1], "inaccessible": [2, 3]}), 0):
+        "5c5ef06a7689c2884ebfd7eee0bdd90066187595d73fbec08e00fcf1473d9a64",
 }
 
 
