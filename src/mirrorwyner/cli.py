@@ -42,7 +42,11 @@ def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:   # JSON text is UTF-8
+    except ValidationError:   # a repeated key
+        raise
+    # undecodable (JSON text is UTF-8) or malformed text, or an integer
+    # longer than the interpreter's digit limit
+    except ValueError as exc:
         raise ValidationError(f"config: malformed JSON ({exc})")
     except OSError as exc:
         raise ValidationError(f"config: unreadable ({exc})")

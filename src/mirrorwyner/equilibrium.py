@@ -30,6 +30,8 @@ class KCutGame:
             raise ValidationError("KCutGame: weights must be a square matrix")
         if np.any(np.diag(w) != 0):
             raise ValidationError("KCutGame: diagonal must be zero")
+        if not np.isfinite(w).all():
+            raise ValidationError("KCutGame: weights must be finite")
         if self.k < 2:
             raise ValidationError("KCutGame: need K >= 2 colors")
         if self.payoff_mode not in ("same_color", "cut"):

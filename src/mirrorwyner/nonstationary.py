@@ -144,21 +144,25 @@ class StackelbergInstance:
 
     def __post_init__(self):
         laws = tuple(np.asarray(l, dtype=float) for l in self.leader_laws)
+        drift = None if self.leader_drift is None else np.asarray(self.leader_drift, dtype=float)
         object.__setattr__(self, "leader_laws", laws)
         object.__setattr__(self, "payoffs", np.asarray(self.payoffs, dtype=float))
+        object.__setattr__(self, "leader_drift", drift)
         if not laws:
             raise ValidationError("StackelbergInstance: empty leader grid")
         shape = laws[0].shape
         if len(shape) != 2 or self.payoffs.shape != shape:
             raise ValidationError("StackelbergInstance: laws and payoffs need one 2-D shape")
-        for l in laws:
-            if l.shape != shape or np.any(l < 0) or \
-                    np.max(np.abs(l.sum(axis=1) - 1.0)) > 1e-9:
-                raise ValidationError("StackelbergInstance: each law row must be a pmf")
         if shape[0] < 1:
             raise ValidationError("StackelbergInstance: empty follower grid")
-        if self.leader_drift is not None and np.shape(self.leader_drift) != shape:
+        for l in laws:   # written so that a NaN entry fails it
+            if l.shape != shape or not (np.all(l >= 0) and
+                                        np.max(np.abs(l.sum(axis=1) - 1.0)) <= 1e-9):
+                raise ValidationError("StackelbergInstance: each law row must be a pmf")
+        if drift is not None and drift.shape != shape:
             raise ValidationError("StackelbergInstance: drift must have the law shape")
+        if not np.isfinite(self.payoffs).all() or drift is not None and not np.isfinite(drift).all():
+            raise ValidationError("StackelbergInstance: payoffs and drift must be finite")
 
     def staged_laws(self, stage: int):
         if self.leader_drift is None or stage == 0:

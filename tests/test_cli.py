@@ -89,6 +89,15 @@ class TestExitCodes:
         assert err["error"] == "ValidationError"
         assert err["field"] == "config"
 
+    def test_integer_past_the_digit_limit_exit_3(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for an integer longer than the
+        # interpreter's int/str conversion limit of 4,300 digits
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 1' + "0" * 5000 + "}")
+        assert main(["plant", "--config", str(big)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert (err["error"], err["field"]) == ("ValidationError", "config")
+
     def test_invalid_payload_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"grid": {

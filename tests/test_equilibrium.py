@@ -160,5 +160,13 @@ class TestWeights:
             KCutGame(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)  # nonzero diagonal
         with pytest.raises(ValidationError):
             KCutGame(np.zeros((2, 2)), 1)  # too few colors
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_fails(self, value):
+        # an off-diagonal NaN weight once ran and "converged"
+        w = np.zeros((3, 3))
+        w[0, 2] = value
+        with pytest.raises(ValidationError, match="finite"):
+            KCutGame(w, 2)
         with pytest.raises(ValidationError):
             StrategyProfile((0, 5)).check(KCutGame(np.zeros((2, 2)), 3))

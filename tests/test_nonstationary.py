@@ -266,6 +266,34 @@ class TestStackelberg:
             ns.StackelbergInstance(leader_laws=(np.array([0.5, 0.5]),),
                                    payoffs=np.array([1.0, 2.0]))
 
+    def test_list_drift_is_an_array(self):
+        # a list drift was once kept as a list, so `stage * drift` repeated
+        # it and stage 2 failed to broadcast
+        rng = np.random.default_rng(2)
+        laws = tuple(rng.dirichlet(np.ones(2), size=2) for _ in range(3))
+        drift = [[0.1, -0.1], [-0.2, 0.2]]
+        listed = ns.StackelbergInstance(laws, rng.normal(size=(2, 2)), drift)
+        arrayed = ns.StackelbergInstance(laws, listed.payoffs, np.array(drift))
+        for stage in (1, 2, 3):
+            assert ns.stackelberg_solve(listed, stage) == ns.stackelberg_solve(arrayed, stage)
+            assert ns.stackelberg_solve(listed, stage) == self.brute_force(listed, stage)
+
+    def test_empty_follower_grid(self):
+        # once unreachable: a (0, 3) law hit numpy's zero-size max first
+        with pytest.raises(ValidationError, match="empty follower grid"):
+            ns.StackelbergInstance(leader_laws=(np.zeros((0, 3)),), payoffs=np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("where,value", [
+        ("law", np.nan), ("payoffs", np.nan), ("payoffs", np.inf), ("payoffs", -np.inf),
+        ("drift", np.nan), ("drift", np.inf)])
+    def test_non_finite_inputs_fail(self, where, value):
+        # a NaN law entry once solved to value nan, an inf payoff to inf
+        parts = {"law": np.full((2, 2), 0.5), "payoffs": np.ones((2, 2)),
+                 "drift": np.zeros((2, 2))}
+        parts[where][1, 0] = value
+        with pytest.raises(ValidationError):
+            ns.StackelbergInstance((parts["law"],), parts["payoffs"], parts["drift"])
+
     @pytest.mark.parametrize("drift", [[[1.0, 2.0, 3.0]], [0.1, 0.1], 0.1])
     def test_drift_must_have_the_law_shape(self, drift):
         # checked at construction, so stage 0, which skips the drift, fails too
