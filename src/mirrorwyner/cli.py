@@ -44,9 +44,7 @@ def _load_config(path):
             cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except ValidationError:   # a repeated key
         raise
-    # undecodable (JSON text is UTF-8) or malformed text, or an integer
-    # longer than the interpreter's digit limit
-    except ValueError as exc:
+    except ValueError as exc:   # malformed, not UTF-8, or an integer past the digit limit
         raise ValidationError(f"config: malformed JSON ({exc})")
     except OSError as exc:
         raise ValidationError(f"config: unreadable ({exc})")
@@ -400,7 +398,7 @@ def run_stackelberg(c, seed):
     if laws is None:
         rng = np.random.default_rng(seed)
         n_f, n_u, n_laws = c["n_follower"], c["n_leader_state"], c["n_laws"]
-        laws = tuple(rng.dirichlet(np.ones(n_u), size=n_f) for _ in range(n_laws))
+        laws = rng.dirichlet(np.ones(n_u), size=(n_laws, n_f))
         payoffs = rng.normal(size=(n_f, n_u))
     inst = nonstationary.StackelbergInstance(leader_laws=laws, payoffs=payoffs,
                                              leader_drift=c["drift"])

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import prob
 from .errors import ValidationError
-from .prob import JointPmf2, Pmf
 
 
 @dataclass(frozen=True)
@@ -78,31 +77,27 @@ class ReweightResult:
 
 
 def _cmi_per_slice(m: LatentModel) -> np.ndarray:
-    """MI of the conditional (X, Y) slab per z slice (zero-mass slices -> 0)."""
+    """MI of the conditional (X, Y) slab per z slice, all slices in one
+    C-contiguous (Z, X, Y) stack (a strided view sums in another order); a
+    zero-mass slice is divided by 1 and gives 0."""
     xyz = m.xyz_margin()
     p_z = xyz.sum(axis=(0, 1))
-    out = np.zeros(xyz.shape[2])
-    for z in range(xyz.shape[2]):
-        if p_z[z] > 0:
-            out[z] = prob.mutual_information(JointPmf2(xyz[:, :, z] / p_z[z]))
-    return out
+    slabs = np.ascontiguousarray(np.moveaxis(xyz, 2, 0))
+    return prob._mi(slabs / np.where(p_z > 0, p_z, 1.0)[:, None, None])
 
 
 def _equivocation(m: LatentModel, mask: AccessMask) -> float:
     """E over the inaccessible slices of H(M | Z=z), bits."""
     if not mask.inaccessible:
         return 0.0
-    p_z = m.p_z()
-    zm = m.joint.sum(axis=(0, 1))  # (Z, M)
-    w = p_z[list(mask.inaccessible)]
-    if w.sum() <= 0:
+    inacc = list(mask.inaccessible)
+    p_z = m.p_z()[inacc]
+    if p_z.sum() <= 0:
         return 0.0
-    w = w / w.sum()
-    h = 0.0
-    for wi, z in zip(w, mask.inaccessible):
-        if p_z[z] > 0:
-            h += wi * prob.entropy(Pmf(zm[z] / p_z[z]))
-    return float(h)
+    rows = m.joint.sum(axis=(0, 1))[inacc] / np.where(p_z > 0, p_z, 1.0)[:, None]
+    terms = p_z / p_z.sum() * -prob._plogp(rows).sum(axis=1)
+    # summed slice by slice from 0.0, as a loop adds them
+    return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
 def constrained_cmi_max(m: LatentModel, mask: AccessMask, g1: float, g2: float

@@ -73,6 +73,12 @@ def payoff(g: KCutGame, p: StrategyProfile, i: int) -> float:
     return float(g.weights[i, mask].sum())
 
 
+def _switch_payoffs(g: KCutGame, p: StrategyProfile, i: int) -> np.ndarray:
+    """Player i's payoff for each color it could take, the others' fixed;
+    its own color's entry is its current payoff."""
+    return np.array([payoff(g, p.with_color(i, c), i) for c in range(g.k)])
+
+
 MAX_ROUNDS = 1000   # sweep cap of best_response_dynamics
 
 
@@ -84,24 +90,18 @@ class BestResponseResult:
 
 
 def best_response_dynamics(g: KCutGame, init: StrategyProfile) -> BestResponseResult:
-    """Sequential sweeps; a player moves only to a strictly better color
-    (lowest-index winner among the strictly-better options); stops when a
+    """Sequential sweeps; a player moves to its best color (the lowest index
+    on ties) only when that is strictly better than its own; stops when a
     full sweep changes nothing, or after MAX_ROUNDS sweeps."""
     init.check(g)
     profile = init
     for rounds in range(1, MAX_ROUNDS + 1):
         changed = False
         for i in range(g.n):
-            base = payoff(g, profile, i)
-            best_c, best_v = profile.colors[i], base
-            for c in range(g.k):
-                if c == profile.colors[i]:
-                    continue
-                v = payoff(g, profile.with_color(i, c), i)
-                if v > best_v:
-                    best_c, best_v = c, v
-            if best_c != profile.colors[i]:
-                profile = profile.with_color(i, best_c)
+            v = _switch_payoffs(g, profile, i)
+            best = int(v.argmax())
+            if v[best] > v[profile.colors[i]]:
+                profile = profile.with_color(i, best)
                 changed = True
         if not changed:
             return BestResponseResult(profile, rounds, converged=True)
@@ -112,17 +112,15 @@ def verify_nash(g: KCutGame, p: StrategyProfile):
     """Exhaustively test all n*(K-1) unilateral deviations.
 
     Returns (is_nash, worst improving deviation or None). The deviation is
-    reported as (player, color, gain)."""
+    reported as (player, color, gain): the largest gain, the first on ties."""
     p.check(g)
     worst = None
     for i in range(g.n):
-        base = payoff(g, p, i)
-        for c in range(g.k):
-            if c == p.colors[i]:
-                continue
-            gain = payoff(g, p.with_color(i, c), i) - base
-            if gain > 0 and (worst is None or gain > worst[2]):
-                worst = (i, c, gain)
+        v = _switch_payoffs(g, p, i)
+        gains = v - v[p.colors[i]]
+        c = int(gains.argmax())
+        if gains[c] > 0 and (worst is None or gains[c] > worst[2]):
+            worst = (i, c, float(gains[c]))
     return worst is None, worst
 
 

@@ -138,59 +138,53 @@ class StackelbergInstance:
     """Finite bilevel game: the leader picks one conditional law from a grid,
     the follower set answers with the action maximizing its expected score."""
 
-    leader_laws: tuple    # each (n_follower, n_leader_state), rows are pmfs
-    payoffs: np.ndarray   # (n_follower, n_leader_state)
-    leader_drift: Optional[np.ndarray] = None  # per-stage additive drift on laws
+    leader_laws: np.ndarray  # (n_laws, n_follower, n_leader_state), rows are pmfs
+    payoffs: np.ndarray      # (n_follower, n_leader_state)
+    leader_drift: Optional[np.ndarray] = None  # per-stage additive drift on every law
 
     def __post_init__(self):
-        laws = tuple(np.asarray(l, dtype=float) for l in self.leader_laws)
+        try:   # a tuple or list of equal-shape laws stacks into one array
+            laws = np.asarray(self.leader_laws, dtype=float)
+        except ValueError:   # laws of unequal shapes
+            raise ValidationError("StackelbergInstance: laws and payoffs need one 2-D shape")
         drift = None if self.leader_drift is None else np.asarray(self.leader_drift, dtype=float)
         object.__setattr__(self, "leader_laws", laws)
         object.__setattr__(self, "payoffs", np.asarray(self.payoffs, dtype=float))
         object.__setattr__(self, "leader_drift", drift)
-        if not laws:
+        if laws.shape[:1] == (0,):
             raise ValidationError("StackelbergInstance: empty leader grid")
-        shape = laws[0].shape
+        shape = laws.shape[1:]
         if len(shape) != 2 or self.payoffs.shape != shape:
             raise ValidationError("StackelbergInstance: laws and payoffs need one 2-D shape")
         if shape[0] < 1:
             raise ValidationError("StackelbergInstance: empty follower grid")
-        for l in laws:   # written so that a NaN entry fails it
-            if l.shape != shape or not (np.all(l >= 0) and
-                                        np.max(np.abs(l.sum(axis=1) - 1.0)) <= 1e-9):
-                raise ValidationError("StackelbergInstance: each law row must be a pmf")
+        if not all(np.isfinite(a).all() for a in (laws, self.payoffs, drift) if a is not None):
+            raise ValidationError("StackelbergInstance: laws, payoffs and drift must be finite")
+        if np.any(laws < 0) or np.max(np.abs(laws.sum(axis=2) - 1.0)) > 1e-9:
+            raise ValidationError("StackelbergInstance: each law row must be a pmf")
         if drift is not None and drift.shape != shape:
             raise ValidationError("StackelbergInstance: drift must have the law shape")
-        if not np.isfinite(self.payoffs).all() or drift is not None and not np.isfinite(drift).all():
-            raise ValidationError("StackelbergInstance: payoffs and drift must be finite")
 
-    def staged_laws(self, stage: int):
+    def staged_laws(self, stage: int) -> np.ndarray:
         if self.leader_drift is None or stage == 0:
             return self.leader_laws
-        out = []
-        for l in self.leader_laws:
-            shifted = np.clip(l + stage * self.leader_drift, 1e-12, None)
-            out.append(shifted / shifted.sum(axis=1, keepdims=True))
-        return tuple(out)
+        shifted = np.clip(self.leader_laws + stage * self.leader_drift, 1e-12, None)
+        return shifted / shifted.sum(axis=2, keepdims=True)
 
 
 def stackelberg_solve(inst: StackelbergInstance, stage: int = 0):
-    """Exhaustive forward-backward enumeration.
+    """Exhaustive forward-backward enumeration, every law in one pass.
 
     For each leader law, the follower's best response maximizes the
     law-weighted expected payoff (lowest index on ties); the leader then keeps
     the law whose induced response scores highest (lowest grid index on ties).
     Returns (leader law index, follower action, value).
     """
-    laws = inst.staged_laws(stage)
-    best = None
-    for li, law in enumerate(laws):
-        expected = (law * inst.payoffs).sum(axis=1)
-        a = int(np.argmax(expected))  # argmax takes the first maximizer
-        value = float(expected[a])
-        if best is None or value > best[2]:
-            best = (li, a, value)
-    return best
+    expected = (inst.staged_laws(stage) * inst.payoffs).sum(-1)   # (n_laws, n_follower)
+    actions = expected.argmax(1)   # argmax takes the first maximizer
+    values = expected[np.arange(len(expected)), actions]
+    li = int(values.argmax())
+    return li, int(actions[li]), float(values[li])
 
 
 # ---------------------------------------------------------------------------

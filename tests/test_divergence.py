@@ -5,11 +5,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mirrorwyner import divergence as dv
+from mirrorwyner import prob
 from mirrorwyner.errors import ValidationError
+from mirrorwyner.prob import JointPmf2, Pmf
 
 from conftest import cmi_loops
 
@@ -108,3 +111,48 @@ class TestMaskAndModel:
     def test_model_validation(self):
         with pytest.raises(ValidationError):
             dv.LatentModel(np.ones((2, 2, 2)) / 8)
+
+
+@st.composite
+def zero_slice_models(draw):
+    """A model of 1..4 letters for X, Y and M and 1..12 for Z from integer
+    weights in 0..5, with a drawn set of Z slices emptied, and an
+    inaccessible Z subset that leaves slice 0 accessible; eight or more
+    inaccessible slices would show a pairwise sum of their terms."""
+    dims = tuple(draw(st.integers(1, 12 if axis == 2 else 4)) for axis in range(4))
+    counts = draw(hnp.arrays(np.int64, dims, elements=st.integers(0, 5))).astype(float)
+    emptied = draw(st.lists(st.integers(0, dims[2] - 1), max_size=dims[2]))
+    counts[:, :, emptied, :] = 0.0
+    assume(counts.sum() > 0)
+    inaccessible = draw(st.sets(st.integers(1, dims[2] - 1))) if dims[2] > 1 else set()
+    accessible = [z for z in range(dims[2]) if z not in inaccessible]
+    return dv.LatentModel(counts / counts.sum()), dv.AccessMask(accessible, inaccessible)
+
+
+class TestSliceStackAgainstLoops:
+    """The one-stack slice measures equal, float for float, a loop that
+    builds one validated table per nonempty slice."""
+
+    @given(zero_slice_models())
+    @settings(max_examples=200, deadline=None)
+    def test_cmi_per_slice(self, model_mask):
+        m, _ = model_mask
+        xyz = m.xyz_margin()
+        p_z = xyz.sum(axis=(0, 1))
+        loops = [prob.mutual_information(JointPmf2(xyz[:, :, z] / p_z[z])) if p_z[z] > 0
+                 else 0.0 for z in range(p_z.size)]
+        assert dv._cmi_per_slice(m).tolist() == loops
+
+    @given(zero_slice_models())
+    @settings(max_examples=200, deadline=None)
+    def test_equivocation(self, model_mask):
+        m, mask = model_mask
+        p_z, zm = m.p_z(), m.joint.sum(axis=(0, 1))
+        h = 0.0
+        w = p_z[list(mask.inaccessible)]
+        if mask.inaccessible and w.sum() > 0:
+            for wi, z in zip(w / w.sum(), mask.inaccessible):
+                if p_z[z] > 0:
+                    h += wi * prob.entropy(Pmf(zm[z] / p_z[z]))
+        # repr tells -0.0 from 0.0, as a CSV cell does
+        assert repr(dv._equivocation(m, mask)) == repr(float(h))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mirrorwyner import equilibrium
 from mirrorwyner.equilibrium import (MAX_ROUNDS, KCutGame, StrategyProfile,
                                      best_response_dynamics, payoff,
                                      potential, verify_nash)
@@ -46,6 +48,71 @@ def is_nash_brute(game, colors):
             if payoff_brute(game, trial, i) > base:
                 return False
     return True
+
+
+def dynamics_loop(game, profile, max_rounds):
+    """best_response_dynamics replayed one player and one color at a time:
+    a player moves to the first color strictly better than every earlier
+    candidate, its own color included."""
+    for rounds in range(1, max_rounds + 1):
+        moved = False
+        for i in range(game.n):
+            best_c, best_v = profile.colors[i], payoff(game, profile, i)
+            for c in range(game.k):
+                if c != profile.colors[i]:
+                    v = payoff(game, profile.with_color(i, c), i)
+                    if v > best_v:
+                        best_c, best_v = c, v
+            if best_c != profile.colors[i]:
+                profile, moved = profile.with_color(i, best_c), True
+        if not moved:
+            return profile, rounds, True
+    return profile, max_rounds, False
+
+
+def deviations_loop(game, p):
+    """verify_nash replayed one deviation at a time: the largest positive
+    gain, the first one found on ties."""
+    worst = None
+    for i in range(game.n):
+        base = payoff(game, p, i)
+        for c in range(game.k):
+            if c != p.colors[i]:
+                gain = payoff(game, p.with_color(i, c), i) - base
+                if gain > 0 and (worst is None or gain > worst[2]):
+                    worst = (i, c, gain)
+    return worst is None, worst
+
+
+@st.composite
+def games_and_starts(draw):
+    """n in 2..12 players and k in 2..4 colors, either payoff mode; weights
+    asymmetric floats or integers in [-2, 2], which tie often."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        w = draw(hnp.arrays(np.int64, (n, n), elements=st.integers(-2, 2))).astype(float)
+    else:
+        w = draw(hnp.arrays(float, (n, n), elements=st.floats(-1, 1)))
+    np.fill_diagonal(w, 0.0)
+    game = KCutGame(w, k, draw(st.sampled_from(["same_color", "cut"])))
+    return game, StrategyProfile(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+
+
+class TestLoopOracles:
+    # a short sweep cap keeps cycling games quick and reaches the cap often
+    ROUNDS = 12
+
+    @given(games_and_starts())
+    @settings(max_examples=150, deadline=None)
+    def test_dynamics_and_verdicts_match_the_loops(self, game_start):
+        game, init = game_start
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equilibrium, "MAX_ROUNDS", self.ROUNDS)
+            res = best_response_dynamics(game, init)
+        assert (res.profile, res.rounds, res.converged) == \
+            dynamics_loop(game, init, self.ROUNDS)
+        for p in (init, res.profile):
+            assert verify_nash(game, p) == deviations_loop(game, p)
 
 
 class TestPayoff:

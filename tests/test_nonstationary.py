@@ -216,6 +216,26 @@ class TestLohe:
             ns.LoheSystem(states=good, hamiltonians=bad_h)
 
 
+@st.composite
+def dyadic_stackelberg_games(draw):
+    """L laws of F x U tables, L, F and U in 1..9, whose every staged law
+    and expected payoff is exact, so any summation order gives the same
+    floats: law rows in 64ths with every entry at least 2/64, drift rows
+    in 256ths that sum to zero and move an entry by at most 1/256 a stage
+    (so stages 0-4 leave it positive and its row sum 1), and integer
+    payoffs in [-2, 2], which tie often."""
+    n_laws, n_f, n_u = (draw(st.integers(1, 9)) for _ in range(3))
+    cuts = np.sort(draw(hnp.arrays(np.int64, (n_laws, n_f, n_u - 1),
+                                   elements=st.integers(0, 64 - 2 * n_u))), axis=-1)
+    edges = np.concatenate([np.zeros((n_laws, n_f, 1), int), cuts,
+                            np.full((n_laws, n_f, 1), 64 - 2 * n_u)], axis=-1)
+    laws = (2 + np.diff(edges, axis=-1)) / 64
+    payoffs = draw(hnp.arrays(np.int64, (n_f, n_u), elements=st.integers(-2, 2)))
+    shifts = draw(hnp.arrays(np.int64, (n_f, n_u), elements=st.integers(0, 1)))
+    drift = (shifts - np.roll(shifts, 1, axis=1)) / 256
+    return ns.StackelbergInstance(list(laws), payoffs, drift)
+
+
 class TestStackelberg:
     def brute_force(self, inst, stage=0):
         laws = inst.staged_laws(stage)
@@ -240,6 +260,12 @@ class TestStackelberg:
         li_b, a_b, v_b = self.brute_force(inst)
         assert (li, a) == (li_b, a_b)
         assert v == pytest.approx(v_b, abs=1e-12)
+
+    @given(dyadic_stackelberg_games())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_exactly_on_ties(self, inst):
+        for stage in range(5):
+            assert ns.stackelberg_solve(inst, stage) == self.brute_force(inst, stage)
 
     def test_drift_changes_stage(self):
         rng = np.random.default_rng(1)
