@@ -185,18 +185,15 @@ def markov_compose(p_sx: JointPmf2, mapping: PrivacyMapping) -> JointPmf3:
 # One-sided two-sample Kolmogorov-Smirnov test
 # ---------------------------------------------------------------------------
 
-KS_EXACT_MAX_N = 10000   # larger samples go straight to the asymptotic p-value
-
-
 def ks_one_sided(a, b, alternative: str):
     """One-sided two-sample Kolmogorov-Smirnov test: (statistic, p-value).
 
     "greater" takes the largest rise of a's ECDF above b's, "less" the
     largest fall below it. The samples must be non-empty and of one size n.
-    Up to n = KS_EXACT_MAX_N the statistic is rounded to h / n and the
-    p-value is exact, the closed form binom(2n, n - h) / binom(2n, n). Larger
-    samples take Hodges' asymptotic formula (his Eqn 5.3). This is
-    `scipy.stats.ks_2samp(a, b, alternative)` with method="auto".
+    The gap is counted in sample points, an integer h, so the statistic is
+    h / n and the p-value is exact for every n: the closed form
+    binom(2n, n - h) / binom(2n, n). This is
+    `scipy.stats.ks_2samp(a, b, alternative, method="exact")`.
     """
     if alternative not in ("greater", "less"):
         raise ValidationError(f"alternative: need 'greater' or 'less', got {alternative!r}")
@@ -206,17 +203,10 @@ def ks_one_sided(a, b, alternative: str):
         raise ValidationError(f"ks_one_sided: need two non-empty samples of one size, "
                               f"got {n} and {b.shape[0]}")
     pooled = np.concatenate([a, b])
-    diffs = (np.searchsorted(a, pooled, side="right") / n
-             - np.searchsorted(b, pooled, side="right") / n)
-    d = diffs.max() if alternative == "greater" else np.clip(-diffs.min(), 0, 1)
-    if n <= KS_EXACT_MAX_N:
-        h = round(float(d) * n)
-        if h == 0:
-            return h / n, 1.0
-        # binom(2n, n - h) / binom(2n, n), one ratio per factor
-        j = np.arange(h)
-        return h / n, float(np.prod((n - j) / (n + j + 1.0)))
-    m = float(n)   # both sizes, in Hodges' formula for sizes m and n
-    z = np.sqrt(m * m / (m + m)) * d
-    p = np.exp(-2 * z**2 - 2 * z * (m + 2*m) / np.sqrt(m*m*(m+m)) / 3.0)
-    return float(d), float(np.clip(p, 0, 1))
+    gaps = np.searchsorted(a, pooled, side="right") - np.searchsorted(b, pooled, side="right")
+    # both counts reach n at the largest pooled value, so h >= 0
+    h = int(gaps.max() if alternative == "greater" else -gaps.min())
+    # binom(2n, n - h) / binom(2n, n), one ratio per factor; the empty
+    # product at h = 0 is 1
+    j = np.arange(h)
+    return h / n, float(np.prod((n - j) / (n + j + 1.0)))

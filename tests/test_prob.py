@@ -244,13 +244,24 @@ def equal_size_pairs(draw):
     return draw(sample), draw(sample)
 
 
+@st.composite
+def tied_pairs(draw):
+    # up to 300 points on at most 12 values: long samples, most points tied
+    n = draw(st.integers(1, 300))
+    values = draw(st.integers(1, 12))
+    shift = draw(st.integers(-2, 2))
+    rows = st.lists(st.integers(0, values - 1), min_size=n, max_size=n)
+    return np.array(draw(rows)), np.array(draw(rows)) + shift
+
+
 class TestKsOneSided:
-    """`ks_one_sided` against `scipy.stats.ks_2samp`, method "auto"."""
+    """`ks_one_sided` against `scipy.stats.ks_2samp`: method "auto", which is
+    exact up to n = 10,000, and method "exact" at every n."""
 
     @staticmethod
-    def check(a, b, alternative):
+    def check(a, b, alternative, method="auto"):
         d, p = prob.ks_one_sided(a, b, alternative)
-        ref = stats.ks_2samp(a, b, alternative=alternative)
+        ref = stats.ks_2samp(a, b, alternative=alternative, method=method)
         assert d == ref.statistic
         assert p == ref.pvalue
         return d, p
@@ -260,6 +271,11 @@ class TestKsOneSided:
     def test_matches_scipy_equal_sizes(self, pair, alternative):
         self.check(np.array(pair[0]), np.array(pair[1]), alternative)
 
+    @settings(max_examples=150, deadline=None)
+    @given(tied_pairs(), alternatives)
+    def test_matches_scipy_exact_with_ties(self, pair, alternative):
+        self.check(*pair, alternative, method="exact")
+
     @pytest.mark.parametrize("alternative", ["greater", "less"])
     def test_no_difference(self, alternative):
         # h == 0: identical samples, and a shift the other way
@@ -268,15 +284,16 @@ class TestKsOneSided:
         other = a - 3 if alternative == "greater" else a + 3
         assert self.check(a, other, alternative) == (0.0, 1.0)
 
-    @pytest.mark.parametrize("n", [prob.KS_EXACT_MAX_N, prob.KS_EXACT_MAX_N + 1])
+    @pytest.mark.parametrize("n", [10000, 10001, 30000])
     @pytest.mark.parametrize("alternative", ["greater", "less"])
     def test_either_side_of_exact_cutoff(self, n, alternative):
-        # equal sizes: the closed form up to the cut-off, Hodges' formula past it
+        # the closed form at every n, also past the 10,000 where scipy's
+        # method "auto" turns asymptotic
         rng = np.random.default_rng(n)
         a, b = rng.integers(0, 1000, size=n), rng.integers(5, 1005, size=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, p = self.check(a, b, alternative)
+            _, p = self.check(a, b, alternative, method="exact")
         assert 0 < p <= 1
 
     @pytest.mark.parametrize("a,b,alternative", [
