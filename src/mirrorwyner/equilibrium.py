@@ -30,8 +30,10 @@ class KCutGame:
             raise ValidationError("KCutGame: weights must be a square matrix")
         if np.any(np.diag(w) != 0):
             raise ValidationError("KCutGame: diagonal must be zero")
-        if not np.isfinite(w).all():
-            raise ValidationError("KCutGame: weights must be finite")
+        # a finite total bounds every payoff, deviation gain and potential sum
+        if not np.isfinite(np.abs(w).sum()):
+            raise ValidationError("KCutGame: weights must be finite, as must their "
+                                  "total absolute value")
         if self.k < 2:
             raise ValidationError("KCutGame: need K >= 2 colors")
         if self.payoff_mode not in ("same_color", "cut"):

@@ -169,7 +169,10 @@ class StackelbergInstance:
         if self.leader_drift is None or stage == 0:
             return self.leader_laws
         shifted = np.clip(self.leader_laws + stage * self.leader_drift, 1e-12, None)
-        return shifted / shifted.sum(axis=2, keepdims=True)
+        sums = shifted.sum(axis=2, keepdims=True)
+        if not np.isfinite(sums).all():   # the laws would be all zeros, or inf / inf
+            raise NumericError(f"staged_laws: a drifted law row sums to inf at stage {stage}")
+        return shifted / sums
 
 
 def stackelberg_solve(inst: StackelbergInstance, stage: int = 0):
@@ -181,6 +184,8 @@ def stackelberg_solve(inst: StackelbergInstance, stage: int = 0):
     Returns (leader law index, follower action, value).
     """
     expected = (inst.staged_laws(stage) * inst.payoffs).sum(-1)   # (n_laws, n_follower)
+    if not np.isfinite(expected).all():
+        raise NumericError(f"stackelberg_solve: an expected payoff overflows at stage {stage}")
     actions = expected.argmax(1)   # argmax takes the first maximizer
     values = expected[np.arange(len(expected)), actions]
     li = int(values.argmax())

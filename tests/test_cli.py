@@ -377,6 +377,30 @@ class TestExitCodes:
             "message": "non-finite state at step 3"}
         assert not out.exists()
 
+    # finite game inputs whose sums overflow fail typed, not with a NaN
+    # cell (exit 3 under output) or a false equilibrium (exit 0)
+    @pytest.mark.parametrize("cmd,cfg,code,report", [
+        ("stackelberg", {"laws": [[[0.5, 0.5]] * 2] * 2, "payoffs": [[1.0, 2.0], [3.0, 4.0]],
+                         "drift": [[1e308, 1e308]] * 2, "stages": [0, 2]}, 4,
+         ["NumericError", "stackelberg", "staged_laws: a drifted law row sums to inf at stage 2"]),
+        ("stackelberg", {"laws": [[[0.5000000004, 0.5000000004]]],
+                         "payoffs": [[1.7976931348623157e308] * 2]}, 4,
+         ["NumericError", "stackelberg",
+          "stackelberg_solve: an expected payoff overflows at stage 0"]),
+        ("nash", {"weights": [[0.0] + [1e308, -1e308] * 8 + [1e308]] + [[0.0] * 18] * 17,
+                  "k": 2}, 3,
+         ["ValidationError", "KCutGame",
+          "KCutGame: weights must be finite, as must their total absolute value"]),
+    ])
+    def test_game_overflow_fails_typed(self, tmp_path, capsys, cmd, cfg, code, report):
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(cfg))
+        assert main([cmd, "--config", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0]) == dict(zip(["error", "field", "message"], report))
+        assert not out.exists()
+
     def test_failed_solve_exit_4(self, tmp_path, capsys, monkeypatch):
         # one failed solve ends the whole run, as an arithmetic failure does
         # in every subcommand

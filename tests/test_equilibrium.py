@@ -237,3 +237,15 @@ class TestWeights:
             KCutGame(w, 2)
         with pytest.raises(ValidationError):
             StrategyProfile((0, 5)).check(KCutGame(np.zeros((2, 2)), 3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row,back", [([1e308, -1e308] * 8 + [1e308], 0.0),
+                                          ([1e308], 1e308)])
+    def test_overflowing_weight_total_fails(self, row, back):
+        # finite weights whose total overflows: alternating +-1e308 once
+        # summed to a nan payoff, so no player moved and verify_nash reported
+        # an equilibrium; a pair of 1e308 overflows w + w.T in the potential
+        w = np.zeros((len(row) + 1, len(row) + 1))
+        w[0, 1:], w[1, 0] = row, back
+        with pytest.raises(ValidationError, match="total absolute value"):
+            KCutGame(w, 2)

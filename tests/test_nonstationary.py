@@ -320,6 +320,25 @@ class TestStackelberg:
         with pytest.raises(ValidationError):
             ns.StackelbergInstance((parts["law"],), parts["payoffs"], parts["drift"])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_drift_overflow_raises(self):
+        # a law row summing to inf once staged to all zeros (value 0.0 at
+        # stage 1) or to inf / inf (value nan at stage 2)
+        laws = np.full((2, 2, 2), 0.5)
+        inst = ns.StackelbergInstance(laws, np.arange(4.0).reshape(2, 2), np.full((2, 2), 1e308))
+        assert ns.stackelberg_solve(inst, 0) == (0, 1, 2.5)
+        for stage in (1, 2):
+            with pytest.raises(NumericError, match=f"sums to inf at stage {stage}"):
+                ns.stackelberg_solve(inst, stage)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_expected_payoff_overflow_raises(self):
+        # rows within the pmf tolerance above 1 take the largest float past inf
+        laws = np.full((1, 1, 2), 0.5000000004)
+        inst = ns.StackelbergInstance(laws, np.full((1, 2), np.finfo(float).max))
+        with pytest.raises(NumericError, match="expected payoff overflows"):
+            ns.stackelberg_solve(inst)
+
     @pytest.mark.parametrize("drift", [[[1.0, 2.0, 3.0]], [0.1, 0.1], 0.1])
     def test_drift_must_have_the_law_shape(self, drift):
         # checked at construction, so stage 0, which skips the drift, fails too
