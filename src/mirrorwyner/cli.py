@@ -270,6 +270,9 @@ def run_mi_tradeoff(c, seed):
     p_x = inst.x_marginal(q)
     if p_x.alphabet_size != 2:
         raise ValidationError("instance: mi-tradeoff sweeps 2x2 mappings, so X_0 must be binary")
+    _cap_cells("the leakage draws", {"resolution": (c["resolution"] + 1) ** 2,
+                                     "n_samples": n_samples})
+    _cap_cells("the leakage bounds", {"grid_points": c["grid_points"]})
     i_sx = prob.mutual_information(inst.joints[q])
     h_x = prob.entropy(p_x)
     grid = _binary_mappings(c["resolution"])
@@ -298,6 +301,9 @@ def run_secrecy_gap(c, seed):
     if inst.virtual_alphabet != 2 or any(j.table.shape[1] != 2 for j in inst.joints):
         raise ValidationError("instance: secrecy-gap sweeps 2x2 twin mappings, so every "
                               "X_q and the virtual alphabet must be binary")
+    _cap_cells("the mapping grid", {"resolution": (c["resolution"] + 1) ** 2})
+    _cap_cells("the leakage draws", {"n_samples": c["n_samples"]})
+    _cap_cells("the power budgets", {"grid_points": c["grid_points"]})
     p_x = inst.x_marginal(q)
     ident = np.eye(2)
     power_max = float(np.max(inst.symbol_values[q] ** 2))
@@ -350,7 +356,12 @@ def run_mfg(c, seed):
 
 # Most cells one array of a run may hold: a lohe run's Hamiltonians (q d^2),
 # coupling matrix (q^2) or trajectory ((steps + 1) q d), an mfg grid's value
-# and density fields (n_t n_x each). A config past it fails before allocating.
+# and density fields (n_t n_x each), the drawn plant (n^2), nash weights
+# (n^2) and a sweep's best-response payoffs (n k), the drawn stackelberg
+# laws (n_laws n_follower n_leader_state), and a sweep's mapping grid
+# ((resolution + 1)^2, times n_samples for mi-tradeoff's leakage draws),
+# leakage draws (n_samples) or bounds (grid_points). A config past it fails
+# before allocating.
 CELL_CAP = 2 ** 24
 
 
@@ -398,6 +409,7 @@ def run_stackelberg(c, seed):
     if laws is None:
         rng = np.random.default_rng(seed)
         n_f, n_u, n_laws = c["n_follower"], c["n_leader_state"], c["n_laws"]
+        _cap_cells("the leader laws", {"n_laws": n_laws, "n_follower": n_f, "n_leader_state": n_u})
         laws = rng.dirichlet(np.ones(n_u), size=(n_laws, n_f))
         payoffs = rng.normal(size=(n_f, n_u))
     inst = nonstationary.StackelbergInstance(leader_laws=laws, payoffs=payoffs,
@@ -412,11 +424,13 @@ def run_stackelberg(c, seed):
 def run_nash(c, seed):
     w = c["weights"]
     if w is None:
+        _cap_cells("the weights", {"n": c["n"] ** 2})
         rng = np.random.default_rng(seed)
         w = rng.uniform(0, 1, size=(c["n"], c["n"]))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
     game = equilibrium.KCutGame(w, c["k"], c["payoff_mode"])
+    _cap_cells("a sweep's best-response payoffs", {"n": game.n, "k": game.k})
     init = equilibrium.StrategyProfile((0,) * game.n if c["init"] is None else c["init"])
     res = equilibrium.best_response_dynamics(game, init)
     is_nash, worst = equilibrium.verify_nash(game, res.profile)
@@ -430,8 +444,9 @@ def run_plant(c, seed):
     if c["a1"] is not None:
         p = plant.LinearPlant(c["a1"], c["a2"], c["a3"], c["a4"])
     else:
-        rng = np.random.default_rng(seed)
         n = c["n"]
+        _cap_cells("the plant matrix", {"n": n * n})
+        rng = np.random.default_rng(seed)
         p = plant.LinearPlant(rng.normal(size=(n, n)) / n,
                               rng.normal(size=(n, 1)),
                               rng.normal(size=(1, n)),

@@ -243,9 +243,10 @@ def _xlnx_blocks(table: np.ndarray, n_blocks: int, logs: np.ndarray = None) -> n
 
 
 def _exposure_plan(rows: np.ndarray, tails):
-    """The stack that `_cross_mi` builds: its broadcast leading shape, the
-    index of the tail that goes last, and how many candidates' tables make
-    one block (the stack is computed in blocks when it has more). Raises
+    """The stack that `_cross_mi` builds: its broadcast leading shape and
+    its number of candidates, the index of the tail that goes last, and how
+    many candidates' tables make one block (the stack is computed in blocks
+    when it has more). Raises
     ValidationError when the whole stack is above EXPOSURE_CELL_CAP."""
     # at most one stacked operand needs no np.broadcast_shapes, which costs
     # more than a whole Q=2 table; one tail (every exposure term of a Q=2
@@ -262,15 +263,14 @@ def _exposure_plan(rows: np.ndarray, tails):
         n_cols = math.prod(t.shape[-1] for t in tails)
         i_last = max(range(len(tails)), key=lambda j: (tails[j].ndim, j))
     per_table = max(rows.shape[-1], rows.shape[-2] - 1) * n_cols
-    cells = math.prod(lead) * per_table
-    if cells > EXPOSURE_CELL_CAP:
-        raise ValidationError(f"exposure: a {cells}-cell table exceeds the cap of "
-                              f"{EXPOSURE_CELL_CAP} cells")
-    return lead, i_last, max(1, EXPOSURE_BLOCK_CELLS // per_table)
+    n_lead = math.prod(lead)
+    if n_lead * per_table > EXPOSURE_CELL_CAP:
+        raise ValidationError(f"exposure: a {n_lead * per_table}-cell table exceeds the cap "
+                              f"of {EXPOSURE_CELL_CAP} cells")
+    return lead, n_lead, i_last, max(1, EXPOSURE_BLOCK_CELLS // per_table)
 
 
-def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None,
-              keep: np.ndarray = None) -> np.ndarray:
+def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.ndarray:
     """I(H; T_1, ..., T_k) in bits for variables conditionally independent
     given S, from the head's `_head_rows` (..., |H| + 1, |S|) and the tails'
     per-S channels P(T_j | s) (..., |S|, n_j); one value per broadcast
@@ -285,29 +285,57 @@ def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None,
     + H(H)] / ln 2 takes one log pass and no pass for marginals.
 
     A stack of more than EXPOSURE_BLOCK_CELLS cells is computed in blocks of
-    candidates, with the table and its logs written into the scratch arrays
-    of `work` (a fresh dict if None), which a caller may keep across calls.
-    On that blocked path only, `keep` (flat indices into the leading axes,
-    ascending) names the candidates to compute: the others' tables are never
-    built, and the result is the kept candidates' values alone, in `keep`
-    order, for a head with no candidate axis. The cap still counts the whole
-    stack, before anything is built."""
-    lead, i_last, block = _exposure_plan(rows, tails)
-    last = tails[i_last]
-    n_lead, n_h, n_s = math.prod(lead), rows.shape[-2] - 1, rows.shape[-1]
-    left = rows
+    candidates (see `_exposure_stack`), with the table and its logs written
+    into the scratch arrays of `work` (a fresh dict if None), which a caller
+    may keep across calls. So is an unstacked table (no leading axes) that
+    fills a block of its own, such as one wide table, when the caller passes
+    `work`; without it, it is built on fresh arrays. The cap counts the
+    whole stack, before anything is built."""
+    plan = _exposure_plan(rows, tails)
+    lead, n_lead, i_last, block = plan
+    n_h = rows.shape[-2] - 1
+    if h_head is None:
+        h_head = _head_entropy(rows)
+    if block < n_lead or not lead and block == 1 and work is not None:
+        return _exposure_stack(rows, tails, plan, h_head, {} if work is None else work)()
+    left = rows if len(tails) == 1 else _fold_head(rows, tails, i_last)
+    ent = _xlnx_blocks(left @ tails[i_last], n_h + 1)
+    # each candidate's block sums reduce as one row of their own, so a
+    # candidate gets the same bits stacked or alone
+    return (ent[..., None, :] @ _block_weights(n_h))[..., 0, 0] + h_head / _LN2
+
+
+def _fold_head(rows: np.ndarray, tails, i_last: int) -> np.ndarray:
+    """`left` of `_cross_mi`: the head's rows with the columns of every tail
+    but tails[i_last] folded in, as (..., (|H| + 1) n_left, |S|)."""
+    left, n_s = rows, rows.shape[-1]
     for j, blk in enumerate(tails):
         if j != i_last:
             left = left[..., :, None, :] * np.swapaxes(blk, -1, -2)[..., None, :, :]
             left = left.reshape(left.shape[:-3] + (-1, n_s))
-    if block >= n_lead:
-        ent = _xlnx_blocks(left @ last, n_h + 1)
-    else:
-        work = {} if work is None else work
-        # an operand without leading axes is shared by every candidate and
-        # broadcasts in the matmul, so it is neither copied nor indexed
-        left, last = (c if c.ndim == 2 else np.broadcast_to(c, lead + c.shape[-2:]).reshape(
-            (n_lead,) + c.shape[-2:]) for c in (left, last))
+    return left
+
+
+def _exposure_stack(rows: np.ndarray, tails, plan, h_head, work: dict):
+    """The blocked path of `_cross_mi`, set up once: from its `_exposure_plan`
+    `plan` (the cap already checked on the whole stack), the fold of the
+    head with every tail but the last and the operands broadcast over the
+    flat leading axis. Returns `bits(keep)`, the exposures in bits of the
+    candidates at flat indices `keep` (ascending; None for the whole stack,
+    shaped like its leading axes), whose tables alone are built, a block of
+    candidates at a time, into the scratch arrays of `work`. With `keep`,
+    the head must have no candidate axis. So a caller that learns one
+    candidate at a time which ones it needs pays the set-up once."""
+    lead, n_lead, i_last, block = plan
+    n_h = rows.shape[-2] - 1
+    left = rows if len(tails) == 1 else _fold_head(rows, tails, i_last)
+    # an operand without leading axes is shared by every candidate and
+    # broadcasts in the matmul, so it is neither copied nor indexed
+    left, last = (c if c.ndim == 2 else np.broadcast_to(c, lead + c.shape[-2:]).reshape(
+        (n_lead,) + c.shape[-2:]) for c in (left, tails[i_last]))
+    weights, h_bits = _block_weights(n_h), h_head / _LN2
+
+    def bits(keep: np.ndarray = None) -> np.ndarray:
         n_out = n_lead if keep is None else keep.size
         ent = np.empty((n_out, n_h + 1))
         for a in range(0, n_out, block):
@@ -316,13 +344,10 @@ def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None,
             table = np.matmul(*(c if c.ndim == 2 else c[pick] for c in (left, last)), out=_scratch(
                 work, "table", (b - a, left.shape[-2], last.shape[-1])))
             ent[a:b] = _xlnx_blocks(table, n_h + 1, _scratch(work, "logs", table.shape))
-        if keep is None:
-            ent = ent.reshape(lead + (n_h + 1,))
-    if h_head is None:
-        h_head = _head_entropy(rows)
-    # each candidate's block sums reduce as one row of their own, so a
-    # candidate gets the same bits stacked or alone
-    return (ent[..., None, :] @ _block_weights(n_h))[..., 0, 0] + h_head / _LN2
+        # as on the straight path, each candidate's block sums are a row of their own
+        out = (ent[:, None, :] @ weights)[:, 0, 0]
+        return (out if keep is not None else out.reshape(lead)) + h_bits
+    return bits
 
 
 # The conditions that read one slot of Bob c, by kind (0 for the original
@@ -403,10 +428,16 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
     goes through `_cross_mi`'s blocked path (a property of the shapes; the
     cap is checked on the whole stack first), its (iii) first holds
     B_q - 1e-6, after every other entry is computed. reject(values) then
-    flags, over the candidate axes, the candidates that these lower values
-    already reject; only the others get exact (iii). So the (iii) entries of
-    a flagged candidate hold the lowered bounds and not the values, and
-    `reject` must be monotone: a flag must stand for any larger (iii) entry.
+    flags, over the candidate axes, the candidates that the caller's walk
+    rejects at these values, in flat (C) order. The kernel trusts the flags
+    only up to the first candidate that passes on lower values: it gives
+    that candidate exact (iii) in every deferred Bob (each Bob's stack is
+    set up once per call, at the first such candidate) and asks again, so a
+    walk whose threshold falls at each candidate it passes gets exact (iii)
+    for the candidates it reaches and none for the others. The (iii)
+    entries of a flagged candidate hold the lowered bounds and not the
+    values, so `reject` must be monotone: a flag must stand for any larger
+    (iii) entry of its own candidate, with the entries before it fixed.
 
     The 1e-6 bits cover rounding, so that the lowered bound is below the
     computed value and not only the true one. A computed (iii) sums x ln x
@@ -444,9 +475,10 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
         if 2 in todo:   # (iii) exposure of X_q to everything the other Bobs receive
             tails = pairs[:q] + pairs[q + 1:]
             # the plan checks the cap on the whole stack, before any pruning
-            if reject is not None and q_count > 2 and math.prod(lead) > _exposure_plan(
-                    inst._x_rows[q], tails)[2]:
-                deferred.append(q)
+            plan = (_exposure_plan(inst._x_rows[q], tails)
+                    if reject is not None and q_count > 2 else None)
+            if plan is not None and plan[1] > plan[3]:   # blocked: more candidates than a block
+                deferred.append((q, tails, plan))
             else:
                 vals[..., q, 2] = _cross_mi(inst._x_rows[q], tails, work, inst.h_x[q])
         if 3 in todo:   # (iv) virtual power
@@ -464,22 +496,37 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
         # Bob c's), which has no candidate axis and is held between calls;
         # less 1e-6 bits, it is below the computed value too (see docstring)
         flat, c = vals.reshape((-1,) + base.shape), slot[0]
-        for q in deferred:
+        for q, _, _ in deferred:
             rest = [pairs[p] for p in range(q_count) if p not in (q, c)]
             flat[:, q, 2] = _held(held, ("bound", q, c), lambda *t: _cross_mi(
                 inst._x_rows[q], t, None, inst.h_x[q]), *rest) - 1e-6
-        keep = np.flatnonzero(~reject(vals))
-        if keep.size:
-            for q in deferred:
-                flat[keep, q, 2] = _cross_mi(inst._x_rows[q], pairs[:q] + pairs[q + 1:], work,
-                                             inst.h_x[q], keep)
+        # the flags hold up to the first candidate that passes on bounds:
+        # it gets exact (iii), and the walk is asked again from there
+        start, stacks, work = 0, None, {} if work is None else work
+        while True:
+            passing = np.flatnonzero(~reject(vals).ravel()[start:])
+            if not passing.size:
+                break
+            start += int(passing[0])
+            stacks = stacks or [
+                (q, _exposure_stack(inst._x_rows[q], tails, plan, inst.h_x[q], work))
+                for q, tails, plan in deferred]
+            for q, bits in stacks:
+                flat[start, q, 2] = bits(np.array([start]))[0]
+            start += 1
     return vals
 
 
-def condition_values(inst: MirrorGameInstance, asg: TwinAssignment) -> np.ndarray:
-    """Exact values of conditions (i)-(vii) for every Bob, as a (Q, 7) array."""
+def condition_values(inst: MirrorGameInstance, asg: TwinAssignment, work: dict = None,
+                     held: dict = None) -> np.ndarray:
+    """Exact values of conditions (i)-(vii) for every Bob, as a (Q, 7) array.
+    `work` and `held` are `_kernel`'s: a caller that goes on to score
+    candidates against these rows (one greedy solve) passes its own, so an
+    unstacked table as large as a block is written into its scratch arrays
+    and the channels are built once; the values are the same without them."""
     _check_consistent(inst, asg)
-    return _kernel(inst, [m.rows for m in asg.original], [m.rows for m in asg.virtual])
+    return _kernel(inst, [m.rows for m in asg.original], [m.rows for m in asg.virtual],
+                   work=work, held=held)
 
 
 def _utility(p_x: np.ndarray, o: np.ndarray):

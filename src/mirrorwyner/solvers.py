@@ -235,13 +235,16 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     the kernel's `work` scratch arrays, and in one `held` cache keyed by the
     identity of their rows (see `mirror._held`) the kernel's channels and
     each Bob's last Boltzmann refresh (None included), which is recomputed
-    only when an accepted original step has replaced its rows. Every
-    value is the one a fresh computation gives, so the search path is too.
-    The one exception changes no decision: each stacked call passes the
-    accept test as the kernel's `reject`, so a candidate that already fails
-    it at lower bounds of the other Bobs' exposures (iii) gets no exposure
-    tables, and its (iii) entries hold those bounds and not the values. It
-    fails the test at them in the walk as well.
+    only when an accepted original step has replaced its rows. The start
+    is scored on the same `work` and `held`, so its wide tables go into the
+    solve's scratch arrays and the first slot calls reuse its channels.
+    Every value is the one a fresh computation gives, so the search path is
+    too. The one exception changes no decision: each stacked call
+    passes the walk as the kernel's `reject`, so a candidate that the walk
+    would reject at lower bounds of the other Bobs' exposures (iii), with
+    its threshold lowered by each earlier candidate it accepts, gets no
+    exposure tables, and its (iii) entries hold those bounds and not the
+    values. It fails the test at them in the walk as well.
 
     `u` is not read: only the leakage feels the uncertainty, and the
     search tests its deterministic value. The parameter stays because
@@ -255,7 +258,9 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     orig, virt = rows = ([m.rows for m in asg.original], [m.rows for m in asg.virtual])
     trace = SolveTrace()
 
-    vals = mirror.condition_values(inst, asg)
+    work = {}   # the exposure kernel's scratch arrays, kept for this solve only
+    held = {}   # what the solve derives from unchanged rows, kept for this solve only
+    vals = mirror.condition_values(inst, asg, work, held)
     gamma2_eff = inst.gamma2
     if relaxed:
         gamma2_eff = min(inst.gamma2, mirror.bottleneck_pair_search(inst, orig[0]))
@@ -273,15 +278,20 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
 
     def hopeless(vals: np.ndarray) -> np.ndarray:
         """The candidates that the walk below rejects at these values, as
-        `mirror._kernel`'s `reject`. The kernel may pass lower bounds of the
-        exposures (iii); that is sound because `merits` never falls as an
-        (iii) entry grows (every operation in it is monotone, in floating
-        point too) and `current` only falls during the walk."""
-        return merits(vals) >= current - 1e-9
+        `mirror._kernel`'s `reject`: the walk itself, whose threshold starts
+        at `current` and falls to the merit of each candidate it passes.
+        The kernel may pass lower bounds of the exposures (iii); a flag on
+        one is sound because `merits` never falls as an (iii) entry grows
+        (every operation in it is monotone, in floating point too), and the
+        kernel trusts no flag past the first candidate that passes on them."""
+        flags, threshold = [], current
+        for merit in merits(vals).tolist():
+            flags.append(merit >= threshold - 1e-9)
+            if not flags[-1]:
+                threshold = merit
+        return np.array(flags)
 
     current = float(merits(vals))
-    work = {}   # the exposure kernel's scratch arrays, kept for this solve only
-    held = {}   # what the solve derives from unchanged rows, kept for this solve only
     stall = 0
     for _ in range(budget):
         improved = False

@@ -1,5 +1,6 @@
 """Shared strategies and helpers for the test suite."""
 
+import hashlib
 import importlib.util
 import os
 import sys
@@ -84,3 +85,20 @@ def wide_instance(seed):
     as the CLI decodes an `instance` config key."""
     workloads = bench_module("workloads")
     return cli._read_instance("instance", workloads.wide_instance(np.random.default_rng(seed)))
+
+
+def solve_digest(asg, trace, values=True):
+    """The sha256 of a greedy solve's search path: each pass's (objective,
+    merit, accepted) as float64 bytes, the converged and feasible flags, and
+    the bytes of every final original and virtual row. With values=False the
+    passes give only their accept flags, so the digest keeps the pass count,
+    the decisions and the rows but not the merit bits, which on a wide
+    instance follow the BLAS thread count."""
+    h = hashlib.sha256()
+    for it in trace.iterates:
+        h.update(np.array([it.objective, it.merit, it.accepted] if values
+                          else [it.accepted], dtype=np.float64).tobytes())
+    h.update(bytes([trace.converged, trace.feasible]))
+    for m in (*asg.original, *asg.virtual):
+        h.update(m.rows.tobytes())
+    return h.hexdigest()

@@ -1115,3 +1115,44 @@ class TestMfgMemory:
             cli._mfg_grid(n_t=cli.CELL_CAP // 16 + 1, n_x=16, **kw)
         with pytest.raises(ValidationError, match="bad axis parameters"):
             cli._mfg_grid(n_t=-10 ** 15, n_x=-10 ** 15, **kw)
+
+
+# One value just past cli.CELL_CAP (2**24) for each drawn or swept size key,
+# the other keys at their defaults, with the message of the capped array
+PAST_CAP = {("plant", "n"): (4097, "the plant matrix"),
+            ("nash", "n"): (4097, "the weights"),
+            ("nash", "k"): (2 ** 21 + 1, "a sweep's best-response payoffs"),
+            ("stackelberg", "n_laws"): (2 ** 24 // 24 + 1, "the leader laws"),
+            ("stackelberg", "n_follower"): (2 ** 24 // 32 + 1, "the leader laws"),
+            ("stackelberg", "n_leader_state"): (2 ** 24 // 48 + 1, "the leader laws"),
+            ("mi-tradeoff", "n_samples"): (2 ** 24 // 289 + 1, "the leakage draws"),
+            ("mi-tradeoff", "resolution"): (512, "the leakage draws"),
+            ("mi-tradeoff", "grid_points"): (2 ** 24 + 1, "the leakage bounds"),
+            ("secrecy-gap", "n_samples"): (2 ** 24 + 1, "the leakage draws"),
+            ("secrecy-gap", "resolution"): (4096, "the mapping grid"),
+            ("secrecy-gap", "grid_points"): (2 ** 24 + 1, "the power budgets")}
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("huge", [False, True], ids=["past_cap", "10**400"])
+    @pytest.mark.parametrize("sub,key", list(PAST_CAP), ids=[f"{s}-{k}" for s, k in PAST_CAP])
+    def test_size_key_past_cap_allocates_nothing(self, tmp_path, capsys, sub, key, huge):
+        # at 10**400 each of these exited 1 with numpy's "Maximum allowed
+        # dimension exceeded" (nash k ran on without end)
+        value, what = PAST_CAP[sub, key]
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps({key: 10 ** 400 if huge else value}))
+        cli._parser()
+        tracemalloc.start()
+        try:
+            rc = main([sub, "--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        report = json.loads(capsys.readouterr().err.strip())
+        assert report["field"] == key
+        assert report["message"].startswith(f"{key}: {what} would hold ")
+        assert report["message"].endswith(f"above the cap of {cli.CELL_CAP}")
+        assert peak < 2 ** 20
+        assert not out.exists()

@@ -137,6 +137,28 @@ class TestConditionValues:
                 assert vals[q, 5] == pytest.approx(mi_of(table, v_others, (x[q],)), abs=1e-10)
                 assert vals[q, 6] == pytest.approx(mi_of(table, (yv[q],), (yo[q],)), abs=1e-10)
 
+    @pytest.mark.parametrize("name", ["reference", "q3_v3", "wide0", "wide1", "wide2"])
+    def test_scratch_backed_start_matches_straight_call(self, monkeypatch, name):
+        # a solve scores its start on its own scratch arrays and held
+        # channels; the values are the straight call's, bit for bit
+        inst = (mirror.reference_binary_instance() if name == "reference" else
+                mirror.reference_binary_instance(q_count=3, virtual_alphabet=3)
+                if name == "q3_v3" else wide_instance(int(name[-1])))
+        asg = solvers.random_assignment(inst, np.random.default_rng(5))
+        scratch, make = [], mirror._scratch
+        monkeypatch.setattr(mirror, "_scratch", lambda *a: scratch.append(a[1]) or make(*a))
+        want = mirror.condition_values(inst, asg)
+        # without `work` every table is built on fresh arrays
+        assert not scratch
+        work, held = {}, {}
+        got = mirror.condition_values(inst, asg, work, held)
+        assert np.array_equal(got, want)
+        assert held
+        # an unstacked wide (iii) table fills a block: its table and logs go
+        # to the scratch arrays, one pair per Bob; small tables stay straight
+        assert scratch == (["table", "logs"] * 4 if name.startswith("wide") else [])
+        assert np.array_equal(mirror.condition_values(inst, asg, work, held), want)
+
     def test_virtual_power_monte_carlo(self):
         inst = random_instance(7)
         asg = random_assignment(inst, 8)
@@ -496,6 +518,70 @@ class TestExposureBound:
         assert np.all(got[:, others, 2] < exact[:, others, 2])
         got[:, others, 2] = exact[:, others, 2]
         assert np.array_equal(got, exact)
+
+    def test_walk_resolves_only_the_candidates_it_reaches(self, monkeypatch):
+        # A walk over a wide virtual slot of Bob 1 with merit (iii) summed
+        # over the other Bobs plus a fixed offset per candidate. Candidate 0
+        # passes and lowers the threshold to its merit; candidates 1 and 3-5
+        # would pass at the old threshold but fail at the lowered one on
+        # bounds alone; candidate 2 passes again and lowers it further.
+        inst = wide_instance(0)
+        trial, base = slot_stack(inst, 1, 1, 6, np.random.default_rng(1))
+        others = [0, 2, 3]
+        exact = mirror._kernel(inst, *trial, base=base, slot=(1, 1))
+        lowered = mirror._kernel(inst, *trial, base=base, slot=(1, 1), held={},
+                                 reject=lambda v: np.ones(v.shape[:-2], bool))
+        exposure, bound = exact[:, others, 2].sum(-1), lowered[0, others, 2].sum()
+        offsets = np.array([0.0, exposure[0] - bound + 1.0, -10.0, 1e3, 1e3, 1e3])
+        start = 1e9
+        assert np.all(exposure + offsets < start)   # all pass at the old threshold
+
+        def walk(vals):
+            flags, threshold = [], start
+            for merit in (vals[..., others, 2].sum(-1) + offsets).tolist():
+                flags.append(merit >= threshold)
+                if not flags[-1]:
+                    threshold = merit
+            return np.array(flags)
+
+        setups, kept, stack = [], [], mirror._exposure_stack
+
+        def spy(rows, tails, plan, h_head, work):
+            setups.append(rows)
+            bits = stack(rows, tails, plan, h_head, work)
+            return lambda keep=None: kept.append(keep.tolist()) or bits(keep)
+
+        monkeypatch.setattr(mirror, "_exposure_stack", spy)
+        got = mirror._kernel(inst, *trial, base=base, slot=(1, 1), work={}, held={},
+                             reject=walk)
+        # one set-up per deferred Bob and call, and one table per deferred
+        # Bob for each candidate the walk reaches
+        assert [next(q for q in others if r is inst._x_rows[q]) for r in setups] == others
+        assert kept == [[0]] * 3 + [[2]] * 3
+        assert np.array_equal(got[[0, 2]], exact[[0, 2]])
+        skipped = [1, 3, 4, 5]
+        assert np.all(got[skipped][:, others, 2] == lowered[skipped][:, others, 2])
+        assert np.all(got[skipped][:, others, 2] < exact[skipped][:, others, 2])
+        got[:, others, 2] = exact[:, others, 2]
+        assert np.array_equal(got, exact)
+
+    @pytest.mark.parametrize("relaxed,eager", [(True, 444), (False, 402)])
+    def test_walk_builds_fewer_tables_than_the_eager_kernel(self, monkeypatch, relaxed, eager):
+        # `eager` is the count of candidate (iii) tables of these solves when
+        # every candidate that passed the accept test before the walk got
+        # them; the walk-ordered bound builds fewer, on the same search path
+        built, stack = [0], mirror._exposure_stack
+
+        def spy(rows, tails, plan, h_head, work):
+            bits = stack(rows, tails, plan, h_head, work)
+            if all(t.ndim == 2 for t in tails):
+                return bits
+            return lambda keep=None: built.__setitem__(0, built[0] + keep.size) or bits(keep)
+
+        monkeypatch.setattr(mirror, "_exposure_stack", spy)
+        for seed in range(6, 16):
+            solvers.greedy_solve(wide_instance(seed % 3), UncertaintyModel(0.5), relaxed, 1, seed)
+        assert 0 < built[0] < eager
 
     @settings(max_examples=30, deadline=None)
     @given(q_count=st.integers(3, 4), n_s=st.integers(2, 5), n_x=st.integers(2, 5),

@@ -14,7 +14,7 @@ from mirrorwyner.prob import JointPmf2, PrivacyMapping
 from mirrorwyner.solvers import (ObjectiveFn, TrustRegionConfig,
                                  trust_region_solve)
 
-from conftest import wide_instance
+from conftest import solve_digest, wide_instance
 
 RADIUS_TOL = 1e-9
 
@@ -172,6 +172,41 @@ def full_kernel_greedy(inst, relaxed, budget, seed, eps=solvers.DEFAULT_EPS):
         if stall >= solvers.PATIENCE:
             break
     return passes, converged, rows
+
+
+# `solve_digest` prefixes of greedy solves, recorded before the walk-ordered
+# exposure bound: reference seeds 0-9 at budget 60, and on the wide
+# instance (generator seed 3) solve seeds 0-9 at budget 2, whose digests
+# leave out the merit bits
+SEARCH_PATH_PINS = {
+    ("reference", True): ["1314e41d756d5985", "4621082350ba1b7e", "9d25e96634a35eda",
+                          "325db60c27b64d35", "99cb7abe64c7d682", "8b32a967e7ba1621",
+                          "47fea3977eaf6408", "85d5537a4ce7cfde", "47724b6fb321423a",
+                          "8273892b9de9913f"],
+    ("reference", False): ["28d3fb5e750c187f", "afce53e2639a8b93", "780fed24bef63f9e",
+                           "4aa03bfdc611e99a", "67edaa3b56fcf3b1", "5895d56a3fcb0c5c",
+                           "c850e0c5d4a272ea", "11bba5e172901def", "d8ae3c5218f67a19",
+                           "ff26d62111f00536"],
+    ("wide", True): ["19e5c87be5c90c3f", "bd85d2bd809eb51b", "438cdd3f146f2339",
+                     "e72d9636a67e2752", "13c0bd73d9065251", "29708469b86aa11e",
+                     "acab1034efce1358", "9920268d7b647ca0", "361e7ce16fd807c3",
+                     "a6bc3bb18474ba81"],
+    ("wide", False): ["676b93e8778f4745", "ed832754914ab221", "a82543e850558094",
+                      "08374234c5ae5243", "58cc847589267e77", "dc3486b4f2702fcb",
+                      "19355c7f3252d755", "1ff72e0ec8d7957a", "b60f03640d109ef5",
+                      "2e964369e22235fb"],
+}
+
+
+@pytest.mark.parametrize("name,relaxed", list(SEARCH_PATH_PINS),
+                         ids=[f"{n}-{'relaxed' if r else 'strict'}" for n, r in SEARCH_PATH_PINS])
+def test_search_path_matches_pins(name, relaxed):
+    inst, budget = ((mirror.reference_binary_instance(), 60) if name == "reference"
+                    else (wide_instance(3), 2))
+    got = [solve_digest(*solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed, budget,
+                                              seed), values=name == "reference")[:16]
+           for seed in range(10)]
+    assert got == SEARCH_PATH_PINS[name, relaxed]
 
 
 class TestGreedy:
@@ -344,7 +379,7 @@ class TestGreedy:
             inst = mirror.reference_binary_instance(q_count=3, virtual_alphabet=3)
             budget, cases = 4, [(inst, seed) for seed in range(4)]
         counts = {"offered": 0, "built": 0}
-        kernel, cross_mi = mirror._kernel, mirror._cross_mi
+        kernel, exposure_stack = mirror._kernel, mirror._exposure_stack
 
         def kernel_spy(inst, orig, virt, **kw):
             if kw.get("slot") is not None:
@@ -352,18 +387,24 @@ class TestGreedy:
                 counts["offered"] += len((orig, virt)[kind][c]) * (inst.q_count - 1)
             return kernel(inst, orig, virt, **kw)
 
-        def cross_mi_spy(rows, tails, work=None, h_head=None, keep=None):
+        def exposure_stack_spy(rows, tails, plan, h_head, work):
+            # every stacked table is built by the bits of a blocked stack;
             # condition (iii): X_q's head against the other Bobs' pair
             # channels, a candidate axis on one of them
+            bits = exposure_stack(rows, tails, plan, h_head, work)
             stacked = [t for t in tails if t.ndim > 2]
-            if (stacked and any(rows is r for r in inst._x_rows)
+            if not (stacked and any(rows is r for r in inst._x_rows)
                     and stacked[0].shape[-1] == inst.x_marginal(0).alphabet_size
                     * inst.virtual_alphabet):
+                return bits
+
+            def counted(keep=None):
                 counts["built"] += len(stacked[0]) if keep is None else keep.size
-            return cross_mi(rows, tails, work, h_head, keep)
+                return bits(keep)
+            return counted
 
         monkeypatch.setattr(mirror, "_kernel", kernel_spy)
-        monkeypatch.setattr(mirror, "_cross_mi", cross_mi_spy)
+        monkeypatch.setattr(mirror, "_exposure_stack", exposure_stack_spy)
         for inst, seed in cases:
             asg, trace = solvers.greedy_solve(inst, UncertaintyModel(0.5), relaxed=relaxed,
                                               budget=budget, seed=seed)
