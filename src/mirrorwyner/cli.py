@@ -217,14 +217,18 @@ def _write(out_path, header, reps):
 # ---------------------------------------------------------------------------
 
 def run_convergence_cdf(c, seed):
-    seeds = c["seeds"] or _seeds("seeds", range(seed, seed + (c["n_seeds"] or 40)))
-    if c["n_seeds"] not in (None, len(seeds)):
-        raise ValidationError(f"n_seeds: {c['n_seeds']} differs from the {len(seeds)} seeds given")
+    seeds, n_seeds = c["seeds"], c["n_seeds"]
+    if seeds and n_seeds not in (None, len(seeds)):
+        raise ValidationError(f"n_seeds: {n_seeds} differs from the {len(seeds)} seeds given")
     eps = c["eps"]
     variants = [("relaxed", dict(relaxed=True, eps=eps)),
                 ("unrelaxed", dict(relaxed=False, eps=eps))]
     if c["mode"] == "three":
         variants.append(("relaxed_tight", dict(relaxed=True, eps=tuple(e / 10 for e in eps))))
+    # one run row per seed and variant, capped before a seed is derived
+    n_seeds = len(seeds) if seeds else n_seeds or 40
+    _cap_cells("the run rows", {"n_seeds": n_seeds, "variants": len(variants)})
+    seeds = seeds or range(seed, seed + n_seeds)   # distinct, and --seed is >= 0
 
     u = UncertaintyModel(magnitude=c["b_magnitude"])   # greedy_solve does not read it
     per, rows = {}, []

@@ -14,8 +14,4 @@ class DegenerateIntegralError(ArithmeticError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite value hit mid-run; carries whatever partial result exists."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Non-finite value hit mid-run."""

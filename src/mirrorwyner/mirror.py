@@ -402,7 +402,7 @@ def _original_head(p_s: np.ndarray, x_given_s: np.ndarray, o: np.ndarray):
 
 
 def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
-            work: dict = None, held: dict = None, reject=None) -> np.ndarray:
+            work: dict = None, held: dict = None, lazy: bool = False):
     """Conditions (i)-(vii) from each Bob's original rows orig[q] (..., X_q, Yo)
     and virtual rows virt[q] (..., X_q, Yv), as a (..., Q, 7) array over the
     broadcast leading candidate axes. A term that no stacked rows reach keeps
@@ -420,24 +420,18 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
     objects (see `_held`), and it holds the arrays the call would compute,
     so the values are the same with or without it.
 
-    `reject` (slot calls only) lets a caller skip the other Bobs' exposure
-    tables of candidates it will reject anyway. By the chain rule, Bob q's
-    (iii) is at least B_q = I(X_q; the pairs of the Bobs outside {q, c}),
-    which has no candidate axis and is held like the channels. At Q >= 3
-    (at Q = 2 no Bob is outside {q, c} and B_q is 0), where Bob q's stack
-    goes through `_cross_mi`'s blocked path (a property of the shapes; the
-    cap is checked on the whole stack first), its (iii) first holds
-    B_q - 1e-6, after every other entry is computed. reject(values) then
-    flags, over the candidate axes, the candidates that the caller's walk
-    rejects at these values, in flat (C) order. The kernel trusts the flags
-    only up to the first candidate that passes on lower values: it gives
-    that candidate exact (iii) in every deferred Bob (each Bob's stack is
-    set up once per call, at the first such candidate) and asks again, so a
-    walk whose threshold falls at each candidate it passes gets exact (iii)
-    for the candidates it reaches and none for the others. The (iii)
-    entries of a flagged candidate hold the lowered bounds and not the
-    values, so `reject` must be monotone: a flag must stand for any larger
-    (iii) entry of its own candidate, with the entries before it fixed.
+    `lazy` (slot calls only) lets a caller skip the other Bobs' exposure
+    tables of candidates it will reject anyway; the call then returns
+    (vals, resolve). By the chain rule, Bob q's (iii) is at least
+    B_q = I(X_q; the pairs of the Bobs outside {q, c}), which has no
+    candidate axis and is held like the channels. At Q >= 3 (at Q = 2 no Bob
+    is outside {q, c} and B_q is 0), where Bob q's stack goes through
+    `_cross_mi`'s blocked path (a property of the shapes; the cap is checked
+    on the whole stack first), its (iii) holds B_q - 1e-6. resolve(j) writes
+    the exact (iii) of flat (C order) candidate j into `vals` for every such
+    deferred Bob; each Bob's stack is set up once per call, at the first
+    candidate resolved. resolve is None when no Bob was deferred, as in
+    every Q = 2 call.
 
     The 1e-6 bits cover rounding, so that the lowered bound is below the
     computed value and not only the true one. A computed (iii) sums x ln x
@@ -464,7 +458,7 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
              if need else None for p, need in enumerate(pair_bobs)]
     twins = [_held(held, ("twin", p), np.matmul, x_given_s[p], virt[p])
              if need else None for p, need in enumerate(twin_bobs)]
-    deferred = []   # Bobs whose (iii) waits for the bound test below
+    deferred = []   # Bobs whose (iii) waits for resolve
     for q, todo in enumerate(reads):
         p_x = inst.p_x[q]
         o, v = orig[q], virt[q]
@@ -476,7 +470,7 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
             tails = pairs[:q] + pairs[q + 1:]
             # the plan checks the cap on the whole stack, before any pruning
             plan = (_exposure_plan(inst._x_rows[q], tails)
-                    if reject is not None and q_count > 2 else None)
+                    if lazy and q_count > 2 else None)
             if plan is not None and plan[1] > plan[3]:   # blocked: more candidates than a block
                 deferred.append((q, tails, plan))
             else:
@@ -491,30 +485,25 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
                                         inst.h_x[q])
         if 6 in todo:   # (vii) own twin vs own original message
             vals[..., q, 6] = prob._mi(np.einsum("x,...xo,...xv->...ov", p_x, o, v))
-    if deferred:
-        # chain rule: I(X_q; all other pairs) >= I(X_q; the pairs outside
-        # Bob c's), which has no candidate axis and is held between calls;
-        # less 1e-6 bits, it is below the computed value too (see docstring)
-        flat, c = vals.reshape((-1,) + base.shape), slot[0]
-        for q, _, _ in deferred:
-            rest = [pairs[p] for p in range(q_count) if p not in (q, c)]
-            flat[:, q, 2] = _held(held, ("bound", q, c), lambda *t: _cross_mi(
-                inst._x_rows[q], t, None, inst.h_x[q]), *rest) - 1e-6
-        # the flags hold up to the first candidate that passes on bounds:
-        # it gets exact (iii), and the walk is asked again from there
-        start, stacks, work = 0, None, {} if work is None else work
-        while True:
-            passing = np.flatnonzero(~reject(vals).ravel()[start:])
-            if not passing.size:
-                break
-            start += int(passing[0])
-            stacks = stacks or [
-                (q, _exposure_stack(inst._x_rows[q], tails, plan, inst.h_x[q], work))
-                for q, tails, plan in deferred]
-            for q, bits in stacks:
-                flat[start, q, 2] = bits(np.array([start]))[0]
-            start += 1
-    return vals
+    if not deferred:
+        return (vals, None) if lazy else vals
+    # chain rule: I(X_q; all other pairs) >= I(X_q; the pairs outside Bob
+    # c's), which has no candidate axis and is held between calls; less 1e-6
+    # bits, it is below the computed value too (see docstring)
+    flat, c = vals.reshape((-1,) + base.shape), slot[0]
+    for q, _, _ in deferred:
+        rest = [pairs[p] for p in range(q_count) if p not in (q, c)]
+        flat[:, q, 2] = _held(held, ("bound", q, c), lambda *t: _cross_mi(
+            inst._x_rows[q], t, None, inst.h_x[q]), *rest) - 1e-6
+    stacks, work = [], {} if work is None else work
+
+    def resolve(j: int):
+        if not stacks:
+            stacks.extend((q, _exposure_stack(inst._x_rows[q], tails, plan, inst.h_x[q], work))
+                          for q, tails, plan in deferred)
+        for q, bits in stacks:
+            flat[j, q, 2] = bits(np.array([j]))[0]
+    return vals, resolve
 
 
 def condition_values(inst: MirrorGameInstance, asg: TwinAssignment, work: dict = None,

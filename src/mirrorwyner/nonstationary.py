@@ -110,7 +110,7 @@ def lohe_integrate(sys: LoheSystem, dt: float, steps: int) -> np.ndarray:
         k4 = rhs(psi + dt * k3)
         psi = psi + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(psi).all():
-            raise NumericError(f"non-finite state at step {step}", partial=traj[:step])
+            raise NumericError(f"non-finite state at step {step}")
         norm2 = np.add.reduce((psi * psi.conj()).real, 1, keepdims=True)
         psi = np.divide(psi, np.sqrt(norm2), out=traj[step])
     return traj
@@ -321,9 +321,9 @@ def _backward_value(grid: MfgGrid) -> np.ndarray:
     return value
 
 
-def _forward_density(grid: MfgGrid, drift, residuals: list) -> np.ndarray:
+def _forward_density(grid: MfgGrid, drift) -> np.ndarray:
     """Forward finite-volume sweep of the density under a scalar drift, flux
-    form with zero-flux walls; a vanishing mass raises with the residuals.
+    form with zero-flux walls; a vanishing mass raises.
     The upwind step is stable only for a Courant number |drift| dt / dx of
     at most 1, and clipping would hide the blow-up, so a larger one raises."""
     dx, dt = grid.dx, grid.dt
@@ -344,7 +344,7 @@ def _forward_density(grid: MfgGrid, drift, residuals: list) -> np.ndarray:
         np.maximum(nxt, 0.0, out=nxt)   # np.clip(nxt, 0.0, None) is this call
         mass = np.add.reduce(nxt) * dx
         if mass <= 0:
-            raise NumericError("density mass vanished", partial=residuals)
+            raise NumericError("density mass vanished")
         np.divide(nxt, mass, out=density[k + 1])
     return density
 
@@ -368,15 +368,15 @@ def mfg_solve(grid: MfgGrid, tol: float = 1e-6, max_sweeps: int = 50,
             f"MfgGrid: explicit scheme unstable: sigma^2*dt/dx^2 = {cfl:.3g} > 0.5")
     value, residuals = _backward_value(grid), []
     if np.isnan(value).any():   # an overflow, e.g. inf - inf in a gradient
-        raise NumericError("mfg_solve: the value field overflowed to NaN", partial=residuals)
+        raise NumericError("mfg_solve: the value field overflowed to NaN")
     drift = _drift(grid, np.tile(grid.terminal_value, (grid.n_t, 1)))
-    target = _forward_density(grid, drift, residuals)
+    target = _forward_density(grid, drift)
     density = np.tile(grid.initial_density, (grid.n_t, 1))
     for sweep in range(max_sweeps):
         if sweep == 1:
             guess_drift, drift = drift, _drift(grid, value)
             if drift != guess_drift:  # two zero drifts share the sign of mu's integral
-                target = _forward_density(grid, drift, residuals)
+                target = _forward_density(grid, drift)
         mixed = (1 - damping) * density + damping * target
         residuals.append(float(np.max(np.abs(mixed - density))))
         density = mixed

@@ -152,7 +152,7 @@ def trust_region_solve(f: ObjectiveFn, x0, cfg: TrustRegionConfig = None):
     for _ in range(cfg.max_iter):
         g = f.gradient(x)
         if not (np.all(np.isfinite(g)) and np.isfinite(fx)):
-            raise NumericError("non-finite objective or gradient", partial=trace)
+            raise NumericError("non-finite objective or gradient")
         gnorm = float(np.linalg.norm(g))
         if gnorm < cfg.eps_th:
             trace.converged = True
@@ -176,7 +176,7 @@ def trust_region_solve(f: ObjectiveFn, x0, cfg: TrustRegionConfig = None):
         elif ratio > cfg.eta2 and abs(step_norm - delta) <= RADIUS_EQ_TOL:
             delta = cfg.theta2 * delta
         if delta <= 0 or not np.isfinite(delta):
-            raise NumericError("trust-region radius collapsed", partial=trace)
+            raise NumericError("trust-region radius collapsed")
     else:
         trace.converged = float(np.linalg.norm(f.gradient(x))) < cfg.eps_th
     return x, trace
@@ -239,12 +239,14 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     is scored on the same `work` and `held`, so its wide tables go into the
     solve's scratch arrays and the first slot calls reuse its channels.
     Every value is the one a fresh computation gives, so the search path is
-    too. The one exception changes no decision: each stacked call
-    passes the walk as the kernel's `reject`, so a candidate that the walk
-    would reject at lower bounds of the other Bobs' exposures (iii), with
-    its threshold lowered by each earlier candidate it accepts, gets no
-    exposure tables, and its (iii) entries hold those bounds and not the
-    values. It fails the test at them in the walk as well.
+    too. The one exception changes no decision: a stacked call is the
+    kernel's `lazy` one, so at Q >= 3 the other Bobs' exposures (iii) of a
+    wide stack first hold lower bounds. The walk below resolves a
+    candidate's exact (iii) only when it passes the accept test at its
+    bounds, and takes its merit again. `merits` never falls as an (iii)
+    entry grows (every operation in it is monotone, in floating point too),
+    so a candidate that fails at the bounds fails at its exact values too,
+    and it gets no exposure tables.
 
     `u` is not read: only the leakage feels the uncertainty, and the
     search tests its deterministic value. The parameter stays because
@@ -276,21 +278,6 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     def feasible(vals: np.ndarray) -> bool:
         return bool(constraints.holds(vals).all())
 
-    def hopeless(vals: np.ndarray) -> np.ndarray:
-        """The candidates that the walk below rejects at these values, as
-        `mirror._kernel`'s `reject`: the walk itself, whose threshold starts
-        at `current` and falls to the merit of each candidate it passes.
-        The kernel may pass lower bounds of the exposures (iii); a flag on
-        one is sound because `merits` never falls as an (iii) entry grows
-        (every operation in it is monotone, in floating point too), and the
-        kernel trusts no flag past the first candidate that passes on them."""
-        flags, threshold = [], current
-        for merit in merits(vals).tolist():
-            flags.append(merit >= threshold - 1e-9)
-            if not flags[-1]:
-                threshold = merit
-        return np.array(flags)
-
     current = float(merits(vals))
     stall = 0
     for _ in range(budget):
@@ -311,9 +298,12 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
             for kind, cands in enumerate((originals, virtuals)):
                 trial = [list(r) for r in rows]
                 trial[kind][q] = np.array(cands)
-                stacked = mirror._kernel(inst, *trial, base=vals, slot=(q, kind),
-                                         work=work, held=held, reject=hopeless)
+                stacked, resolve = mirror._kernel(inst, *trial, base=vals, slot=(q, kind),
+                                                  work=work, held=held, lazy=True)
                 for j, trial_merit in enumerate(merits(stacked).tolist()):
+                    if resolve is not None and not trial_merit >= current - 1e-9:
+                        resolve(j)   # it passes at its bounds: take its exact (iii)
+                        trial_merit = float(merits(stacked)[j])
                     if trial_merit < current - 1e-9:
                         rows[kind][q] = cands[j]
                         vals, current = stacked[j], trial_merit

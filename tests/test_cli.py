@@ -1130,7 +1130,8 @@ PAST_CAP = {("plant", "n"): (4097, "the plant matrix"),
             ("mi-tradeoff", "grid_points"): (2 ** 24 + 1, "the leakage bounds"),
             ("secrecy-gap", "n_samples"): (2 ** 24 + 1, "the leakage draws"),
             ("secrecy-gap", "resolution"): (4096, "the mapping grid"),
-            ("secrecy-gap", "grid_points"): (2 ** 24 + 1, "the power budgets")}
+            ("secrecy-gap", "grid_points"): (2 ** 24 + 1, "the power budgets"),
+            ("convergence-cdf", "n_seeds"): (2 ** 23 + 1, "the run rows")}
 
 
 class TestSizeCaps:
@@ -1154,5 +1155,27 @@ class TestSizeCaps:
         assert report["field"] == key
         assert report["message"].startswith(f"{key}: {what} would hold ")
         assert report["message"].endswith(f"above the cap of {cli.CELL_CAP}")
+        assert peak < 2 ** 20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_seeds", [10 ** 12, 10 ** 30, 1e308],
+                             ids=["10**12", "10**30", "1e308"])
+    def test_n_seeds_past_cap_derives_no_seed(self, tmp_path, capsys, n_seeds):
+        # each ran on without end: every seed of the range was derived and
+        # checked for distinctness before the first solve
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps({"n_seeds": n_seeds}))
+        cli._parser()
+        tracemalloc.start()
+        try:
+            rc = main(["convergence-cdf", "--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        report = json.loads(capsys.readouterr().err.strip())
+        assert report["field"] == "n_seeds"
+        assert report["message"] == (f"n_seeds: the run rows would hold {int(n_seeds) * 2} "
+                                     f"cells, above the cap of {cli.CELL_CAP}")
         assert peak < 2 ** 20
         assert not out.exists()

@@ -482,8 +482,9 @@ def slot_stack(inst, q, kind, k, rng):
 
 
 class TestExposureBound:
-    """The chain-rule bound that lets a slot call skip the other Bobs'
-    exposure tables of candidates the caller rejects anyway."""
+    """The chain-rule bound that lets a lazy slot call skip the other Bobs'
+    exposure tables of candidates the caller rejects anyway: they hold the
+    bound until the caller resolves a candidate."""
 
     def test_cap_counts_the_whole_stack_before_pruning(self, monkeypatch):
         # a wide virtual slot: each other Bob's (iii) is a stack of 6 tables
@@ -495,11 +496,11 @@ class TestExposureBound:
         scratch = []
         monkeypatch.setattr(mirror, "_scratch", lambda *a: scratch.append(a))
         errors = []
-        for reject in (None, lambda v: np.ones(v.shape[:-2], bool)):
+        for lazy in (False, True):
             work = {}
             with pytest.raises(ValidationError) as err:
                 mirror._kernel(inst, *trial, base=base, slot=(1, 1), work=work, held={},
-                               reject=reject)
+                               lazy=lazy)
             errors.append(str(err.value))
             assert not work
         assert errors[0] == errors[1] == (f"exposure: a {6 * 5 * 15625}-cell table "
@@ -510,9 +511,11 @@ class TestExposureBound:
         inst = wide_instance(0)
         trial, base = slot_stack(inst, 2, 1, 6, np.random.default_rng(2))
         work = {}
-        got = mirror._kernel(inst, *trial, base=base, slot=(2, 1), work=work, held={},
-                             reject=lambda v: np.ones(v.shape[:-2], bool))
+        # the caller rejects every candidate, so it resolves none
+        got, resolve = mirror._kernel(inst, *trial, base=base, slot=(2, 1), work=work, held={},
+                                      lazy=True)
         exact = mirror._kernel(inst, *trial, base=base, slot=(2, 1))
+        assert resolve is not None
         assert not work
         others = [0, 1, 3]
         assert np.all(got[:, others, 2] < exact[:, others, 2])
@@ -529,20 +532,14 @@ class TestExposureBound:
         trial, base = slot_stack(inst, 1, 1, 6, np.random.default_rng(1))
         others = [0, 2, 3]
         exact = mirror._kernel(inst, *trial, base=base, slot=(1, 1))
-        lowered = mirror._kernel(inst, *trial, base=base, slot=(1, 1), held={},
-                                 reject=lambda v: np.ones(v.shape[:-2], bool))
+        lowered, _ = mirror._kernel(inst, *trial, base=base, slot=(1, 1), held={}, lazy=True)
         exposure, bound = exact[:, others, 2].sum(-1), lowered[0, others, 2].sum()
         offsets = np.array([0.0, exposure[0] - bound + 1.0, -10.0, 1e3, 1e3, 1e3])
         start = 1e9
         assert np.all(exposure + offsets < start)   # all pass at the old threshold
 
-        def walk(vals):
-            flags, threshold = [], start
-            for merit in (vals[..., others, 2].sum(-1) + offsets).tolist():
-                flags.append(merit >= threshold)
-                if not flags[-1]:
-                    threshold = merit
-            return np.array(flags)
+        def merits(vals):
+            return vals[..., others, 2].sum(-1) + offsets
 
         setups, kept, stack = [], [], mirror._exposure_stack
 
@@ -552,8 +549,17 @@ class TestExposureBound:
             return lambda keep=None: kept.append(keep.tolist()) or bits(keep)
 
         monkeypatch.setattr(mirror, "_exposure_stack", spy)
-        got = mirror._kernel(inst, *trial, base=base, slot=(1, 1), work={}, held={},
-                             reject=walk)
+        got, resolve = mirror._kernel(inst, *trial, base=base, slot=(1, 1), work={}, held={},
+                                      lazy=True)
+        # the walk of `solvers.greedy_solve`: a candidate that passes at its
+        # bounds is resolved and tested again at its exact values
+        threshold = start
+        for j, merit in enumerate(merits(got).tolist()):
+            if not merit >= threshold:
+                resolve(j)
+                merit = float(merits(got)[j])
+            if merit < threshold:
+                threshold = merit
         # one set-up per deferred Bob and call, and one table per deferred
         # Bob for each candidate the walk reaches
         assert [next(q for q in others if r is inst._x_rows[q]) for r in setups] == others
@@ -565,11 +571,15 @@ class TestExposureBound:
         got[:, others, 2] = exact[:, others, 2]
         assert np.array_equal(got, exact)
 
-    @pytest.mark.parametrize("relaxed,eager", [(True, 444), (False, 402)])
-    def test_walk_builds_fewer_tables_than_the_eager_kernel(self, monkeypatch, relaxed, eager):
+    @pytest.mark.parametrize("relaxed,eager,walk", [(True, 444, 339), (False, 402, 273)],
+                             ids=["True-444", "False-402"])
+    def test_walk_builds_fewer_tables_than_the_eager_kernel(self, monkeypatch, relaxed, eager,
+                                                             walk):
         # `eager` is the count of candidate (iii) tables of these solves when
         # every candidate that passed the accept test before the walk got
-        # them; the walk-ordered bound builds fewer, on the same search path
+        # them; the walk-ordered bound builds fewer, on the same search path,
+        # and exactly `walk`, the count of the kernel's own walk before the
+        # solver took the walk over
         built, stack = [0], mirror._exposure_stack
 
         def spy(rows, tails, plan, h_head, work):
@@ -582,6 +592,7 @@ class TestExposureBound:
         for seed in range(6, 16):
             solvers.greedy_solve(wide_instance(seed % 3), UncertaintyModel(0.5), relaxed, 1, seed)
         assert 0 < built[0] < eager
+        assert built[0] == walk
 
     @settings(max_examples=30, deadline=None)
     @given(q_count=st.integers(3, 4), n_s=st.integers(2, 5), n_x=st.integers(2, 5),
@@ -618,10 +629,12 @@ class TestExposureBound:
             mp.setattr(mirror, "EXPOSURE_BLOCK_CELLS", 1)
             exact = mirror._kernel(inst, *trial, base=base, slot=(c, kind))
             held = {}
-            kept = mirror._kernel(inst, *trial, base=base, slot=(c, kind), held=held,
-                                  reject=lambda v: np.zeros(v.shape[:-2], bool))
-            pruned = mirror._kernel(inst, *trial, base=base, slot=(c, kind), held=held,
-                                    reject=lambda v: np.ones(v.shape[:-2], bool))
+            kept, resolve = mirror._kernel(inst, *trial, base=base, slot=(c, kind), held=held,
+                                           lazy=True)
+            for j in range(k):
+                resolve(j)
+            pruned, _ = mirror._kernel(inst, *trial, base=base, slot=(c, kind), held=held,
+                                       lazy=True)
         assert np.array_equal(kept, exact)
         others = [q for q in range(q_count) if q != c]
         bound = pruned[:, others, 2] + 1e-6
