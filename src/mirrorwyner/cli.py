@@ -171,7 +171,8 @@ def _fmt(v) -> str:
 
 
 def _lines(rows, lead):
-    """The CSV text of the list `rows`, each line after the cell `lead`. A
+    """The CSV text of the list `rows`, each line after the cell `lead`, a
+    fixed part of the format rather than a cell copied into every row. A
     chunk whose rows all have the first row's width and cell types is one
     `%` format, searched for "nan" once. Any other chunk, and one whose text
     reads "nan" (a NaN cell, or a string holding it), goes through `_fmt`
@@ -364,7 +365,8 @@ def run_mfg(c, seed):
 # (n^2) and a sweep's best-response payoffs (n k), the drawn stackelberg
 # laws (n_laws n_follower n_leader_state), and a sweep's mapping grid
 # ((resolution + 1)^2, times n_samples for mi-tradeoff's leakage draws),
-# leakage draws (n_samples) or bounds (grid_points). A config past it fails
+# leakage draws (n_samples) or bounds (grid_points), and a run's repetitions,
+# each holding at least one row until the write. A config past it fails
 # before allocating.
 CELL_CAP = 2 ** 24
 
@@ -379,12 +381,26 @@ def _cap_cells(what, factors):
                               f"of {CELL_CAP}")
 
 
-def _mfg_grid(n_t, n_x, **kw):
-    """The MfgGrid of a config's `grid` object, its fields capped first; a
-    count below 1 is left to the grid's own axis check."""
+def _mfg_grid(n_t, n_x, initial_density, **kw):
+    """The MfgGrid of a config's `grid` object, its fields capped first. A
+    left-out `n_x` is the size of `initial_density`, which the grid checks
+    against a given one; a count below 1 is left to its axis check."""
+    if n_x is None:
+        n_x = initial_density.size
     _cap_cells("the value and density fields",
                {"grid: n_t": max(n_t, 0), "grid: n_x": max(n_x, 0)})
-    return nonstationary.MfgGrid(n_t=n_t, n_x=n_x, **kw)
+    return nonstationary.MfgGrid(n_t=n_t, n_x=n_x, initial_density=initial_density, **kw)
+
+
+def _instance(joints, symbol_values, virtual_alphabet, **kw):
+    """The MirrorGameInstance of a config's `instance` object. A left-out
+    `virtual_alphabet` is the size of the first `symbol_values` row (0 with
+    no row), which the instance checks against every row."""
+    if virtual_alphabet is None:
+        virtual_alphabet = symbol_values[0].size if symbol_values else 0
+    return mirror.MirrorGameInstance(joints=tuple(map(JointPmf2, joints)),
+                                     symbol_values=symbol_values,
+                                     virtual_alphabet=virtual_alphabet, **kw)
 
 
 def run_lohe(c, seed):
@@ -468,9 +484,16 @@ def run_divergence(c, seed):
     if joint is None:
         joint = np.random.default_rng(seed).dirichlet(np.ones(2 * 3 * 4 * 2)).reshape(2, 3, 4, 2)
     model = dv.LatentModel(joint)
+    # one of the two index lists fixes the other, as its complement in the Z
+    # alphabet; with neither, the last Z value alone is inaccessible
     n_z = model.p_z().size
-    acc = tuple(range(n_z - 1)) if c["accessible"] is None else c["accessible"]
-    inacc = (n_z - 1,) if c["inaccessible"] is None else c["inaccessible"]
+    acc, inacc = c["accessible"], c["inaccessible"]
+    if acc is None and inacc is None:
+        inacc = (n_z - 1,)
+    if acc is None:
+        acc = tuple(sorted(set(range(n_z)) - set(inacc)))
+    if inacc is None:
+        inacc = tuple(sorted(set(range(n_z)) - set(acc)))
     g2 = float(np.log2(model.joint.shape[3])) if c["g2"] is None else c["g2"]
     if c["g1"] > g2:
         raise ValidationError(f"g1: need g1 <= g2 = {g2!r}, got {c['g1']!r}")
@@ -503,15 +526,14 @@ INSTANCE_KEYS = {
     "joints": (_list(_floats), _REQUIRED), "gamma0": (_floats, _REQUIRED),
     "gamma1": (_floats, _REQUIRED), "theta_levels": (_floats, _REQUIRED),
     "symbol_values": (_list(_floats), _REQUIRED), "gamma2": (_number, _REQUIRED),
-    "gamma3": (_number, _REQUIRED), "virtual_alphabet": (_int(), _REQUIRED)}
+    "gamma3": (_number, _REQUIRED), "virtual_alphabet": (_int(), None)}
 GRID_KEYS = {
-    "x_min": (_number, _REQUIRED), "x_max": (_number, _REQUIRED), "n_x": (_int(), _REQUIRED),
+    "x_min": (_number, _REQUIRED), "x_max": (_number, _REQUIRED), "n_x": (_int(), None),
     "n_t": (_int(), _REQUIRED), "dt": (_number, _REQUIRED), "sigma": (_number, _REQUIRED),
     "initial_density": (_floats, _REQUIRED), "mu_weight": (_floats, None),
     "terminal_value": (_floats, None), "running_cost": (_floats, None),
     "p_bar": (_number, 0.0), "control_max": (_number, 1.0)}
-_read_instance = _object(INSTANCE_KEYS, lambda joints, **kw: mirror.MirrorGameInstance(
-    joints=tuple(map(JointPmf2, joints)), **kw))
+_read_instance = _object(INSTANCE_KEYS, _instance)
 _INSTANCE = (_read_instance, mirror.reference_binary_instance().to_jsonable())
 
 SUBCOMMANDS = {
@@ -570,6 +592,7 @@ def _run(args) -> int:
     cfg = _load_config(args.config)
     if args.repetitions < 1:
         raise ValidationError("repetitions: must be >= 1")
+    _cap_cells("the repetitions' rows", {"repetitions": args.repetitions})
     if args.seed < 0:
         raise ValidationError(f"seed: need an integer >= 0, got {args.seed}")
     runner, table = SUBCOMMANDS[args.subcommand]

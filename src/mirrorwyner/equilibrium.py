@@ -77,7 +77,8 @@ def payoff(g: KCutGame, p: StrategyProfile, i: int) -> float:
 
 def _switch_payoffs(g: KCutGame, p: StrategyProfile, i: int) -> np.ndarray:
     """Player i's payoff for each color it could take, the others' fixed;
-    its own color's entry is its current payoff."""
+    its own color's entry is its current payoff. The one deviation scan that
+    the dynamics and the verification both read."""
     return np.array([payoff(g, p.with_color(i, c), i) for c in range(g.k)])
 
 

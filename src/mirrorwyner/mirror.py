@@ -6,7 +6,21 @@ Multi-Bob coupling model: the per-Bob non-private sources X_q are
 conditionally independent given the shared private source S, and all
 released messages are generated from their own X_q through row-stochastic
 mappings. Every information measure below is computed exactly from that
-factorization.
+factorization. So the exposures (iii), (v) and (vi) and the superposed
+exposure are one quantity, `_cross_mi`: the MI between one Bob's variable
+and the product of the other Bobs' per-S channels.
+
+Inputs are validated once, by the `PrivacyMapping`, `JointPmf2` and
+`MirrorGameInstance` constructors; the kernels below work on raw rows. Each
+relaxation-chain step has one implementation, which the solver and the
+sweeps call by its public name.
+
+On the hot path (the kernel and its helpers, `prob._mi`, the Boltzmann
+refresh, the greedy solver's candidate draws and merit) sums and minima
+call `np.add.reduce` and `np.minimum.reduce` directly, never `ndarray.sum`,
+`ndarray.min` or `np.sum`. Those reach the same ufunc reduction with the
+same arguments, so the bits are the same, but through numpy's Python
+wrappers, which cost more than the reduction itself on a 2x2 table.
 """
 
 from __future__ import annotations
@@ -55,7 +69,8 @@ class MirrorGameInstance:
     virtual_alphabet: int = 2
     # Read-only arrays derived from the joints once, for the kernels: P(S),
     # and per Bob P(X_q), H(X_q) in nats, P(X_q | S), P(S | X_q) and the
-    # exposure head rows [P(S, X_q), P(S)] of `_head_rows`.
+    # exposure head rows [P(S, X_q), P(S)] of `_head_rows`, so the (iii) and
+    # (vi) terms, whose head is X_q, build no head.
     p_s: np.ndarray = field(init=False, repr=False, compare=False)
     p_x: tuple = field(init=False, repr=False, compare=False)
     h_x: tuple = field(init=False, repr=False, compare=False)
@@ -193,8 +208,10 @@ def _pair_channel(x_given_s: np.ndarray, o: np.ndarray, v: np.ndarray) -> np.nda
 EXPOSURE_CELL_CAP = 2 ** 24
 
 # A stack larger than this many cells is evaluated a block of candidates at a
-# time, on scratch arrays that a caller's `work` dict keeps between calls: a
-# fresh multi-MB temporary is mapped anew and faults in every page it touches.
+# time, on scratch arrays that a caller's `work` dict keeps between calls.
+# This is for the page faults, not the arithmetic: the allocator maps a
+# multi-MB temporary afresh and returns it to the OS when freed, so every
+# call would fault in each page it touches again.
 EXPOSURE_BLOCK_CELLS = 2 ** 17
 
 _LN2 = math.log(2.0)
@@ -290,7 +307,14 @@ def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.nda
     may keep across calls. So is an unstacked table (no leading axes) that
     fills a block of its own, such as one wide table, when the caller passes
     `work`; without it, it is built on fresh arrays. The cap counts the
-    whole stack, before anything is built."""
+    whole stack, before anything is built. Blocked or not, each cell gets
+    the same floating-point operations, so the values are bit-identical.
+
+    At Q >= 3 a stacked call folds the candidate's tail last and an
+    unstacked call the last Bob's, so one candidate's values may differ
+    between the two in the last bits; the greedy search takes the same
+    steps either way
+    (`tests/test_solvers.py::TestGreedy::test_wide_search_path_within_rounding`)."""
     plan = _exposure_plan(rows, tails)
     lead, n_lead, i_last, block = plan
     n_h = rows.shape[-2] - 1
@@ -359,7 +383,8 @@ _SLOT_READS = (((0, 1, 4, 6), (2,)),
 @functools.lru_cache(maxsize=None)
 def _slot_plan(q_count: int, slot) -> tuple:
     """A `_kernel` call's entries per Bob for this slot (or None), and per Bob
-    whether another Bob reads its pair channel (iii) or its twin channel (v, vi)."""
+    whether another Bob reads its pair channel (iii) or its twin channel (v, vi).
+    They depend only on Q and the slot, so each plan is worked out once."""
     reads = ((range(7),) * q_count if slot is None else
              tuple(_SLOT_READS[slot[1]][q != slot[0]] for q in range(q_count)))
     wanted = [{i for q in range(q_count) if q != p for i in reads[q]} for p in range(q_count)]
@@ -371,7 +396,9 @@ def _held(held: dict, key, make, *args):
     the very same unstacked arrays. An entry keeps a reference to its
     arguments, so their identity stands for their contents; it is replaced
     when they are other objects. Stacked rows (a candidate axis) are new on
-    every call and are not held."""
+    every call and are not held. An accepted step puts new row objects in
+    place, so the next call that reads them recomputes the entry
+    (`tests/test_mirror.py::TestTrialValues::test_held_values_never_go_stale`)."""
     if held is None:
         return make(*args)
     for a in args:
@@ -442,7 +469,7 @@ def _kernel(inst: MirrorGameInstance, orig, virt, base=None, slot=None,
     candidates, so under the cap L <= 2**23 and |H| L <= 2**23: each of
     the value and the bound is off by less than 4.3e-8 bits, and the value
     falls below the bound by less than 8.6e-8. On the Q=4 benchmark instance
-    (L = 15,625) that is 1e-10."""
+    (L = 15,625) that is 1e-10 (`tests/test_mirror.py::TestExposureBound`)."""
     p_s, x_given_s, q_count = inst.p_s, inst._x_given_s, inst.q_count
     stacked = [a.shape[:-2] for a in (*orig, *virt) if a.ndim > 2]
     lead = np.broadcast_shapes(*stacked) if len(stacked) > 1 else stacked[0] if stacked else ()
@@ -573,10 +600,15 @@ class ConstraintSet:
         return cls(lo, hi)
 
     def violations(self, vals: np.ndarray) -> np.ndarray:
-        """How far each value lies outside its bound, (Q, 7); zero inside."""
-        # the sum of both sides, bit for bit: the open side's difference is -inf
-        # (or NaN, as in the sum); np.maximum returns its second argument on a
-        # tie, so 0.0 goes last and -0.0 on a zero bound gives +0.0 as the sum does
+        """How far each value lies outside its bound, (Q, 7); zero inside.
+
+        One maximum of the two sides equals their sum bit for bit: every
+        entry has one finite bound, so the open side's difference is -inf
+        (or NaN, as in the sum). `np.maximum` returns its second argument
+        on a tie, so 0.0 goes last: a value on a zero bound gives +0.0, as
+        the sum does, where `np.maximum(0.0, -0.0)` would give -0.0
+        (`tests/test_mirror.py::TestConstraintSet::test_violations_equal_the_two_sided_sum_bitwise`).
+        """
         return np.maximum(np.maximum(self.lo - vals, vals - self.hi), 0.0)
 
     def holds(self, vals, q=slice(None), i=slice(None)) -> np.ndarray:

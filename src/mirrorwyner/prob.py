@@ -143,7 +143,9 @@ def entropy(p: Pmf) -> float:
 
 def _kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(p[i] || q[j]) in bits for every row of p (m, n) against every row of
-    q (k, n), as an (m, k) matrix; +inf on a support violation."""
+    q (k, n), as an (m, k) matrix; +inf on a support violation. One
+    broadcast over (m, k, n); each entry equals a plain left-to-right sum
+    bit for bit up to n = 7 (from 8 on, `np.add.reduce` sums pairwise)."""
     p, q = p[:, None, :], q[None, :, :]
     # a cell with p > 0 = q gives p * log2(inf) = +inf, and so an infinite sum
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -193,7 +195,9 @@ def ks_one_sided(a, b, alternative: str):
     The gap is counted in sample points, an integer h, so the statistic is
     h / n and the p-value is exact for every n: the closed form
     binom(2n, n - h) / binom(2n, n). This is
-    `scipy.stats.ks_2samp(a, b, alternative, method="exact")`.
+    `scipy.stats.ks_2samp(a, b, alternative, method="exact")` at every n,
+    and its default `method="auto"` up to n = 10,000, where scipy turns to
+    an asymptotic formula; it needs numpy alone.
     """
     if alternative not in ("greater", "less"):
         raise ValidationError(f"alternative: need 'greater' or 'less', got {alternative!r}")

@@ -195,9 +195,12 @@ PATIENCE = 3     # improvement-free passes before the search stops
 
 def _random_rows(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
     """`rng.dirichlet(np.ones(n_out), size=n_in)`, with the same draws and
-    bits: a unit gamma draw is a standard exponential, and dirichlet scales
-    each row by the reciprocal of its sum taken left to right. So the sum is
-    sequential (`cumsum`); `np.add.reduce` sums pairwise from 8 columns on."""
+    bits and the generator left in the same state, without dirichlet's
+    per-call set-up: a unit gamma draw is a standard exponential, and
+    dirichlet scales each row by the reciprocal of its sum taken left to
+    right. So the sum is sequential (`cumsum`); `np.add.reduce` sums
+    pairwise and departs from dirichlet's bits at 8, 9, 12, 16 and 33 columns
+    (`tests/test_solvers.py::test_random_rows_are_the_dirichlet_draws`)."""
     e = rng.standard_exponential((n_in, n_out))
     return e * (1.0 / e.cumsum(1)[:, -1:])
 
@@ -235,7 +238,8 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     the kernel's `work` scratch arrays, and in one `held` cache keyed by the
     identity of their rows (see `mirror._held`) the kernel's channels and
     each Bob's last Boltzmann refresh (None included), which is recomputed
-    only when an accepted original step has replaced its rows. The start
+    only when an accepted original step has replaced its rows: at most Q
+    refreshes plus one per accepted original step. The start
     is scored on the same `work` and `held`, so its wide tables go into the
     solve's scratch arrays and the first slot calls reuse its channels.
     Every value is the one a fresh computation gives, so the search path is
@@ -246,7 +250,9 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     bounds, and takes its merit again. `merits` never falls as an (iii)
     entry grows (every operation in it is monotone, in floating point too),
     so a candidate that fails at the bounds fails at its exact values too,
-    and it gets no exposure tables.
+    and it gets no exposure tables
+    (`tests/test_solvers.py::TestGreedy::test_pruned_search_path_matches_full_kernel`,
+    `tests/test_mirror.py::TestExposureBound::test_walk_resolves_only_the_candidates_it_reaches`).
 
     `u` is not read: only the leakage feels the uncertainty, and the
     search tests its deterministic value. The parameter stays because

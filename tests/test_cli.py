@@ -65,6 +65,16 @@ class TestDeterminism:
         assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
 
 
+def _drop(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+# a small mfg grid with a live drift; its density integrates to 1
+SMALL_GRID = {"x_min": -1.0, "x_max": 1.0, "n_x": 11, "n_t": 4, "dt": 0.01, "sigma": 0.1,
+              "initial_density": [1 / 2.2] * 11, "mu_weight": [1.0] * 4,
+              "terminal_value": [0.1 * i for i in range(11)]}
+
+
 def courant_grid():
     """An mfg grid whose drift, about 6.7e297, breaks the upwind sweep's
     Courant bound; computing it overflows, so numpy warns on the way."""
@@ -190,6 +200,17 @@ class TestExitCodes:
         ("mfg", {"damping": 10 ** 400}, "damping"),
         ("mfg", {"tol": 10 ** 400}, "tol"),
         ("convergence-cdf", {"eps": [10 ** 400]}, "eps"),
+        # a derived key, given, must agree with the key that fixes it
+        ("divergence", {"accessible": [0, 1], "inaccessible": [3]}, "AccessMask"),
+        ("divergence", {"accessible": [0, 9]}, "AccessMask"),
+        ("convergence-cdf", {"instance": dict(REF_INSTANCE, virtual_alphabet=3)},
+         "MirrorGameInstance"),
+        ("mfg", {"grid": dict(SMALL_GRID, n_x=12)}, "MfgGrid"),
+        # left out, it is derived from a malformed key, which the class rejects
+        ("mfg", {"grid": dict(_drop(SMALL_GRID, "n_x"), initial_density=1.0)}, "MfgGrid"),
+        *[("convergence-cdf", {"instance": dict(_drop(REF_INSTANCE, "virtual_alphabet"),
+                                                symbol_values=rows)}, "MirrorGameInstance")
+          for rows in ([], [[], []], [0.0, 1.0], [[0.0, 1.0], [0.0, 1.0, 2.0]])],
     ])
     def test_bad_sweep_input_names_key(self, tmp_path, capsys, cmd, cfg, field):
         path = tmp_path / "cfg.json"
@@ -1179,3 +1200,38 @@ class TestSizeCaps:
                                      f"cells, above the cap of {cli.CELL_CAP}")
         assert peak < 2 ** 20
         assert not out.exists()
+
+    @pytest.mark.parametrize("reps", [10 ** 20, 2 ** 24 + 1], ids=["10**20", "2**24+1"])
+    def test_repetitions_past_cap_run_nothing(self, tmp_path, capsys, reps):
+        # 10**20 ran on without end: each repetition's rows are held until
+        # the write, and none was ever written
+        out = tmp_path / "o.csv"
+        rc = main(["plant", "--repetitions", str(reps), "--out", str(out)])
+        assert rc == 3
+        report = json.loads(capsys.readouterr().err.strip())
+        assert report["field"] == "repetitions"
+        assert report["message"] == (f"repetitions: the repetitions' rows would hold {reps} "
+                                     f"cells, above the cap of {cli.CELL_CAP}")
+        assert not out.exists()
+
+
+class TestDerivedKeys:
+    """A key that another key fixes may be left out: the run then writes
+    the bytes it writes with the agreeing value given."""
+
+    @pytest.mark.parametrize("cmd,given,omitted", [
+        ("convergence-cdf", {"n_seeds": 2, "budget": 3, "instance": REF_INSTANCE},
+         {"n_seeds": 2, "budget": 3, "instance": _drop(REF_INSTANCE, "virtual_alphabet")}),
+        ("mfg", {"grid": SMALL_GRID}, {"grid": _drop(SMALL_GRID, "n_x")}),
+        ("divergence", {"accessible": [0, 1], "inaccessible": [2, 3]}, {"accessible": [0, 1]}),
+        ("divergence", {"accessible": [0, 1], "inaccessible": [2, 3]}, {"inaccessible": [2, 3]}),
+        ("divergence", {"accessible": [3], "inaccessible": [0, 1, 2]}, {"accessible": [3]}),
+    ], ids=["virtual_alphabet", "n_x", "inaccessible", "accessible", "inaccessible_low"])
+    def test_omitted_key_gives_the_same_bytes(self, tmp_path, cmd, given, omitted):
+        runs = []
+        for name, cfg in (("given", given), ("omitted", omitted)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            runs.append(run_to_file(tmp_path, [cmd, "--config", str(path)], f"{name}.csv"))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]

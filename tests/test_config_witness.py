@@ -54,10 +54,6 @@ EXEMPT = {
     **{f"secrecy-gap instance.{key}": "secrecy-gap reads only the joints, gamma0 and "
        "symbol_values" for key in ("gamma1", "gamma2", "gamma3")},
     "mfg grid.n_x": "fixed by the length of initial_density; bench/workloads.py writes it",
-    "divergence accessible": "fixed by inaccessible, as the complement in the Z "
-                             "alphabet; bench/workloads.py writes it",
-    "divergence inaccessible": "fixed by accessible, as the complement in the Z "
-                               "alphabet; bench/workloads.py writes it",
 }
 
 _SMALL_CDF = {"n_seeds": 3, "budget": 8}
@@ -146,6 +142,9 @@ WITNESSES = {
     "plant a4": (_PLANT, [[0.7]]),
     "plant n": ({}, 5),
     "divergence joint": ({}, (np.ones((2, 3, 4, 2)) / 48).tolist()),
+    # either index list alone fixes the other as its complement
+    "divergence accessible": ({}, [0, 1]),
+    "divergence inaccessible": ({}, [0]),
     "divergence g1": ({}, 1.0),
     "divergence g2": ({}, 0.5),
 }

@@ -1,16 +1,19 @@
 """Byte identity of the CLI's CSV output: the sha256 of each subcommand's
 default CSV at `--seed 0`, of `mfg --repetitions 2`, and of configs whose
-tables the defaults do not reach. A change that moves any of them changes
+tables and paths the defaults do not reach. A change that moves any of them changes
 what a run writes, and must say why."""
 
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mirrorwyner import cli
 from mirrorwyner.cli import main
+
+from conftest import bench_module
 
 GOLDEN = {
     ("mi-tradeoff",): "21298267674eb9d4878a161c4e6f45fdd55abb6eec4be9fac54a0d5be5cb84a5",
@@ -75,6 +78,21 @@ GOLDEN_CONFIGS = {
                      for m in range(2)] for z in range(4)] for y in range(3)] for x in range(2)],
         "accessible": [0, 1], "inaccessible": [2, 3]}), 0):
         "5c5ef06a7689c2884ebfd7eee0bdd90066187595d73fbec08e00fcf1473d9a64",
+    # the Q=4 benchmark instance: blocked exposure stacks, resolved by the
+    # greedy walk; its run rows read 15, 16, 19 and 20 passes, one converged
+    ("convergence-cdf", json.dumps({
+        "instance": bench_module("workloads").wide_instance(np.random.default_rng(0)),
+        "n_seeds": 4, "budget": 20}), 0):
+        "dd471db74e03be1f83d0ab376acd546dec1c40ec54130db08c7853a999567146",
+    # a coupled field: mu_weight, terminal_value and running_cost set, so the
+    # drift is nonzero and differs between the guess and the solved value
+    ("mfg", json.dumps({"grid": {
+        "x_min": -2.0, "x_max": 2.0, "n_x": 41, "n_t": 40, "dt": 0.01, "sigma": 0.2,
+        "initial_density": [(21 - abs(i - 20)) / 44.1 for i in range(41)],
+        "mu_weight": [1 + k % 3 for k in range(40)],
+        "terminal_value": [-((i - 20) / 10) ** 2 for i in range(41)],
+        "running_cost": [abs(i - 20) / 20 for i in range(41)], "p_bar": 0.25}}), 0):
+        "f153691008d5a0413ba1591d3c3fe5aab0eee1d04eb6880fbba2337a5b20c0b8",
 }
 
 
