@@ -9,7 +9,9 @@ error JSON on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -598,11 +600,14 @@ def _run(args) -> int:
     runner, table = SUBCOMMANDS[args.subcommand]
     values = _parse(table, cfg)
     reps, header, status = [], None, 0
-    for rep in range(args.repetitions):
-        header, rows, code = runner(values, args.seed + rep)
-        status = max(status, code)
-        reps.append(rows)
+    # a runner's stderr lines are shown once the CSV is written, so a failed run reports one
+    with contextlib.redirect_stderr(io.StringIO()) as log:
+        for rep in range(args.repetitions):
+            header, rows, code = runner(values, args.seed + rep)
+            status = max(status, code)
+            reps.append(rows)
     _write(args.out, "rep," + header, reps)
+    sys.stderr.write(log.getvalue())
     return status
 
 

@@ -287,12 +287,11 @@ def _exposure_plan(rows: np.ndarray, tails):
     return lead, n_lead, i_last, max(1, EXPOSURE_BLOCK_CELLS // per_table)
 
 
-def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.ndarray:
+def _cross_mi(rows: np.ndarray, tails, work: dict, h_head) -> np.ndarray:
     """I(H; T_1, ..., T_k) in bits for variables conditionally independent
     given S, from the head's `_head_rows` (..., |H| + 1, |S|) and the tails'
     per-S channels P(T_j | s) (..., |S|, n_j); one value per broadcast
-    leading index. `h_head` is H(H) in nats if the caller has it; otherwise
-    it is computed from P(h) = sum_s P(s, h).
+    leading index. `h_head` is H(H) in nats, which every caller holds.
 
     A tail with the most leading axes goes last: in slot rescoring, the one
     tail with a candidate axis. The head's rows and the columns of every
@@ -318,8 +317,6 @@ def _cross_mi(rows: np.ndarray, tails, work: dict = None, h_head=None) -> np.nda
     plan = _exposure_plan(rows, tails)
     lead, n_lead, i_last, block = plan
     n_h = rows.shape[-2] - 1
-    if h_head is None:
-        h_head = _head_entropy(rows)
     if block < n_lead or not lead and block == 1 and work is not None:
         return _exposure_stack(rows, tails, plan, h_head, {} if work is None else work)()
     left = rows if len(tails) == 1 else _fold_head(rows, tails, i_last)
@@ -416,8 +413,7 @@ def _held(held: dict, key, make, *args):
 
 
 def _head_entropy(rows: np.ndarray):
-    """H(H) in nats of a `_head_rows` head, as `_cross_mi` computes it when
-    no `h_head` is given."""
+    """H(H) in nats of a `_head_rows` head, from P(h) = sum_s P(s, h)."""
     return -_xlnx_blocks(np.add.reduce(rows[..., :-1, :], -1)[..., None, :], 1)[..., 0]
 
 
@@ -757,22 +753,21 @@ def superposed_exposure(inst: MirrorGameInstance, q: int, orig, virt) -> np.ndar
     original, so the value falls as virtual power grows."""
     return _cross_mi(inst._x_rows[q],
                      [_sum_channel(inst, p, orig[p], virt[p])
-                      for p in range(inst.q_count) if p != q], h_head=inst.h_x[q])
+                      for p in range(inst.q_count) if p != q], None, inst.h_x[q])
 
 
-def reference_binary_instance(q_count: int = 2, gamma0: float = 0.3, gamma1: float = 1.0,
-                              gamma2: float = 0.1, gamma3: float = 1.5,
-                              virtual_alphabet: int = 2) -> MirrorGameInstance:
+def reference_binary_instance(q_count: int = 2, virtual_alphabet: int = 2) -> MirrorGameInstance:
     """Small instance used by the batch experiments: a uniform binary S seen
-    by every Bob through a binary symmetric channel of flip 0.15."""
+    by every Bob through a binary symmetric channel of flip 0.15, with
+    thresholds gamma0 = 0.3, gamma1 = 1.0, gamma2 = 0.1 and gamma3 = 1.5."""
     p_s = Pmf.bernoulli(0.5)
     bsc = PrivacyMapping.bsc(0.15)
     joint = JointPmf2(p_s.probs[:, None] * bsc.rows)
     return MirrorGameInstance(
         joints=tuple(joint for _ in range(q_count)),
-        gamma0=np.full(q_count, gamma0),
-        gamma1=np.full(q_count, gamma1),
-        gamma2=gamma2,
-        gamma3=gamma3,
+        gamma0=np.full(q_count, 0.3),
+        gamma1=np.full(q_count, 1.0),
+        gamma2=0.1,
+        gamma3=1.5,
         virtual_alphabet=virtual_alphabet,
     )

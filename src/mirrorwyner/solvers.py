@@ -1,6 +1,6 @@
 """The two optimization procedures: a greedy coordinate-ascent loop over twin
-assignments, and a dogleg trust-region method on a finite-difference model.
-"""
+assignments, and a dogleg trust-region method whose model takes the
+objective's gradient and differences it for the Hessian."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .errors import NumericError, ValidationError
 from .prob import PrivacyMapping
 
 RADIUS_EQ_TOL = 1e-12  # "step hit the boundary" test for radius expansion
+FD_STEP = 1e-5         # difference step of the trust-region model's Hessian
 
 
 @dataclass(frozen=True)
@@ -68,47 +69,29 @@ class SolveTrace:
 
 @dataclass
 class ObjectiveFn:
-    """Real-vector objective with optional analytic gradient; missing
-    derivatives fall back to central differences with step h."""
+    """Real-vector objective with its analytic gradient. The trust-region
+    model takes the gradient and differences it for the Hessian."""
 
     fn: Callable[[np.ndarray], float]
     dim: int
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h: float = 1e-5
+    grad: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.dim < 1 or self.h <= 0:
-            raise ValidationError("ObjectiveFn: dim >= 1 and h > 0 required")
+        if self.dim < 1:
+            raise ValidationError("ObjectiveFn: dim >= 1 required")
 
     def value(self, x: np.ndarray) -> float:
         return float(self.fn(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        g = np.zeros(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = self.h
-            g[i] = (self.fn(x + e) - self.fn(x - e)) / (2 * self.h)
-        return g
+        return np.asarray(self.grad(x), dtype=float)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        n, h = self.dim, self.h
-        hess = np.zeros((n, n))
-        f0 = self.fn(x)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            hess[i, i] = (self.fn(x + ei) - 2 * f0 + self.fn(x - ei)) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    self.fn(x + ei + ej) - self.fn(x + ei - ej)
-                    - self.fn(x - ei + ej) + self.fn(x - ei - ej)
-                ) / (4 * h**2)
-        return hess
+        """Central differences of the gradient with step FD_STEP, made
+        symmetric: 2 dim gradient calls and no objective call."""
+        cols = np.array([self.gradient(x + e) - self.gradient(x - e)
+                         for e in np.eye(self.dim) * FD_STEP]) / (2 * FD_STEP)
+        return (cols + cols.T) / 2
 
 
 def _dogleg_step(g: np.ndarray, hess: np.ndarray, delta: float) -> np.ndarray:

@@ -671,6 +671,20 @@ class TestFailureStderr:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
+    def test_failed_write_reports_only_the_error(self, tmp_path, capsys):
+        # mfg's status line is held back until the CSV is written
+        out = tmp_path / "missing" / "o.csv"
+        assert main(["mfg", "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["field"] == "out"
+
+    def test_finished_run_keeps_its_status_lines(self, capsys):
+        assert main(["mfg", "--repetitions", "2", "--out", os.devnull]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [set(json.loads(line)) for line in lines] == \
+            [{"converged", "sweeps", "final_residual"}] * 2
+
     def test_warnings_of_a_finished_run_are_kept(self, monkeypatch):
         def runner(values, seed):
             warnings.warn("kept", RuntimeWarning)

@@ -52,7 +52,7 @@ BASES = {
     "plant": {"a1": [[0.5, 0.1], [0.0, 0.3]], "a2": [[1.0], [0.0]], "a3": [[1.0, 1.0]],
               "a4": [[0.1]]},
     "divergence": {"joint": (np.ones((2, 3, 4, 2)) / 48).tolist(),
-                   "accessible": [0, 1], "inaccessible": [3], "g1": 0.0, "g2": 1.0},
+                   "accessible": [0, 1], "inaccessible": [2, 3], "g1": 0.0, "g2": 1.0},
 }
 NESTED = {"instance": (cli.INSTANCE_KEYS, mirror.reference_binary_instance().to_jsonable()),
           "grid": (cli.GRID_KEYS, _grid())}
@@ -131,11 +131,9 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.mark.parametrize("cmd", list(cli.SUBCOMMANDS))
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_config_contract(workdir, cmd, data):
-    cfg = data.draw(configs(cmd), label="config")
+def run(workdir, cmd, cfg):
+    """`cli.main` on `cfg` with `--out` in `workdir`: the exit code, the
+    stderr text and the output path."""
     path, out = workdir / "cfg.json", workdir / "out.csv"
     path.write_text(json.dumps(cfg))
     if out.exists():
@@ -145,10 +143,24 @@ def test_config_contract(workdir, cmd, data):
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rc = cli.main([cmd, "--config", str(path), "--out", str(out)])
+    return rc, err.getvalue(), out
+
+
+@pytest.mark.parametrize("cmd", list(cli.SUBCOMMANDS))
+def test_every_base_is_a_valid_config(workdir, cmd):
+    rc, err, _ = run(workdir, cmd, {**SMALL.get(cmd, {}), **BASES[cmd]})
+    assert rc in (0, 1), err
+
+
+@pytest.mark.parametrize("cmd", list(cli.SUBCOMMANDS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_config_contract(workdir, cmd, data):
+    rc, err, out = run(workdir, cmd, data.draw(configs(cmd), label="config"))
     assert rc in (0, 1, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if rc in (3, 4):
-        lines = err.getvalue().splitlines()
+        lines = err.splitlines()
         assert len(lines) == 1
         report = json.loads(lines[0])
         assert set(report) == {"error", "field", "message"}

@@ -350,7 +350,9 @@ def cross_mi_ratio(p_s, head, tails):
 
 
 def cross_mi(p_s, head, tails, work=None, h_head=None):
-    return mirror._cross_mi(mirror._head_rows(p_s, head), tails, work, h_head)
+    rows = mirror._head_rows(p_s, head)
+    return mirror._cross_mi(rows, tails, work,
+                            mirror._head_entropy(rows) if h_head is None else h_head)
 
 
 def bob_channels(inst, q, rng, lead=(), n_out=None, zeros=False):

@@ -3,12 +3,14 @@ is named somewhere outside its own definition: elsewhere in src/, in the
 acceptance suite or in the benchmark tracer's FUNCTIONS. A definition
 that only its own unit tests name reaches no run, and this check lists it.
 
-The check is static and by name alone (a word-boundary match, comments and
-docstrings included), so it stays fast and needs no run of the program."""
+The check is static and by name alone, so it stays fast and needs no run of
+the program. Only code names a definition: a name, an attribute, an import
+or a keyword argument. A docstring, comment or string that cites it does
+not."""
 
 import ast
+import collections
 import os
-import re
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -31,7 +33,7 @@ def tracer_names():
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "FUNCTIONS" for t in node.targets):
-            return " ".join(attr for _, _, attr in ast.literal_eval(node.value))
+            return {attr for _, _, attr in ast.literal_eval(node.value)}
     raise AssertionError("bench/tracer.py defines no FUNCTIONS")
 
 
@@ -59,26 +61,48 @@ def definitions(tree, prefix=""):
         yield from definitions(node, prefix)
 
 
-def unreached(sources, others):
+def uses(tree):
+    """Name -> the lines where code in `tree` uses it: as an `ast.Name`, an
+    attribute, an imported name or its alias, or a keyword argument."""
+    found = collections.defaultdict(list)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".") + [node.asname]
+        elif isinstance(node, ast.keyword):
+            names = [node.arg]
+        else:
+            continue
+        for name in filter(None, names):
+            found[name].append(node.end_lineno)
+    return found
+
+
+def unreached(sources, others, names=frozenset()):
     """The qualified names of the definitions in `sources` (module name ->
-    text) that no text names outside their own lines: not the rest of their
-    module, another module, nor any of the `others` texts."""
+    code) that no code uses outside their own lines: not the rest of their
+    module, another module, nor any of the `others` codes. A name in
+    `names` counts as used."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = {module: uses(tree) for module, tree in trees.items()}
+    elsewhere = set(names).union(*(uses(ast.parse(text)) for text in others))
     missing = []
-    for module, text in sources.items():
-        lines = text.splitlines()
-        for qualname, name, first, last in definitions(ast.parse(text)):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            outside = "\n".join(lines[:first - 1] + lines[last:])
-            texts = [outside] + [t for m, t in sources.items() if m != module] + others
-            if not any(word.search(t) for t in texts):
+    for module, tree in trees.items():
+        for qualname, name, first, last in definitions(tree):
+            if not (name in elsewhere
+                    or any(name in u for m, u in used.items() if m != module)
+                    or any(not first <= line <= last for line in used[module][name])):
                 missing.append(f"{module}.{qualname}")
     return missing
 
 
 def test_every_definition_is_named_outside_itself():
     sources = {os.path.basename(p)[:-3]: _read(p) for p in _py_files("src", "mirrorwyner")}
-    others = [_read(os.path.join(ROOT, "tests", "test_acceptance.py")), tracer_names()]
-    assert unreached(sources, others) == []
+    others = [_read(os.path.join(ROOT, "tests", "test_acceptance.py"))]
+    assert unreached(sources, others, tracer_names()) == []
 
 
 def test_a_name_used_only_inside_its_own_definition_is_flagged():
@@ -91,3 +115,13 @@ def test_a_name_used_only_inside_its_own_definition_is_flagged():
     # does not count as naming it
     assert unreached(sources, []) == ["a.walk", "a.Box.open", "a.LIMIT", "a._ROWS"]
     assert unreached(sources, ["Box().open()", "walk", "LIMIT", "_ROWS"]) == []
+
+
+def test_a_name_cited_only_in_prose_is_flagged():
+    sources = {"a": 'def cited():\n    return 1\n\n\n'
+                    'def user():\n    """Leans on `a.cited`."""\n'
+                    '    # cited() would do\n    return "cited"\n'}
+    assert unreached(sources, ["user()"]) == ["a.cited"]
+    assert unreached(sources, ["user()"], {"cited"}) == []
+    assert unreached(sources, ["user(key=1)"]) == ["a.cited"]
+    assert unreached(sources, ["user(cited=1)"]) == []

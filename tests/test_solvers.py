@@ -1,5 +1,6 @@
 """Trust-region solver and greedy twin-search tests."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -67,12 +68,6 @@ class TestTrustRegion:
         assert np.linalg.norm(rosenbrock_grad(x)) < 1e-6
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-4)
 
-    def test_rosenbrock_numeric_derivatives(self):
-        cfg = TrustRegionConfig(max_iter=500, eps_th=1e-6)
-        f = ObjectiveFn(rosenbrock, dim=2)
-        x, trace = trust_region_solve(f, np.array([-1.2, 1.0]), cfg)
-        assert np.linalg.norm(rosenbrock_grad(x)) < 1e-5
-
     def test_radius_law_on_rosenbrock(self):
         cfg = TrustRegionConfig(max_iter=500, eps_th=1e-6)
         f = ObjectiveFn(rosenbrock, dim=2, grad=rosenbrock_grad)
@@ -90,21 +85,50 @@ class TestTrustRegion:
         def fn(x):
             return float(np.sum((a @ x) ** 2) + np.sum(x ** 4) + b @ x)
 
+        def grad(x):
+            return 2 * a.T @ (a @ x) + 4 * x ** 3 + b
+
         cfg = TrustRegionConfig(max_iter=200)
-        _, trace = trust_region_solve(ObjectiveFn(fn, dim=3),
+        _, trace = trust_region_solve(ObjectiveFn(fn, dim=3, grad=grad),
                                       rng.normal(size=3), cfg)
         check_radius_law(trace, cfg)
 
     def test_gradient_hessian_fd_accuracy(self):
-        f = ObjectiveFn(rosenbrock, dim=2)
+        f = ObjectiveFn(rosenbrock, dim=2, grad=rosenbrock_grad)
         x = np.array([0.4, -0.3])
-        np.testing.assert_allclose(f.gradient(x), rosenbrock_grad(x),
-                                   atol=1e-6, rtol=1e-6)
         hess_exact = np.array([
             [2 - 400 * x[1] + 1200 * x[0] ** 2, -400 * x[0]],
             [-400 * x[0], 200.0],
         ])
         np.testing.assert_allclose(f.hessian(x), hess_exact, atol=1e-3, rtol=1e-5)
+
+    def test_hessian_differences_the_gradient_only(self):
+        calls = {"fn": 0, "grad": 0}
+
+        def fn(x):
+            calls["fn"] += 1
+            return float(np.sum(x ** 4))
+
+        def grad(x):
+            calls["grad"] += 1
+            return 4 * x ** 3
+
+        for dim in (2, 5):
+            calls.update(fn=0, grad=0)
+            f = ObjectiveFn(fn, dim=dim, grad=grad)
+            assert f.hessian(np.linspace(-1, 1, dim)).shape == (dim, dim)
+            assert calls == {"fn": 0, "grad": 2 * dim}
+
+    @pytest.mark.parametrize("x", [(0.4, -0.3), (-1.2, 1.0), (1.0, 1.0)])
+    def test_rosenbrock_hessian_is_symmetric_and_near_exact(self, x):
+        x = np.array(x)
+        hess = ObjectiveFn(rosenbrock, dim=2, grad=rosenbrock_grad).hessian(x)
+        hess_exact = np.array([
+            [2 - 400 * x[1] + 1200 * x[0] ** 2, -400 * x[0]],
+            [-400 * x[0], 200.0],
+        ])
+        assert np.array_equal(hess, hess.T)
+        np.testing.assert_allclose(hess, hess_exact, rtol=0, atol=1e-6)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -211,8 +235,8 @@ def test_search_path_matches_pins(name, relaxed):
 
 class TestGreedy:
     def vacuous_instance(self):
-        return mirror.reference_binary_instance(
-            gamma0=10.0, gamma1=10.0, gamma2=0.0, gamma3=10.0)
+        return dataclasses.replace(mirror.reference_binary_instance(),
+                                   gamma0=10.0, gamma1=10.0, gamma2=0.0, gamma3=10.0)
 
     def test_budget_one_vacuous_converges_immediately(self):
         inst = self.vacuous_instance()
