@@ -228,6 +228,9 @@ def run_convergence_cdf(c, seed):
                 ("unrelaxed", dict(relaxed=False, eps=eps))]
     if c["mode"] == "three":
         variants.append(("relaxed_tight", dict(relaxed=True, eps=tuple(e / 10 for e in eps))))
+    for _, kw in variants:   # the floors a relaxed solve will use, checked before any solve
+        if kw["relaxed"]:
+            mirror.epsilon_floor(mirror.assemble_p1(c["instance"]), kw["eps"])
     # one run row per seed and variant, capped before a seed is derived
     n_seeds = len(seeds) if seeds else n_seeds or 40
     _cap_cells("the run rows", {"n_seeds": n_seeds, "variants": len(variants)})
@@ -322,7 +325,7 @@ def run_secrecy_gap(c, seed):
                                           [grid] * inst.q_count)
     gap = mirror._utility(p_x.probs, ident) - exposure
     power = mirror._virtual_power(p_x.probs, grid, inst.symbol_values[q])
-    constraints = mirror.ConstraintSet.build(inst)
+    constraints = mirror.assemble_p1(inst)
     rows = []
     for mag in c["b_magnitudes"]:
         # leakage chance under the identity original, per panel
@@ -549,7 +552,7 @@ SUBCOMMANDS = {
     "convergence-cdf": (run_convergence_cdf, {
         "instance": _INSTANCE, "n_seeds": (_int(1), None), "budget": (_int(1), 60),
         "b_magnitude": (_UNIT, 0.5), "seeds": (_seeds, None),
-        "eps": (_list(_number), solvers.DEFAULT_EPS),  # ConstraintSet.build checks the floors
+        "eps": (_list(_number), solvers.DEFAULT_EPS),  # mirror.epsilon_floor checks the floors
         "mode": (_choice("two", "three"), "two")}),
     "mfg": (run_mfg, {
         "grid": (_object(GRID_KEYS, _mfg_grid), _default_mfg_payload()),

@@ -13,7 +13,8 @@ and the product of the other Bobs' per-S channels.
 Inputs are validated once, by the `PrivacyMapping`, `JointPmf2` and
 `MirrorGameInstance` constructors; the kernels below work on raw rows. Each
 relaxation-chain step has one implementation, which the solver and the
-sweeps call by its public name.
+sweeps call by its public name. The chain is the one source of the bounds:
+`assemble_p1` and `epsilon_floor` build every `ConstraintSet`.
 
 On the hot path (the kernel and its helpers, `prob._mi`, the Boltzmann
 refresh, the greedy solver's candidate draws and merit) sums and minima
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -561,39 +562,12 @@ _STRICT_LOWER = np.array([False] * 4 + [True] * 2 + [False])
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Bounds of conditions (i)-(vii) per (Bob, condition). Every entry has
-    one bound; the other side is open (-inf or +inf).
-
-    Without eps floors, (v) and (vi) must exceed NULL_TOL and (vii) stay at
-    most NULL_TOL. With floors (eps1, eps2, eps3), (v) and (vi) must exceed
-    eps1 and eps2, and (vii) must be at least eps3.
-    """
+    """Bounds of conditions (i)-(vii) per (Bob, condition), as built by the
+    relaxation chain (`assemble_p1`, `epsilon_floor`). Every entry has one
+    bound; the other side is open (-inf or +inf)."""
 
     lo: np.ndarray   # (Q, 7) lower bounds
     hi: np.ndarray   # (Q, 7) upper bounds
-
-    @classmethod
-    def build(cls, inst: MirrorGameInstance, gamma2: float = None, eps=None
-              ) -> "ConstraintSet":
-        """Bounds from the instance thresholds, the utility floor (the
-        instance's gamma2 by default) and the eps floors, if any: three
-        positive reals."""
-        if eps is not None:
-            eps = np.asarray(eps, dtype=float)
-            if eps.shape != (3,) or not np.all(eps > 0):
-                raise ValidationError(f"eps: need three positive floors, got {eps.tolist()}")
-        lo = np.full((inst.q_count, 7), -np.inf)
-        hi = np.full((inst.q_count, 7), np.inf)
-        lo[:, 0] = inst.gamma2 if gamma2 is None else gamma2
-        hi[:, 1] = inst.gamma0
-        hi[:, 2] = inst.gamma3
-        hi[:, 3] = inst.gamma1
-        if eps is None:
-            lo[:, 4:6] = NULL_TOL
-            hi[:, 6] = NULL_TOL
-        else:
-            lo[:, 4:7] = eps   # (vii) flips from I = 0 to I >= eps3
-        return cls(lo, hi)
 
     def violations(self, vals: np.ndarray) -> np.ndarray:
         """How far each value lies outside its bound, (Q, 7); zero inside.
@@ -615,23 +589,25 @@ class ConstraintSet:
         above = np.where(_STRICT_LOWER[i], vals > lo, vals >= lo)
         return above & (vals <= hi)
 
-
-@dataclass(frozen=True)
-class OptimizationProblem:
-    """One step of the relaxation chain: minimize the mean exposure (iii)
-    subject to the conditions' bounds. In the base problem P1 every bound
-    comes from the instance thresholds."""
-
-    instance: MirrorGameInstance
-    constraints: ConstraintSet
-
     def constraint_holds(self, vals: np.ndarray, q: int, i: int) -> bool:
         """Constraint i for Bob q on precomputed (Q, 7) values."""
-        return bool(self.constraints.holds(vals[q, i], q, i))
+        return bool(self.holds(vals[q, i], q, i))
 
 
-def assemble_p1(inst: MirrorGameInstance) -> OptimizationProblem:
-    return OptimizationProblem(inst, ConstraintSet.build(inst))
+def assemble_p1(inst: MirrorGameInstance, gamma2: float = None) -> ConstraintSet:
+    """The base problem P1: minimize the mean exposure (iii) subject to the
+    instance thresholds on (i)-(iv), with (v) and (vi) above NULL_TOL and
+    (vii) at most NULL_TOL. `gamma2` replaces the instance's utility floor
+    (i); the relaxed solve passes its bottleneck floor here."""
+    lo = np.full((inst.q_count, 7), -np.inf)
+    hi = np.full((inst.q_count, 7), np.inf)
+    lo[:, 0] = inst.gamma2 if gamma2 is None else gamma2
+    hi[:, 1] = inst.gamma0
+    hi[:, 2] = inst.gamma3
+    hi[:, 3] = inst.gamma1
+    lo[:, 4:6] = NULL_TOL
+    hi[:, 6] = NULL_TOL
+    return ConstraintSet(lo, hi)
 
 
 def perturb_posterior(posterior: np.ndarray, magnitude: float,
@@ -669,7 +645,7 @@ def sample_leakage(inst: MirrorGameInstance, q: int, o: np.ndarray, magnitude: f
     return prob._mi(np.swapaxes(p_y[:, None] * post, -1, -2))
 
 
-def chance_relax(p1: OptimizationProblem, u: UncertaintyModel) -> OptimizationProblem:
+def chance_relax(p1: ConstraintSet, u: UncertaintyModel) -> ConstraintSet:
     """The chance-constrained form of p1: each constraint must hold with
     probability at least theta_i under the uncertainty u. Only the leakage
     (ii) feels the uncertainty, through the perturbed posterior, and
@@ -679,13 +655,21 @@ def chance_relax(p1: OptimizationProblem, u: UncertaintyModel) -> OptimizationPr
     return p1
 
 
-def epsilon_floor(p: OptimizationProblem, eps) -> OptimizationProblem:
-    """Replace the strict/equality constraints (v)-(vii) with eps floors.
+def epsilon_floor(p: ConstraintSet, eps) -> ConstraintSet:
+    """Replace the strict/equality constraints (v)-(vii) of `p` with the eps
+    floors (eps1, eps2, eps3), three positive reals; every other bound of
+    `p` is kept.
 
     (v) and (vi) tighten monotonically (I > eps implies I > 0). For (vii) the
     relaxed form flips the equality I = 0 into I >= eps3.
     """
-    return replace(p, constraints=ConstraintSet.build(p.instance, eps=eps))
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != (3,) or not np.all(eps > 0):
+        raise ValidationError(f"eps: need three positive floors, got {eps.tolist()}")
+    lo, hi = p.lo.copy(), p.hi.copy()
+    lo[:, 4:7] = eps
+    hi[:, 6] = np.inf
+    return ConstraintSet(lo, hi)
 
 
 def boltzmann_posterior(p_x: np.ndarray, s_given_x: np.ndarray, s_given_y: np.ndarray,

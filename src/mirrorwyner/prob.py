@@ -73,10 +73,6 @@ class JointPmf2:
             raise ValidationError("JointPmf2: table must be 2-D")
         _check_table(self.table, "JointPmf2")
 
-    @property
-    def shape(self):
-        return self.table.shape
-
     def marginal_a(self) -> Pmf:
         return Pmf(self.table.sum(axis=1))
 
@@ -177,7 +173,7 @@ def mutual_information(j: JointPmf2) -> float:
 
 def markov_compose(p_sx: JointPmf2, mapping: PrivacyMapping) -> JointPmf3:
     """Joint P(s, x, y) = P(s, x) P(y|x): the chain S -> X -> Y."""
-    if mapping.input_size != p_sx.shape[1]:
+    if mapping.input_size != p_sx.table.shape[1]:
         raise ValidationError("markov_compose: mapping input alphabet mismatch")
     table = p_sx.table[:, :, None] * mapping.rows[None, :, :]
     return JointPmf3(table)

@@ -209,10 +209,12 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     Boltzmann-posterior self-consistent update, then adjust the virtual
     mapping toward feasibility; accept a step only when the merit improves.
 
-    With relaxed=True the feasibility tests use the eps floors (including the
-    flipped null condition) and the bottleneck pair search shortcut for the
-    utility floor. Stops on feasibility with no further improvement, on a run
-    of PATIENCE improvement-free passes, or at the budget. The trace holds
+    The bounds come from the relaxation chain alone: `mirror.assemble_p1`,
+    and with relaxed=True `mirror.epsilon_floor` on top of it, so the
+    feasibility tests use the eps floors (including the flipped null
+    condition) and the bottleneck pair search shortcut for the utility
+    floor. Stops on feasibility with no further improvement, on a run of
+    PATIENCE improvement-free passes, or at the budget. The trace holds
     one GreedyPass per outer pass.
 
     The search holds each Bob's rows as plain arrays; mappings are validated
@@ -252,11 +254,11 @@ def greedy_solve(inst: mirror.MirrorGameInstance, u: mirror.UncertaintyModel,
     work = {}   # the exposure kernel's scratch arrays, kept for this solve only
     held = {}   # what the solve derives from unchanged rows, kept for this solve only
     vals = mirror.condition_values(inst, asg, work, held)
-    gamma2_eff = inst.gamma2
     if relaxed:
         gamma2_eff = min(inst.gamma2, mirror.bottleneck_pair_search(inst, orig[0]))
-    constraints = mirror.ConstraintSet.build(inst, gamma2=gamma2_eff,
-                                             eps=eps if relaxed else None)
+        constraints = mirror.epsilon_floor(mirror.assemble_p1(inst, gamma2_eff), eps)
+    else:
+        constraints = mirror.assemble_p1(inst)
 
     def merits(vals: np.ndarray) -> np.ndarray:
         """Minimization merit of each (..., Q, 7) value table: mean exposure

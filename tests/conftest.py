@@ -12,6 +12,11 @@ from mirrorwyner import cli
 from mirrorwyner.prob import JointPmf2, JointPmf3, Pmf
 
 
+# the subcommand of each configs/ file, by the start of its name
+CONFIG_SUBCOMMANDS = {"convergence": "convergence-cdf", "mfg": "mfg",
+                      "secrecy_gap": "secrecy-gap", "tradeoff": "mi-tradeoff"}
+
+
 def _normalize(values):
     arr = np.asarray(values, dtype=float)
     return arr / arr.sum()

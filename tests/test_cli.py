@@ -23,7 +23,7 @@ from mirrorwyner import nonstationary as ns
 from mirrorwyner.cli import main
 from mirrorwyner.errors import ValidationError
 
-from conftest import bench_module, cli_env
+from conftest import CONFIG_SUBCOMMANDS, bench_module, cli_env
 
 
 REF_INSTANCE = mirror.reference_binary_instance().to_jsonable()
@@ -442,6 +442,26 @@ class TestExitCodes:
             "error": "FloatingPointError", "field": "convergence-cdf", "message": "overflow"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg,floors", [
+        # mode three's eps / 10 underflows to 0 in the first floor
+        ({"eps": [5e-324, 0.01, 0.01], "mode": "three", "n_seeds": 20}, [0.0, 0.001, 0.001]),
+        ({"eps": [0, 0.01, 0.01]}, [0.0, 0.01, 0.01]),
+    ], ids=["underflowing_tight_floors", "zero_floor"])
+    def test_floors_checked_before_any_solve(self, tmp_path, capsys, monkeypatch, cfg,
+                                             floors):
+        calls = []
+        monkeypatch.setattr(solvers, "greedy_solve", lambda *a, **kw: calls.append(kw))
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["convergence-cdf", "--config", str(path), "--out", str(out)]) == 3
+        assert calls == []
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "ValidationError", "field": "eps",
+            "message": f"eps: need three positive floors, got {floors}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [
         # sigma^2 dt / dx^2 = 0.01 * 1 / 0.01 = 1 > 0.5
         {"x_min": -1, "x_max": 1, "n_x": 21, "n_t": 5, "dt": 1.0, "sigma": 0.1,
@@ -719,8 +739,6 @@ def test_convergence_cdf_run_leaves_scipy_unloaded(tmp_path):
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-CONFIG_SUBCOMMANDS = {"convergence": "convergence-cdf", "mfg": "mfg",
-                      "secrecy_gap": "secrecy-gap", "tradeoff": "mi-tradeoff"}
 HEADERS = {
     "convergence-cdf": "rep,record,variant,value,col_a,col_b,col_c,tag",
     "mfg": "rep,k,x,J,P_df",

@@ -84,6 +84,10 @@ GOLDEN_CONFIGS = {
         "instance": bench_module("workloads").wide_instance(np.random.default_rng(0)),
         "n_seeds": 4, "budget": 20}), 0):
         "dd471db74e03be1f83d0ab376acd546dec1c40ec54130db08c7853a999567146",
+    # seeds given out of order rather than derived from --seed: the run rows
+    # sort them
+    ("convergence-cdf", '{"seeds": [7, 3, 11], "budget": 10}', 0):
+        "f43352d0d9ddeb3e36a6ee24a999014d34328f0af9093397481c4ff0d3b85ffe",
     # a coupled field: mu_weight, terminal_value and running_cost set, so the
     # drift is nonzero and differs between the guess and the solved value
     ("mfg", json.dumps({"grid": {
@@ -96,14 +100,22 @@ GOLDEN_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("case", list(GOLDEN_CONFIGS), ids=lambda c: f"{c[0]} {c[1]} {c[2]}")
-def test_config_csv_bytes(tmp_path, case):
+def config_argv(directory, case, name="c"):
+    """The CLI arguments of a GOLDEN_CONFIGS case, `--out` aside. A JSON
+    object config is written to `directory`/`name`.json; a file name is
+    found under configs/."""
     sub, cfg, seed = case
     if cfg.startswith("{"):
-        path = tmp_path / "c.json"
-        path.write_text(cfg)
+        path = os.path.join(directory, f"{name}.json")
+        with open(path, "w") as fh:
+            fh.write(cfg)
     else:
         path = os.path.join(CONFIGS, cfg)
+    return [sub, "--config", str(path), "--seed", str(seed)]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CONFIGS), ids=lambda c: f"{c[0]} {c[1]} {c[2]}")
+def test_config_csv_bytes(tmp_path, case):
     out = tmp_path / "o.csv"
-    assert main([sub, "--config", str(path), "--seed", str(seed), "--out", str(out)]) == 0
+    assert main([*config_argv(tmp_path, case), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CONFIGS[case]

@@ -799,6 +799,45 @@ class TestRelaxationChain:
                         if floored.constraint_holds(vals, q, i):
                             assert ccp.constraint_holds(vals, q, i)
 
+    def test_floors_keep_every_other_bound(self):
+        # a lowered utility floor and every bound outside (v)-(vii) survive
+        # the floors byte for byte, and P1 is left as it was
+        p1 = mirror.assemble_p1(random_instance(3, q_count=3), 0.05)
+        before = p1.lo.tobytes() + p1.hi.tobytes()
+        floored = mirror.epsilon_floor(p1, (0.01, 0.02, 0.03))
+        assert np.all(floored.lo[:, 0] == 0.05)
+        for side in ("lo", "hi"):
+            assert getattr(floored, side)[:, :4].tobytes() == getattr(p1, side)[:, :4].tobytes()
+        assert floored.lo[:, 4:7].tolist() == [[0.01, 0.02, 0.03]] * 3
+        assert p1.lo.tobytes() + p1.hi.tobytes() == before
+
+    @pytest.mark.parametrize("name", ["reference", "q3"])
+    def test_tables_match_hand_written_bounds(self, name):
+        tol, inf = mirror.NULL_TOL, np.inf
+        if name == "reference":
+            inst = mirror.reference_binary_instance()
+            g0, g1 = [0.3, 0.3], [1.0, 1.0]
+        else:
+            g0, g1 = [0.3, 0.25, 0.2], [1.0, 2.0, 0.5]
+            inst = MirrorGameInstance(joints=mirror.reference_binary_instance(3).joints,
+                                      gamma0=g0, gamma1=g1, gamma2=0.1, gamma3=1.5)
+        p1 = mirror.assemble_p1(inst)
+        floored = mirror.epsilon_floor(p1, (0.01, 0.02, 0.03))
+        assert p1.lo.tolist() == [[0.1, -inf, -inf, -inf, tol, tol, -inf]] * len(g0)
+        assert p1.hi.tolist() == [[inf, a, 1.5, b, inf, inf, tol] for a, b in zip(g0, g1)]
+        assert floored.lo.tolist() == [[0.1, -inf, -inf, -inf, 0.01, 0.02, 0.03]] * len(g0)
+        assert floored.hi.tolist() == [[inf, a, 1.5, b, inf, inf, inf]
+                                       for a, b in zip(g0, g1)]
+
+    @pytest.mark.parametrize("relaxed,calls", [(True, 1), (False, 0)])
+    def test_greedy_floors_only_a_relaxed_solve(self, monkeypatch, relaxed, calls):
+        floor, seen = mirror.epsilon_floor, []
+        monkeypatch.setattr(mirror, "epsilon_floor",
+                            lambda p, eps: seen.append(eps) or floor(p, eps))
+        solvers.greedy_solve(mirror.reference_binary_instance(), UncertaintyModel(0.5),
+                             relaxed=relaxed, budget=2, seed=0, eps=(0.01, 0.02, 0.03))
+        assert seen == [(0.01, 0.02, 0.03)] * calls
+
 
 CS_INST = MirrorGameInstance(
     joints=mirror.reference_binary_instance().joints, gamma0=[0.3, 0.25],
@@ -817,6 +856,13 @@ def constraint_edges():
     gammas = [CS_INST.gamma2, CS_GAMMA2_EFF, CS_INST.gamma3, *CS_INST.gamma0, *CS_INST.gamma1]
     bases = [0.0, tol, *CS_EPS] + [g + d for g in gammas for d in (-tol, 0.0, tol)]
     return [float(np.nextafter(b, to)) for b in bases for to in (-np.inf, b, np.inf)]
+
+
+def chain_bounds(inst, gamma2, eps):
+    """The bounds a solve builds: P1 at the utility floor gamma2 (the
+    instance's when None), floored when eps is given."""
+    cs = mirror.assemble_p1(inst, gamma2)
+    return cs if eps is None else mirror.epsilon_floor(cs, eps)
 
 
 class TestConstraintSet:
@@ -864,7 +910,7 @@ class TestConstraintSet:
     def check(self, vals, eps, reading, gamma2):
         inst = CS_INST
         g2 = inst.gamma2 if gamma2 is None else gamma2
-        cs = mirror.ConstraintSet.build(inst, gamma2=gamma2, eps=eps)
+        cs = chain_bounds(inst, gamma2, eps)
         expected = self.literal_passes(inst, vals, g2, eps, reading)
         np.testing.assert_array_equal(cs.holds(vals), expected)
         for q in range(2):
@@ -911,7 +957,7 @@ class TestConstraintSet:
         # NaN included, because every entry has exactly one finite bound.
         # Zero thresholds put -0.0 values on a +0.0 bound too.
         for inst in (CS_INST, CS_ZERO_INST):
-            cs = mirror.ConstraintSet.build(inst, gamma2=gamma2, eps=mode[0])
+            cs = chain_bounds(inst, gamma2, mode[0])
             cells = constraint_edges() + [0.0, -0.0, 5e-324, -5e-324, 2.5, -1.0, np.nan,
                                           np.inf, -np.inf]
             bounds = np.where(np.isfinite(cs.lo), cs.lo, cs.hi)

@@ -183,7 +183,7 @@ class TestMarkovCompose:
     @settings(max_examples=60)
     def test_data_processing(self, j_sx, seed):
         rng = np.random.default_rng(seed)
-        mapping = PrivacyMapping(rng.dirichlet(np.ones(3), size=j_sx.shape[1]))
+        mapping = PrivacyMapping(rng.dirichlet(np.ones(3), size=j_sx.table.shape[1]))
         j3 = prob.markov_compose(j_sx, mapping)
         i_sx = prob.mutual_information(j_sx)
         i_sy = prob.mutual_information(j3.margin_ac())

@@ -162,8 +162,9 @@ def full_kernel_greedy(inst, relaxed, budget, seed, eps=solvers.DEFAULT_EPS):
     gamma2_eff = inst.gamma2
     if relaxed:
         gamma2_eff = min(inst.gamma2, mirror.bottleneck_pair_search(inst, orig[0]))
-    constraints = mirror.ConstraintSet.build(inst, gamma2=gamma2_eff,
-                                             eps=eps if relaxed else None)
+    constraints = mirror.assemble_p1(inst, gamma2_eff)
+    if relaxed:
+        constraints = mirror.epsilon_floor(constraints, eps)
 
     def merit(vals):
         return float(vals[:, 2].mean() + solvers.LAMBDA * constraints.violations(vals).sum())
