@@ -228,9 +228,17 @@ def run_convergence_cdf(c, seed):
                 ("unrelaxed", dict(relaxed=False, eps=eps))]
     if c["mode"] == "three":
         variants.append(("relaxed_tight", dict(relaxed=True, eps=tuple(e / 10 for e in eps))))
-    for _, kw in variants:   # the floors a relaxed solve will use, checked before any solve
-        if kw["relaxed"]:
+    for name, kw in variants:   # the floors a relaxed solve will use, checked before any solve
+        if not kw["relaxed"]:
+            continue
+        try:
             mirror.epsilon_floor(mirror.assemble_p1(c["instance"]), kw["eps"])
+        except ValidationError:
+            if name == "relaxed":   # the floors as given
+                raise
+            raise ValidationError(   # eps passed, so its tenth underflowed
+                f"eps: mode three's relaxed_tight floors eps / 10 must be positive, got "
+                f"{list(kw['eps'])} from eps {list(eps)}") from None
     # one run row per seed and variant, capped before a seed is derived
     n_seeds = len(seeds) if seeds else n_seeds or 40
     _cap_cells("the run rows", {"n_seeds": n_seeds, "variants": len(variants)})
@@ -364,15 +372,17 @@ def run_mfg(c, seed):
     return "k,x,J,P_df", rows, 0
 
 
-# Most cells one array of a run may hold: a lohe run's Hamiltonians (q d^2),
-# coupling matrix (q^2) or trajectory ((steps + 1) q d), an mfg grid's value
-# and density fields (n_t n_x each), the drawn plant (n^2), nash weights
-# (n^2) and a sweep's best-response payoffs (n k), the drawn stackelberg
+# Most cells one array of a run may hold: a lohe run's Hamiltonians (q d^2)
+# or coupling matrix (q^2), an mfg grid's value and density fields (n_t n_x
+# each), the drawn plant (n^2), nash weights (n^2) and a sweep's
+# best-response payoffs (n k), the drawn stackelberg
 # laws (n_laws n_follower n_leader_state), and a sweep's mapping grid
 # ((resolution + 1)^2, times n_samples for mi-tradeoff's leakage draws),
 # leakage draws (n_samples) or bounds (grid_points), and a run's repetitions,
 # each holding at least one row until the write. A config past it fails
-# before allocating.
+# before allocating. It also bounds the work of a lohe trajectory, whose
+# (steps + 1) q d cells are all computed though only every stride-th state
+# is held.
 CELL_CAP = 2 ** 24
 
 
@@ -422,7 +432,7 @@ def run_lohe(c, seed):
         hams = np.broadcast_to(hams[0], (q, d, d)).copy()
     sys_ = nonstationary.LoheSystem(states=states, hamiltonians=hams, hbar=c["hbar"],
                                     alpha=c["alpha"], coupling=c["coupling"])
-    kept = nonstationary.lohe_integrate(sys_, c["dt"], steps)[::stride]
+    kept = nonstationary.lohe_integrate(sys_, c["dt"], steps, stride)
     norms = np.linalg.norm(kept, axis=2)
     rows = zip(range(0, steps + 1, stride), nonstationary.sync_order(kept).tolist(),
                norms.min(axis=1).tolist(), norms.max(axis=1).tolist())

@@ -73,46 +73,82 @@ def _lohe_rhs(sys: LoheSystem):
               + (alpha/hbar) sum_p beta_qp (psi_p - <psi_q|psi_p> psi_q)
     printed:  (H_q psi_q + alpha sum_p beta_qp (psi_q - <psi_q|psi_p> psi_p))
               / (i hbar), whose psi_q terms go into the diagonal of hc.
+
+    `rhs(p, out=None)` writes psi' of the (Q, d) complex state `p` into
+    `out`, a (Q, d) complex array that is not `p`, and returns it; with
+    `out` None it returns a fresh array. Every call writes its intermediates
+    into scratch arrays allocated here once, so a call is not reentrant.
+    Each product and sum runs in the order of the right-hand side in
+    `tests/test_nonstationary.py::TestLohe::reference_integrate`, which
+    allocates every intermediate, so the two give the same bits. No product
+    writes into one of its own inputs: numpy's complex multiply gives other
+    bits in place on a one-element loop (Q = d = 1).
     """
+    shape = sys.states.shape
     scale = 1 / (1j * sys.hbar)
+    conj, term = np.empty((2,) + shape, complex)
     if sys.coupling == "aligning":
         hc = sys.hamiltonians * scale
         ab = (sys.beta * (sys.alpha / sys.hbar)).astype(complex)
+        bp, inner = np.empty(shape, complex), np.empty((shape[0], 1), complex)
 
-        def rhs(p):
-            bp = ab @ p
-            return ((hc @ p[:, :, None])[:, :, 0] + bp
-                    - np.add.reduce(p.conj() * bp, 1, keepdims=True) * p)
+        def rhs(p, out=None):
+            out = np.empty(shape, complex) if out is None else out
+            np.dot(ab, p, bp)
+            np.add(np.matvec(hc, p, out), bp, out)
+            np.add.reduce(np.multiply(np.conjugate(p, conj), bp, term), 1, None, inner, True)
+            return np.subtract(out, np.multiply(inner, p, term), out)
         return rhs
-    diag = sys.alpha * sys.beta.sum(axis=1)[:, None, None] * np.eye(sys.states.shape[1])
+    diag = sys.alpha * sys.beta.sum(axis=1)[:, None, None] * np.eye(shape[1])
     hc = (sys.hamiltonians + diag) * scale
     cb = sys.beta * (sys.alpha * scale)
+    gram, weights = np.empty((2, shape[0], shape[0]), complex)
 
-    def rhs(p):
-        return (hc @ p[:, :, None])[:, :, 0] - ((p.conj() @ p.T) * cb) @ p
+    def rhs(p, out=None):
+        out = np.empty(shape, complex) if out is None else out
+        np.matvec(hc, p, out)
+        np.multiply(np.matmul(np.conjugate(p, conj), p.T, gram), cb, weights)
+        return np.subtract(out, np.matmul(weights, p, term), out)
     return rhs
 
 
-def lohe_integrate(sys: LoheSystem, dt: float, steps: int) -> np.ndarray:
+def lohe_integrate(sys: LoheSystem, dt: float, steps: int, stride: int = 1) -> np.ndarray:
     """Classic fourth-order integration with per-step renormalization of each
-    state back to the unit sphere, written straight into the trajectory.
-    Returns a (steps+1, Q, d) trajectory."""
-    if dt <= 0 or steps < 1:
-        raise ValidationError("lohe_integrate: dt > 0 and steps >= 1 required")
-    rhs, h2, h6 = _lohe_rhs(sys), dt / 2, dt / 6
-    traj = np.zeros((steps + 1,) + sys.states.shape, dtype=complex)
-    traj[0] = sys.states
-    psi = traj[0]
+    state back to the unit sphere. Every step is integrated, but only the
+    states at steps 0, stride, 2 stride, ... are kept, so memory follows the
+    output. Returns a (steps // stride + 1, Q, d) trajectory.
+
+    The loop allocates no array of states: the stages k1-k4, the stage
+    input, the state and the norms are allocated once per call, and
+    `rhs(p, out)` and each ufunc write into them. Each product and sum keeps
+    the order of psi + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right,
+    and no product or quotient writes into one of its own inputs, so the
+    kept states equal those of
+    `tests/test_nonstationary.py::TestLohe::reference_integrate`, which
+    allocates every intermediate, bit for bit."""
+    if dt <= 0 or steps < 1 or stride < 1:
+        raise ValidationError("lohe_integrate: dt > 0, steps >= 1 and stride >= 1 required")
+    rhs = _lohe_rhs(sys)
+    # the step's scalars, cast to complex once as numpy would on every call
+    h2, h6, h, two = (np.array(x, complex) for x in (dt / 2, dt / 6, dt, 2))
+    traj = np.empty((steps // stride + 1,) + sys.states.shape, dtype=complex)
+    k1, k2, k3, k4, stage, psi = np.empty((6,) + sys.states.shape, dtype=complex)
+    squares, norm = stage.real, np.empty((len(psi), 1))
+    psi[...] = traj[0] = sys.states
     for step in range(1, steps + 1):
-        k1 = rhs(psi)
-        k2 = rhs(psi + h2 * k1)
-        k3 = rhs(psi + h2 * k2)
-        k4 = rhs(psi + dt * k3)
-        psi = psi + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(psi).all():
+        rhs(psi, k1)
+        rhs(np.add(psi, np.multiply(h2, k1, stage), stage), k2)
+        rhs(np.add(psi, np.multiply(h2, k2, stage), stage), k3)
+        rhs(np.add(psi, np.multiply(h, k3, stage), stage), k4)
+        np.add(k1, np.multiply(two, k2, stage), k1)
+        np.add(k1, np.multiply(two, k3, stage), k1)
+        new = np.add(psi, np.multiply(h6, np.add(k1, k4, k1), stage), k2)
+        if not np.isfinite(new).all():
             raise NumericError(f"non-finite state at step {step}")
-        norm2 = np.add.reduce((psi * psi.conj()).real, 1, keepdims=True)
-        psi = np.divide(psi, np.sqrt(norm2), out=traj[step])
+        np.multiply(new, np.conjugate(new, k3), stage)
+        np.divide(new, np.sqrt(np.add.reduce(squares, 1, None, norm, True), norm), psi)
+        if step % stride == 0:
+            traj[step // stride] = psi
     return traj
 
 

@@ -321,6 +321,23 @@ class TestExitCodes:
         assert peak < 2 ** 20
         assert not out.exists()
 
+    def test_lohe_memory_follows_the_output(self, tmp_path):
+        # 20,001 states of 4 x 2 complex cells are 2.56 MB; the run keeps
+        # the 21 that it writes
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps({"steps": 20000, "stride": 1000}))
+        cli._parser()
+        tracemalloc.start()
+        try:
+            rc = main(["lohe", "--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == [
+            str(k * 1000) for k in range(21)]
+        assert peak < 2 ** 20
+
     def test_lohe_size_cap_is_inclusive(self):
         # a product at the cap passes; above it, the larger factor's key fails
         assert cli._cap_cells("x", {"q": 2 ** 22, "d": 4}) is None
@@ -442,13 +459,15 @@ class TestExitCodes:
             "error": "FloatingPointError", "field": "convergence-cdf", "message": "overflow"}
         assert not out.exists()
 
-    @pytest.mark.parametrize("cfg,floors", [
+    @pytest.mark.parametrize("cfg,message", [
         # mode three's eps / 10 underflows to 0 in the first floor
-        ({"eps": [5e-324, 0.01, 0.01], "mode": "three", "n_seeds": 20}, [0.0, 0.001, 0.001]),
-        ({"eps": [0, 0.01, 0.01]}, [0.0, 0.01, 0.01]),
+        ({"eps": [5e-324, 0.01, 0.01], "mode": "three", "n_seeds": 20},
+         "eps: mode three's relaxed_tight floors eps / 10 must be positive, got "
+         "[0.0, 0.001, 0.001] from eps [5e-324, 0.01, 0.01]"),
+        ({"eps": [0, 0.01, 0.01]}, "eps: need three positive floors, got [0.0, 0.01, 0.01]"),
     ], ids=["underflowing_tight_floors", "zero_floor"])
     def test_floors_checked_before_any_solve(self, tmp_path, capsys, monkeypatch, cfg,
-                                             floors):
+                                             message):
         calls = []
         monkeypatch.setattr(solvers, "greedy_solve", lambda *a, **kw: calls.append(kw))
         path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
@@ -458,8 +477,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1
         assert json.loads(err[0]) == {
-            "error": "ValidationError", "field": "eps",
-            "message": f"eps: need three positive floors, got {floors}"}
+            "error": "ValidationError", "field": "eps", "message": message}
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", [

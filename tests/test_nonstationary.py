@@ -102,15 +102,18 @@ class TestLohe:
         return np.array(traj)
 
     @staticmethod
-    def general_system(q, d, coupling, seed):
-        """Distinct complex Hermitian generators, an asymmetric beta with a
-        nonzero diagonal, and hbar != 1."""
+    def general_system(q, d, coupling, seed, hbar=0.7, common=False):
+        """Distinct complex Hermitian generators (or the first for every
+        state, with `common`), an asymmetric beta with a nonzero diagonal,
+        and hbar != 1."""
         rng = np.random.default_rng(seed)
         states = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         h = rng.normal(size=(q, d, d)) + 1j * rng.normal(size=(q, d, d))
         hams = (h + h.conj().transpose(0, 2, 1)) / 2
-        return ns.LoheSystem(states=states, hamiltonians=hams, hbar=0.7, alpha=1.3,
+        if common:
+            hams = np.broadcast_to(hams[0], (q, d, d)).copy()
+        return ns.LoheSystem(states=states, hamiltonians=hams, hbar=hbar, alpha=1.3,
                              beta=rng.uniform(0.0, 2.0, size=(q, q)), coupling=coupling)
 
     @pytest.mark.parametrize("coupling", ["aligning", "printed"])
@@ -184,6 +187,31 @@ class TestLohe:
         for sys in systems:
             assert np.array_equal(ns.lohe_integrate(sys, 1e-2, 500),
                                   self.reference_integrate(sys, 1e-2, 500))
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 5), d=st.integers(1, 4),
+           coupling=st.sampled_from(["aligning", "printed"]), common=st.booleans(),
+           hbar=st.floats(0.2, 5.0).filter(lambda h: h != 1.0),
+           dt=st.floats(1e-3, 0.2), steps=st.integers(1, 60), stride=st.integers(1, 7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_buffered_loop_bit_identical_to_reference(self, q, d, coupling, common, hbar,
+                                                      dt, steps, stride, seed):
+        # the kept states are the reference's every stride-th, and a
+        # right-hand side written into a buffer is the one it returns fresh
+        sys = self.general_system(q, d, coupling, seed, hbar=hbar, common=common)
+        traj = ns.lohe_integrate(sys, dt, steps, stride)
+        assert traj.shape == (steps // stride + 1, q, d)
+        assert np.array_equal(traj, self.reference_integrate(sys, dt, steps)[::stride])
+        rhs = ns._lohe_rhs(sys)
+        rng = np.random.default_rng(seed)
+        p = rng.normal(size=(q, d)) + 1j * rng.normal(size=(q, d))
+        fresh, out = rhs(p), np.empty((q, d), complex)
+        assert rhs(p, out) is out
+        assert np.array_equal(out, fresh)
+
+    def test_stride_must_be_positive(self):
+        with pytest.raises(ValidationError, match="stride >= 1"):
+            ns.lohe_integrate(self.make_system(), 1e-2, 10, 0)
 
     def test_sync_order_bounds(self):
         psi = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)

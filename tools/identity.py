@@ -9,6 +9,8 @@ The case list is built from this checkout:
   at seeds 0-4 with `--repetitions` 1 and 2;
 - `golden/<i>/<subcommand>`: the i-th entry of `GOLDEN_CONFIGS` in
   `tests/test_golden_csv.py`;
+- `failure/<i>/<subcommand>`: the i-th entry of `GOLDEN_FAILURES` there,
+  each a config that exits 4;
 - `check/<name>`: configs that a check must reject, with exit 3;
 - with `--plans`, `plan/<workload>/seed<s>/<k>`: the k-th `cli.main` call of
   `bench/workloads.make_plan(workload, s, 20)` for each workload at seeds
@@ -87,6 +89,9 @@ def build_cases(workdir, out, plans=False):
                               [sub, "--seed", str(seed), "--repetitions", str(reps)]))
     for i, case in enumerate(golden.GOLDEN_CONFIGS):
         cases.append((f"golden/{i:02d}/{case[0]}", golden.config_argv(workdir, case, i)))
+    for i, (sub, config, _) in enumerate(golden.GOLDEN_FAILURES.values()):
+        path = _write_json(os.path.join(workdir, f"failure-{i}.json"), config)
+        cases.append((f"failure/{i:02d}/{sub}", [sub, "--config", path, "--seed", "0"]))
     for name, (sub, config) in CHECKS.items():
         path = _write_json(os.path.join(workdir, f"check-{name}.json"), config)
         cases.append((f"check/{name}", [sub, "--config", path]))
