@@ -95,7 +95,8 @@ def _lohe_rhs(sys: LoheSystem):
         def rhs(p, out=None):
             out = np.empty(shape, complex) if out is None else out
             np.dot(ab, p, bp)
-            np.add(np.matvec(hc, p, out), bp, out)
+            np.matmul(hc, p[..., None], out[..., None])
+            np.add(out, bp, out)
             np.add.reduce(np.multiply(np.conjugate(p, conj), bp, term), 1, None, inner, True)
             return np.subtract(out, np.multiply(inner, p, term), out)
         return rhs
@@ -106,7 +107,7 @@ def _lohe_rhs(sys: LoheSystem):
 
     def rhs(p, out=None):
         out = np.empty(shape, complex) if out is None else out
-        np.matvec(hc, p, out)
+        np.matmul(hc, p[..., None], out[..., None])
         np.multiply(np.matmul(np.conjugate(p, conj), p.T, gram), cb, weights)
         return np.subtract(out, np.matmul(weights, p, term), out)
     return rhs
